@@ -2,8 +2,7 @@
 verification suites, and ratio experiment tables.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error.  Every command
-is deterministic given (seed, flags, input file); MENGER_THREADS is
-accepted and validated but never changes results or reports.
+is deterministic given (seed, flags, input file).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -355,23 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_threads_env() -> None:
-    raw = os.environ.get("MENGER_THREADS")
-    if raw is None:
-        return
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InputError(f"MENGER_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise InputError("MENGER_THREADS must be >= 1")
-    # Worker cap acknowledged; estimation is stream-deterministic, so the
-    # value never influences any result or report.
-
-
 def main(argv=None) -> int:
     try:
-        _check_threads_env()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:

@@ -104,6 +104,8 @@ def continuous_curvature_sq(
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if lam is not None and query is None:
         raise ValueError("a separation parameter needs a ball query")
     idx = _restricted(cloud, query)
@@ -288,6 +290,8 @@ def decomposition_check(
     The (k, n) cells also record the canonical-handle-position estimate,
     i.e. the cell total divided by the binomial weight C(d+1, n).
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     idx = _restricted(cloud, query)
     pts = cloud.points[idx]
     w = cloud.weights[idx]
@@ -376,8 +380,9 @@ def prop11_ratio(
     """
     ball = Ball(center, t)
     est = curvature_over_Ulambda(cloud, ball, lam, d, n_samples=n_samples, seed=seed, mode=mode)
-    b2sq = beta2(cloud, ball, d).value ** 2
-    mass = cloud.mass_in(ball)
+    res = beta2(cloud, ball, d)
+    b2sq = res.value**2
+    mass = res.mass
     denom = b2sq * mass
     out = {
         "lhs": est.estimate,

@@ -165,17 +165,11 @@ def points_in_ball(cloud: WeightedPointCloud, ball: Ball) -> np.ndarray:
     return cloud.in_ball(ball)
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def gen_plane_patch(d: int, D: int, n: int, seed=0) -> WeightedPointCloud:
     """Uniform sample of a unit d-cube patch of a d-plane embedded in R^D."""
     if not 1 <= d <= D:
         raise ValueError("need 1 <= d <= D")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     pts = np.zeros((n, D))
     pts[:, :d] = rng.uniform(-0.5, 0.5, size=(n, d))
     return WeightedPointCloud(pts, np.full(n, 1.0 / n))
@@ -183,7 +177,7 @@ def gen_plane_patch(d: int, D: int, n: int, seed=0) -> WeightedPointCloud:
 
 def gen_sphere(D: int, n: int, seed=0) -> WeightedPointCloud:
     """Uniform sample of the unit sphere in R^D (D=2 gives the circle)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, D))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return WeightedPointCloud(g, np.full(n, 1.0 / n))
@@ -197,7 +191,7 @@ def gen_lipschitz_graph(d: int, D: int, lip: float, n: int, seed=0) -> WeightedP
     """
     if not 1 <= d < D:
         raise ValueError("need 1 <= d < D")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x = rng.uniform(-0.5, 0.5, size=(n, d))
     m_out = D - d
     scale = lip / np.sqrt(m_out)
@@ -238,7 +232,7 @@ def gen_four_corner_cantor(level: int) -> WeightedPointCloud:
 def sample_tuple(cloud: WeightedPointCloud, restriction: Ball | None, m: int, rng) -> np.ndarray:
     """Draw an m-tuple of support points i.i.d. proportional to mass,
     optionally restricted to a ball.  Returns the (m, D) point array."""
-    rng = _rng(rng)
+    rng = np.random.default_rng(rng)
     if restriction is None:
         idx = np.arange(len(cloud))
     else:
@@ -270,7 +264,7 @@ def regularity_constant(
     estimate is clipped below at 1.  A cloud too small to carry scales is
     flagged degenerate.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if len(cloud) < 2:
         return RegularityReport(1.0, d, np.zeros((0, 3)), degenerate=True)
     w = cloud.weights / cloud.total_mass()

@@ -4,8 +4,9 @@ Jones-type flatness functionals built on them.
 Per scale n the construction is:
   E_n   a greedy alpha0^n-net of the support (pairwise > alpha0^n, covering
         within alpha0^n),
-  B_n   the subfamily of {B(x, 4 alpha0^n)} whose quarter balls are maximal
-        mutually disjoint (greedy scan in net order); B_n still covers,
+  B_n   the balls B(x, 4 alpha0^n) centred on the greedy 2 alpha0^n-net of
+        E_n (scanned in net order), so their quarter balls are maximal
+        mutually disjoint; B_n still covers,
   P_n   a partition of the support with
         supp /\\ (1/4)B_{n,j}  <=  P_{n,j}  <=  supp /\\ (3/4)B_{n,j},
         built by trimming the leftover quarter balls against the kept
@@ -54,17 +55,19 @@ def build_net(points: np.ndarray, order: np.ndarray, r: float) -> np.ndarray:
     Returns the selected indices (in admission order).  Admitted points are
     pairwise more than r apart and every point is within r of one of them.
     """
-    selected: list[int] = []
-    sel_pts = np.empty((0, points.shape[1]))
+    selected = np.empty(len(order), dtype=int)
+    sel_pts = np.empty((len(order), points.shape[1]))
+    count = 0
     for idx in order:
         p = points[idx]
-        if len(selected):
-            d2 = np.einsum("ij,ij->i", sel_pts - p, sel_pts - p)
-            if d2.min() <= r * r:
+        if count:
+            diff = sel_pts[:count] - p
+            if np.einsum("ij,ij->i", diff, diff).min() <= r * r:
                 continue
-        selected.append(int(idx))
-        sel_pts = np.vstack([sel_pts, p[None, :]])
-    return np.asarray(selected, dtype=int)
+        selected[count] = idx
+        sel_pts[count] = p
+        count += 1
+    return selected[:count].copy()
 
 
 def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> np.ndarray:
@@ -72,20 +75,10 @@ def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> np.ndarr
     maximal mutually disjoint.  Returns positions within the net list.
 
     Closed balls of radius q are disjoint iff their centers are more than
-    2q apart, so a candidate is dropped exactly when some kept center is
-    within 2q.
+    2q apart, so the kept centers are the greedy 2q-net of the net, scanned
+    in net order.
     """
-    kept: list[int] = []
-    kept_pts = np.empty((0, net_points.shape[1]))
-    thr = (2.0 * quarter_radius) ** 2
-    for pos, p in enumerate(net_points):
-        if len(kept):
-            d2 = np.einsum("ij,ij->i", kept_pts - p, kept_pts - p)
-            if d2.min() <= thr:
-                continue
-        kept.append(pos)
-        kept_pts = np.vstack([kept_pts, p[None, :]])
-    return np.asarray(kept, dtype=int)
+    return build_net(net_points, np.arange(len(net_points)), 2.0 * quarter_radius)
 
 
 def build_partition(
@@ -116,7 +109,9 @@ def build_partition(
         has = inside.any(axis=1)
         assignment[lo : lo + block][has] = np.argmax(inside[has], axis=1)
 
-    leftover_pos = np.asarray([p for p in range(len(net_points)) if p not in set(kept.tolist())], dtype=int)
+    leftover = np.ones(len(net_points), dtype=bool)
+    leftover[kept] = False
+    leftover_pos = np.nonzero(leftover)[0]
     unassigned = np.nonzero(assignment < 0)[0]
     if len(unassigned) == 0:
         return assignment
@@ -125,10 +120,12 @@ def build_partition(
         raise AssertionError("net covering violated: unassigned points but no leftover balls")
     leftover_centers = net_points[leftover_pos]
     # g(B'): smallest kept index whose quarter ball meets the leftover ball,
-    # i.e. center distance <= 2q.  Guaranteed to exist by the drop rule.
+    # i.e. center distance <= 2q.  Guaranteed to exist by the drop rule, as
+    # long as both compare against the same rounded square (2q)*(2q).
+    two_q = 2.0 * quarter_radius
     diff = leftover_centers[:, None, :] - kept_centers[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    meets = d2 <= (2.0 * quarter_radius) ** 2
+    meets = d2 <= two_q * two_q
     if not meets.any(axis=1).all():
         raise AssertionError("dropped net ball meets no kept quarter ball")
     g = np.argmax(meets, axis=1)
@@ -209,7 +206,8 @@ class MultiresolutionFamily:
         self.alpha0 = float(alpha0)
         self.order = np.random.default_rng(order_seed).permutation(len(cloud))
         self._levels: dict[int, NetLevel] = {}
-        self._beta_cache: dict[tuple[int, int, int], float] = {}
+        # (n, j, d) -> (beta_2^2, mu(B)) of family ball j at level n
+        self._beta_cache: dict[tuple[int, int, int], tuple[float, float]] = {}
 
         diam = max(cloud.support_diameter(), 1e-300)
         self.n_top = scale_index(diam, alpha0)
@@ -235,9 +233,9 @@ class MultiresolutionFamily:
     def beta2_sq(self, n: int, j: int, d: int) -> float:
         key = (n, j, d)
         if key not in self._beta_cache:
-            ball = self.level(n).ball(self.cloud, j)
-            self._beta_cache[key] = beta2(self.cloud, ball, d).value ** 2
-        return self._beta_cache[key]
+            res = beta2(self.cloud, self.level(n).ball(self.cloud, j), d)
+            self._beta_cache[key] = (res.value**2, res.mass)
+        return self._beta_cache[key][0]
 
 
 def local_family(family: MultiresolutionFamily, query: Ball) -> list[tuple[int, int, Ball]]:
@@ -263,11 +261,9 @@ def jones_flatness_discrete(
         raise ValueError("family was built over a different cloud")
     terms = []
     total = 0.0
-    for n, j, ball in local_family(family, query):
+    for n, j, _ in local_family(family, query):
         b2 = family.beta2_sq(n, j, d)
-        mass = cloud.mass_in(ball)
-        if mass == 0.0:
-            continue
+        mass = family._beta_cache[n, j, d][1]
         total += b2 * mass
         terms.append({"level": n, "j": j, "beta2sq": b2, "mass": mass})
     return FlatnessReport(total=total, terms=terms, kind="discrete")
@@ -289,7 +285,6 @@ def jones_flatness_continuous(
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    from .planes import beta2 as _beta2  # local alias, mirrors the discrete path
 
     idx = cloud.in_ball(query)
     terms: list = []
@@ -312,7 +307,7 @@ def jones_flatness_continuous(
     while t >= floor and level < MAX_LEVELS_BELOW_TOP:
         layer = 0.0
         for pi, wx in zip(sub, w_sub):
-            b2 = _beta2(cloud, Ball(cloud.points[pi], t), d).value ** 2
+            b2 = beta2(cloud, Ball(cloud.points[pi], t), d).value ** 2
             layer += wx * b2
             terms.append({"t": t, "x": int(pi), "beta2sq": b2, "weight": float(wx)})
         total += log_w * layer

@@ -105,16 +105,19 @@ def fit_plane(cloud, ball, d: int) -> AffinePlane:
     return fit_plane_points(cloud.points[idx], cloud.weights[idx], d)
 
 
+def _beta2_value(points, weights, plane: AffinePlane, radius: float) -> float:
+    dist = plane.distance_many(points)
+    diam = 2.0 * radius
+    return float(np.sqrt(np.sum(weights * (dist / diam) ** 2) / weights.sum()))
+
+
 def beta2_with_plane(cloud, ball, plane: AffinePlane) -> float:
     """beta_2(B, L): sqrt( sum_{x in B} w(x) (dist(x,L)/diam B)^2 / mu(B) )
     with diam B = 2 * radius.  An empty ball contributes 0."""
     idx = cloud.in_ball(ball)
     if len(idx) == 0:
         return 0.0
-    w = cloud.weights[idx]
-    dist = plane.distance_many(cloud.points[idx])
-    diam = 2.0 * ball.radius
-    return float(np.sqrt(np.sum(w * (dist / diam) ** 2) / w.sum()))
+    return _beta2_value(cloud.points[idx], cloud.weights[idx], plane, ball.radius)
 
 
 def beta2(cloud, ball, d: int) -> Beta2Result:
@@ -125,6 +128,6 @@ def beta2(cloud, ball, d: int) -> Beta2Result:
     if len(idx) == 0:
         plane = AffinePlane(np.asarray(ball.center, dtype=float), _canonical_frame(d, cloud.ambient_dim))
         return Beta2Result(0.0, plane, 0.0)
-    plane = fit_plane_points(cloud.points[idx], cloud.weights[idx], d)
-    value = beta2_with_plane(cloud, ball, plane)
-    return Beta2Result(value, plane, float(cloud.weights[idx].sum()))
+    points, weights = cloud.points[idx], cloud.weights[idx]
+    plane = fit_plane_points(points, weights, d)
+    return Beta2Result(_beta2_value(points, weights, plane, ball.radius), plane, float(weights.sum()))

@@ -96,14 +96,13 @@ def bar_index(a: int, d: int) -> int:
 # tuple plumbing (generic over numeric and symbolic coordinates)
 
 
-def _as_tuple(X):
-    if isinstance(X, np.ndarray):
-        return tuple(X)
-    return tuple(X)
+def _as_array(tup) -> np.ndarray:
+    """Stack a tuple of coordinates into a (len, D) float array."""
+    return np.stack([np.asarray(p, dtype=float) for p in tup])
 
 
 def _psin0(tup) -> float:
-    return polar_sine(np.stack([np.asarray(p, dtype=float) for p in tup]), 0)
+    return polar_sine(_as_array(tup), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +115,8 @@ def auxiliary_sequence(X, Y, k: int | None = None, d: int | None = None) -> list
 
     Returns [X_tilde_0, ..., X_tilde_{kd}] as tuples.
     """
-    X = _as_tuple(X)
-    Y = _as_tuple(Y)
+    X = tuple(X)
+    Y = tuple(Y)
     if d is None:
         d = len(X) - 2
     if len(X) != d + 2:
@@ -143,7 +142,7 @@ def well_scaled_sequence(X, Y, k: int | None = None, d: int | None = None) -> li
     aux = auxiliary_sequence(X, Y, k, d)
     dd = len(aux[0]) - 2
     kd = len(aux) - 1
-    out = [replace_coordinate(aux[q - 1], _as_tuple(Y)[q - 1], 1) for q in range(1, kd + 1)]
+    out = [replace_coordinate(aux[q - 1], tuple(Y)[q - 1], 1) for q in range(1, kd + 1)]
     out.append(aux[kd])
     return out
 
@@ -163,7 +162,7 @@ def well_scaled_bound_report(seq, X, k: int, d: int, alpha0: float, rtol: float 
         raise ValueError(f"sequence must hold kd+1 = {kd + 1} elements")
     failures = []
     for q in range(1, kd + 1):
-        Xq = np.stack([np.asarray(p, dtype=float) for p in seq[q - 1]])
+        Xq = _as_array(seq[q - 1])
         mq = max_at0(Xq)
         c = math.ceil(q / d)
         lo = alpha0 ** (k + 1 - c) * mx
@@ -174,7 +173,7 @@ def well_scaled_bound_report(seq, X, k: int, d: int, alpha0: float, rtol: float 
             failures.append((q, f"max_at0 {mq} exceeds {hi}"))
         if not (scale_at0(Xq) > alpha0**3 * (1.0 - rtol)):
             failures.append((q, "element not well-scaled"))
-    last = np.stack([np.asarray(p, dtype=float) for p in seq[-1]])
+    last = _as_array(seq[-1])
     if not (min_at0(last) > alpha0 * mx * (1.0 - rtol)):
         failures.append((kd + 1, f"min_at0 {min_at0(last)} not above {alpha0 * mx}"))
     if abs(max_at0(last) - mx) > rtol * mx:
@@ -208,7 +207,7 @@ def multiscale_inequality_check(X, Y, Cp: float, k: int, d: int, rtol: float = 1
     Holds whenever is_in_augmented_set does; returns (ok, lhs, rhs).
     """
     kd = k * d
-    lhs = _psin0(_as_tuple(X)) ** 2
+    lhs = _psin0(tuple(X)) ** 2
     pieces = well_scaled_sequence(X, Y, k, d)
     rhs = (kd + 1) * Cp ** (2 * kd) * sum(_psin0(p) ** 2 for p in pieces)
     return lhs <= rhs * (1.0 + rtol), lhs, rhs
@@ -232,8 +231,8 @@ def rake_tree(X, Z, n: int, d: int | None = None) -> list:
     coordinate n-j-1 instead and then swaps coordinates n-j-1 and n-j, so
     surviving handles stay in the leading positions.
     """
-    X = _as_tuple(X)
-    Z = _as_tuple(Z)
+    X = tuple(X)
+    Z = tuple(Z)
     if d is None:
         d = len(X) - 2
     if len(X) != d + 2:
@@ -263,7 +262,7 @@ def rake_sequence(X, Z, n: int, d: int | None = None) -> list:
 def is_in_overline_set(X, Z, Cp: float) -> bool:
     """Membership for the rake construction: each tree node has
     psin(parent) <= Cp (psin(left child) + psin(right child))."""
-    Z = _as_tuple(Z)
+    Z = tuple(Z)
     n = int(math.log2(len(Z) + 1)) + 1
     if short_scale_size(n) != len(Z):
         raise ValueError("piece size must be 2^(n-1)-1")
@@ -279,7 +278,7 @@ def is_in_overline_set(X, Z, Cp: float) -> bool:
 
 def rake_inequality_check(X, Z, Cp: float, n: int, rtol: float = 1e-12):
     """psin^2(X) <= 2^{n-1} Cp^{2(n-1)} sum_s psin^2(X^s); (ok, lhs, rhs)."""
-    lhs = _psin0(_as_tuple(X)) ** 2
+    lhs = _psin0(tuple(X)) ** 2
     leaves = rake_sequence(X, Z, n)
     rhs = 2 ** (n - 1) * Cp ** (2 * (n - 1)) * sum(_psin0(leaf) ** 2 for leaf in leaves)
     return lhs <= rhs * (1.0 + rtol), lhs, rhs
@@ -290,7 +289,7 @@ def rake_property_level(Xs, k: int, alpha0: float) -> int | None:
     simplex with tolerance p=2, or None."""
     from .estimators import handle_indices
 
-    Xs = np.stack([np.asarray(p, dtype=float) for p in _as_tuple(Xs)])
+    Xs = _as_array(Xs)
     norms = np.linalg.norm(Xs[1:] - Xs[0], axis=1)
     mx = norms.max()
     if mx == 0.0 or norms.min() == 0.0:
@@ -305,8 +304,8 @@ def rake_property_level(Xs, k: int, alpha0: float) -> int | None:
 def check_rake_property(Xs, X, k: int, alpha0: float, rtol: float = 1e-9) -> bool:
     """Leaf lemma: the leaf never outgrows the parent's top edge and sits
     in a single-handled class at some level k' <= k-1."""
-    Xs_arr = np.stack([np.asarray(p, dtype=float) for p in _as_tuple(Xs)])
-    X_arr = np.stack([np.asarray(p, dtype=float) for p in _as_tuple(X)])
+    Xs_arr = _as_array(Xs)
+    X_arr = _as_array(X)
     if max_at0(Xs_arr) > max_at0(X_arr) * (1.0 + rtol):
         return False
     return rake_property_level(Xs_arr, k, alpha0) is not None
@@ -336,7 +335,7 @@ def annulus_conditional_mass(
     radius.  The claimed lower bound is half that ball mass; the harness
     compares against it.
     """
-    Xp = np.stack([np.asarray(p, dtype=float) for p in _as_tuple(X_tilde_prev)])
+    Xp = _as_array(X_tilde_prev)
     x0 = Xp[0]
     mx = max_at0(Xp)
     level = k - math.ceil(q / d)
@@ -347,35 +346,6 @@ def annulus_conditional_mass(
     lhs = _psin0(Xp)
     rhs = np.sqrt(_batch.psin_with_replacement(Xp, ys, 1)) + np.sqrt(
         _batch.psin_with_replacement(Xp, ys, bar_index(q + 1, d))
-    )
-    member = lhs <= Cp * rhs
-    return float(cloud.weights[idx][member].sum())
-
-
-def rake_conditional_mass(
-    cloud: WeightedPointCloud,
-    parent,
-    n: int,
-    j: int,
-    k: int,
-    Cp: float,
-    alpha0: float,
-    max_norm: float,
-) -> float:
-    """Mass of the two-child set of a depth-j rake node inside A_k(x_0, max_norm).
-
-    The right child's coordinate swap fixes x_0, and the polar sine at the
-    base is permutation invariant, so only the two replacement positions
-    n-j and n-j-1 matter.
-    """
-    P = np.stack([np.asarray(p, dtype=float) for p in _as_tuple(parent)])
-    idx = annulus_indices(cloud, P[0], max_norm, k, alpha0)
-    if len(idx) == 0:
-        return 0.0
-    zs = cloud.points[idx]
-    lhs = _psin0(P)
-    rhs = np.sqrt(_batch.psin_with_replacement(P, zs, n - j)) + np.sqrt(
-        _batch.psin_with_replacement(P, zs, n - j - 1)
     )
     member = lhs <= Cp * rhs
     return float(cloud.weights[idx][member].sum())
@@ -408,12 +378,12 @@ def sample_well_scaled_piece(
     Raises PieceSamplingError when an annulus holds no support points or
     max_attempts rejections pile up at one step.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     X_arr = np.asarray(X, dtype=float)
     d = len(X_arr) - 2
     x0 = X_arr[0]
     mx = max_at0(X_arr)
-    cur = _as_tuple(X_arr)
+    cur = tuple(X_arr)
     out = []
     attempts_per_q = []
     for q in range(1, k * d + 1):
@@ -454,7 +424,7 @@ def sample_short_scale_piece(
     """Draw a short-scale piece Z (all from A_k(x_0, max_at0)) so the rake
     tree built from it lies in the overline augmented set: each z is
     accepted iff its node's two-child inequality holds, breadth first."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     X_arr = np.asarray(X, dtype=float)
     d = len(X_arr) - 2
     if not 1 < n <= d:
@@ -464,7 +434,7 @@ def sample_short_scale_piece(
     idx = annulus_indices(cloud, x0, mx, k, alpha0)
     if len(idx) == 0:
         raise PieceSamplingError("annulus holds no support points")
-    levels: list[list] = [[_as_tuple(X_arr)]]
+    levels: list[list] = [[tuple(X_arr)]]
     out = []
     attempts_per_node = []
     for i in range(1, short_scale_size(n) + 1):
@@ -510,7 +480,7 @@ def plant_scaled_simplex(d: int, D: int, k: int, n: int, alpha0: float, rng) -> 
         raise ValueError("need 1 <= n <= d")
     if k < 3:
         raise ValueError("poorly-scaled classes start at k = 3")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     dirs = _unit_vectors(rng, d + 1, D)
     ratios = np.empty(d + 1)
     ratios[0] = 1.0
@@ -523,7 +493,7 @@ def plant_scaled_simplex(d: int, D: int, k: int, n: int, alpha0: float, rng) -> 
 def plant_well_scaled_piece(X, k: int, alpha0: float, rng) -> np.ndarray:
     """Auxiliary points for the well-scaled sequence, each strictly inside
     its step annulus A_{k-ceil(q/d)}(x_0, max_at0(X))."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     X = np.asarray(X, dtype=float)
     d = len(X) - 2
     mx = max_at0(X)
@@ -537,7 +507,7 @@ def plant_well_scaled_piece(X, k: int, alpha0: float, rng) -> np.ndarray:
 
 def plant_short_scale_piece(X, n: int, k: int, alpha0: float, rng) -> np.ndarray:
     """Auxiliary points for the rake tree, all strictly inside A_k(x_0, max_at0(X))."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     X = np.asarray(X, dtype=float)
     mx = max_at0(X)
     count = short_scale_size(n)
@@ -552,7 +522,7 @@ def sample_scaled_simplex(
     weighted base, the farthest support point as the leading handle, extra
     handles from the top annulus, tines from the level-k annulus.  Distinct
     indices throughout; retries a fresh base on failure."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     if not 1 <= n <= d:
         raise ValueError("need 1 <= n <= d")
     w_all = cloud.weights / cloud.total_mass()

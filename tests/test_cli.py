@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import subprocess
 import sys
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from menger.cli import main
-from menger.measure import WeightedPointCloud, gen_four_corner_cantor, gen_plane_patch
+from menger.measure import WeightedPointCloud, gen_four_corner_cantor, gen_plane_patch, gen_sphere
 
 
 @pytest.fixture()
@@ -115,11 +114,14 @@ def test_input_error_exit_codes(plane_csv, tmp_path, capsys):
     assert run(capsys, ["beta", "--input", plane_csv, "--d", "1", "--ball", "0,0:-1"])[0] == 2
 
 
-def test_threads_env_validation(plane_csv, capsys, monkeypatch):
-    monkeypatch.setenv("MENGER_THREADS", "lots")
-    code, _, err = run(capsys, ["beta", "--input", plane_csv, "--d", "1"])
-    assert code == 2
-    assert "MENGER_THREADS" in err
+def test_bad_sample_counts_exit_2(tmp_path, capsys):
+    path = tmp_path / "circle.csv"
+    gen_sphere(2, 500, seed=1).to_csv(path)
+    for samples in ("-3", "0"):
+        code, stdout, err = run(capsys, ["curvature", "--input", str(path), "--d", "1", "--samples", samples])
+        assert code == 2
+        assert stdout == ""
+        assert "n_samples" in err
 
 
 def test_unknown_command_exits_2(capsys):
@@ -160,12 +162,8 @@ def test_ratio_thm13_table(tmp_path, capsys):
 
 
 def test_verify_subprocess_determinism(tmp_path):
-    env = dict(os.environ)
     cmd = [sys.executable, "-m", "menger.cli", "verify", "sequences", "--seed", "7"]
-    a = subprocess.run(cmd, capture_output=True, env=env, check=True)
-    env["MENGER_THREADS"] = "1"
-    b = subprocess.run(cmd, capture_output=True, env=env, check=True)
-    env["MENGER_THREADS"] = "8"
-    c = subprocess.run(cmd, capture_output=True, env=env, check=True)
-    assert a.stdout == b.stdout == c.stdout
+    a = subprocess.run(cmd, capture_output=True, check=True)
+    b = subprocess.run(cmd, capture_output=True, check=True)
+    assert a.stdout == b.stdout
     assert json.loads(a.stdout)["passed"]

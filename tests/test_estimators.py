@@ -106,6 +106,11 @@ def test_query_and_mode_validation(small_cloud):
         continuous_curvature_sq(small_cloud, None, 0)
     with pytest.raises(ValueError):
         continuous_curvature_sq(small_cloud, None, 1, lam=0.5)  # needs a ball
+    for n_samples in (0, -3):
+        with pytest.raises(ValueError):
+            continuous_curvature_sq(small_cloud, None, 1, n_samples=n_samples)
+        with pytest.raises(ValueError):
+            decomposition_check(small_cloud, None, 1, 0.25, n_samples=n_samples)
 
 
 def test_mc_estimate_dataclass():

@@ -15,6 +15,7 @@ from menger.multiscale import (
     m_of_Q,
     scale_index,
 )
+from menger.planes import beta2
 
 
 def as_pts(xs):
@@ -59,6 +60,56 @@ def test_net_separation_and_covering(circle):
     assert dist.min() > r
     cover = np.linalg.norm(circle.points[:, None, :] - sel[None, :, :], axis=2).min(axis=1)
     assert (cover <= r).all()
+
+
+def reference_net(points, order, r):
+    """The greedy r-net as a plain admission loop that re-stacks the
+    admitted points on every admission."""
+    selected = []
+    sel_pts = np.empty((0, points.shape[1]))
+    for idx in order:
+        p = points[idx]
+        if len(selected):
+            d2 = np.einsum("ij,ij->i", sel_pts - p, sel_pts - p)
+            if d2.min() <= r * r:
+                continue
+        selected.append(int(idx))
+        sel_pts = np.vstack([sel_pts, p[None, :]])
+    return np.asarray(selected, dtype=int)
+
+
+def reference_ball_family(net_points, quarter_radius):
+    """Kept positions by the quarter-ball drop rule, scanned in net order."""
+    kept = []
+    kept_pts = np.empty((0, net_points.shape[1]))
+    thr = (2.0 * quarter_radius) ** 2
+    for pos, p in enumerate(net_points):
+        if len(kept):
+            d2 = np.einsum("ij,ij->i", kept_pts - p, kept_pts - p)
+            if d2.min() <= thr:
+                continue
+        kept.append(pos)
+        kept_pts = np.vstack([kept_pts, p[None, :]])
+    return np.asarray(kept, dtype=int)
+
+
+# Integer grids with radii whose squares are exact, so many center
+# distances land exactly on r or 2q and the closed comparisons decide.
+grid_clouds = st.integers(1, 3).flatmap(
+    lambda D: st.lists(st.lists(st.integers(0, 5), min_size=D, max_size=D), min_size=1, max_size=40)
+).map(lambda rows: np.asarray(rows, dtype=float))
+
+
+@given(grid_clouds, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 1.5]), st.data())
+def test_greedy_routines_match_reference_loop(pts, r, q, data):
+    order = np.asarray(data.draw(st.permutations(range(len(pts)))), dtype=int)
+    net = build_net(pts, order, r)
+    assert net.dtype.kind == "i"
+    assert np.array_equal(net, reference_net(pts, order, r))
+    for net_points in (pts, pts[net]):
+        kept = build_ball_family(net_points, q)
+        assert kept.dtype.kind == "i"
+        assert np.array_equal(kept, reference_ball_family(net_points, q))
 
 
 def test_ball_family_drop_rule_is_closed():
@@ -171,3 +222,30 @@ def test_family_rejects_bad_alpha0(circle):
         MultiresolutionFamily(circle, 1.0)
     with pytest.raises(ValueError):
         jones_flatness_continuous(circle, circle.bounding_ball(), 1, rho=1.5)
+
+
+def test_beta2_scans_once_and_repeated_query_scans_nothing(circle, monkeypatch):
+    scans = []
+    contains = Ball.contains
+
+    def counting(self, points):
+        scans.append(self.radius)
+        return contains(self, points)
+
+    monkeypatch.setattr(Ball, "contains", counting)
+    beta2(circle, Ball(circle.points[0], 0.5), 1)
+    assert len(scans) == 1
+
+    fam = MultiresolutionFamily(circle, 0.25, order_seed=0)
+    query = Ball(circle.points[0], 0.5)
+    scans.clear()
+    first = jones_flatness_discrete(circle, query, fam, 1)
+    assert len(scans) == len(first.terms)  # one restriction per family ball
+    scans.clear()
+    second = jones_flatness_discrete(circle, query, fam, 1)
+    assert scans == []
+    assert second.total == first.total and second.terms == first.terms
+    monkeypatch.undo()
+    for t in first.terms:
+        ball = fam.level(t["level"]).ball(circle, t["j"])
+        assert t["mass"] == circle.mass_in(ball)
