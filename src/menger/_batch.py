@@ -1,8 +1,10 @@
 """Vectorised kernels over stacks of simplex tuples.
 
-A stack is a (B, m, D) array: B tuples of m points each.  Determinants of
-the small Gram matrices are clamped at zero, matching the PSD convention of
-geometry.gram_content; tuples with coinciding coordinates get polar sine 0.
+A stack is a (B, m, D) array: B tuples of m points each.  These kernels are
+the only implementation of the content, polar-sine and curvature formulas:
+the scalar functions of geometry.py call them with B = 1.  Gram determinants are clamped at zero
+(the Gram matrix is positive semidefinite); tuples with coinciding
+coordinates get polar sine 0.
 """
 
 from __future__ import annotations
@@ -21,12 +23,16 @@ def content_sq(T: np.ndarray, base: int) -> np.ndarray:
 
     Tuples whose determinant falls below the determinant noise bound
     (~ k eps trace^k) are re-evaluated through eigenvalues with the
-    matrix_rank cut, matching geometry.gram_content: exactly rank-deficient
-    tuples come out 0 rather than eigensolver noise.
+    matrix_rank cut (k eps ev_max): exactly rank-deficient tuples, e.g.
+    d+2 points inside a d-plane, come out 0 rather than noise on the order
+    of eps * edge scale^2k.
     """
-    E = np.delete(T, base, axis=1) - T[:, base : base + 1, :]
+    E = np.delete(T, base, axis=1) - T[:, base, None, :]
     G = np.einsum("bik,bjk->bij", E, E)
-    det = np.clip(np.linalg.det(G), 0.0, None)
+    # An LU pivot that underflows to 0 (subnormal edges) makes det warn; its
+    # determinant comes out 0, below the floor, so eigvalsh settles it.
+    with np.errstate(divide="ignore"):
+        det = np.clip(np.linalg.det(G), 0.0, None)
     k = G.shape[1]
     eps = np.finfo(float).eps
     floor = 10.0 * k * eps * np.trace(G, axis1=1, axis2=2) ** k
@@ -61,13 +67,14 @@ def curvature_terms(T: np.ndarray) -> dict:
     """Everything the estimators need, per tuple.
 
     Returns a dict with
-      diam2     (B,)  squared diameters
-      min_sep2  (B,)  squared minimal pairwise separations
-      psin2     (B, m) squared polar sines at every vertex
-      diam_pow  (B,)  diam^{d(d+1)}
-      cd_sq     (B,)  c_d^2 in the canonical polar-sine form
-      psin0_nrm (B,)  psin^2_{x_0}(X) / diam^{d(d+1)}  (the decomposition integrand)
-      cd_sq_vol (B,)  volume form of c_d^2 (cross-check path)
+      diam2       (B,)   squared diameters
+      min_sep2    (B,)   squared minimal pairwise separations
+      psin2       (B, m) squared polar sines at every vertex
+      content0_sq (B,)   squared Gram content at the base vertex x_0
+      diam_pow    (B,)   diam^{d(d+1)}
+      cd_sq       (B,)   c_d^2 in the canonical polar-sine form
+      psin0_nrm   (B,)   psin^2_{x_0}(X) / diam^{d(d+1)}  (the decomposition integrand)
+      cd_sq_vol   (B,)   volume form of c_d^2 (cross-check path)
     """
     B, m, _ = T.shape
     d = m - 2
@@ -77,11 +84,12 @@ def curvature_terms(T: np.ndarray) -> dict:
     diam2 = d2[:, offdiag].max(axis=1) if B else np.zeros(0)
     min_sep2 = d2[:, offdiag].min(axis=1) if B else np.zeros(0)
 
+    vol2 = content_sq(T, 0)
     psin2 = np.empty((B, m))
     prods = np.empty((B, m))
     for i in range(m):
         prods[:, i] = edge_prod_sq(d2, i)
-        num = content_sq(T, i)
+        num = vol2 if i == 0 else content_sq(T, i)
         ok = prods[:, i] > 0.0
         psin2[:, i] = 0.0
         psin2[ok, i] = num[ok] / prods[ok, i]
@@ -97,7 +105,6 @@ def curvature_terms(T: np.ndarray) -> dict:
     psin0_nrm = np.zeros(B)
     psin0_nrm[pos] = psin2[pos, 0] / denom[pos]
 
-    vol2 = content_sq(T, 0)
     inv = np.zeros((B, m))
     allpos = prods > 0.0
     inv[allpos] = 1.0 / prods[allpos]
@@ -109,6 +116,7 @@ def curvature_terms(T: np.ndarray) -> dict:
         "diam2": diam2,
         "min_sep2": min_sep2,
         "psin2": psin2,
+        "content0_sq": vol2,
         "diam_pow": denom,
         "cd_sq": cd_sq,
         "psin0_nrm": psin0_nrm,
@@ -128,7 +136,10 @@ def affine_span_dist_sq(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Squared distances from xs[b] to the affine hull of points[b].
 
     points: (B, k, D), xs: (B, D).  Uses the pseudoinverse of the edge Gram
-    matrix, so rank-deficient hulls are handled like geometry.affine_hull_distance.
+    matrix, so rank-deficient spanning sets (repeated or affinely dependent
+    points) give the distance to the hull they actually span.  |v|^2 - v.proj(v)
+    cancels on thin simplices; geometry.affine_hull_distance forms the
+    residual vector instead.
     """
     v = xs - points[:, 0, :]
     E = points[:, 1:, :] - points[:, 0:1, :]

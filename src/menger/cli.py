@@ -11,12 +11,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import estimators, multiscale, verify
+from .geometry import InvariantError
 from .measure import (
     Ball,
     WeightedPointCloud,
@@ -360,7 +360,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ArithmeticError as exc:
+    except InvariantError as exc:
         sys.stderr.write(f"invariant failure: {exc}\n")
         return 1
     except ValueError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _batch
+from . import _batch, geometry
 from .measure import Ball, WeightedPointCloud
 from .planes import beta2
 
@@ -45,15 +45,12 @@ class MCEstimate:
         return self.mean * self.mass_factor
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "estimate": self.estimate,
             "std_error": self.std_error * self.mass_factor,
             "n_samples": self.n_samples,
             "exact": self.exact,
         }
-        if "class_breakdown" in self.details:
-            out["class_breakdown"] = self.details["class_breakdown"]
-        return out
 
 
 def _restricted(cloud: WeightedPointCloud, query: Ball | None) -> np.ndarray:
@@ -65,21 +62,10 @@ def _restricted(cloud: WeightedPointCloud, query: Ball | None) -> np.ndarray:
     return idx
 
 
-def _tuple_values(points: np.ndarray, d: int, sep_floor: float | None) -> np.ndarray:
-    """c_d^2 per tuple, with the optional separation indicator applied.
-
-    Re-derives c_d^2 from the per-vertex polar sines and asserts it matches
-    the canonical output bitwise: the symmetrisation identity
-    (1/(d+2)) sum_i psin^2_{x_i} / diam^{d(d+1)} = c_d^2 is definitional and
-    must survive vectorisation untouched.
-    """
+def _tuple_values(points: np.ndarray, sep_floor: float | None) -> np.ndarray:
+    """c_d^2 per tuple, with the optional separation indicator applied."""
     terms = _batch.curvature_terms(points)
     vals = terms["cd_sq"]
-    pos = terms["diam_pow"] > 0.0
-    sym = np.zeros(len(points))
-    sym[pos] = terms["psin2"][pos].sum(axis=1) / ((d + 2) * terms["diam_pow"][pos])
-    if not np.array_equal(sym, vals):
-        raise ArithmeticError("polar-sine symmetrisation identity broke")
     if sep_floor is not None:
         vals = np.where(terms["min_sep2"] >= sep_floor**2, vals, 0.0)
     return vals
@@ -128,7 +114,7 @@ def continuous_curvature_sq(
         for lo in range(0, total_tuples, _CHUNK):
             flat = np.arange(lo, min(lo + _CHUNK, total_tuples))
             ti = np.stack(np.unravel_index(flat, (m,) * arity), axis=1)
-            vals = _tuple_values(pts[ti], d, sep_floor)
+            vals = _tuple_values(pts[ti], sep_floor)
             acc += float(np.sum(vals * np.prod(w[ti], axis=1)))
         return MCEstimate(
             mean=acc / factor, std_error=0.0, n_samples=total_tuples, mass_factor=factor, exact=True
@@ -142,7 +128,7 @@ def continuous_curvature_sq(
     while done < n_samples:
         take = min(_CHUNK, n_samples - done)
         ti = rng.choice(m, size=(take, arity), p=p)
-        vals = _tuple_values(pts[ti], d, sep_floor)
+        vals = _tuple_values(pts[ti], sep_floor)
         s += float(vals.sum())
         s2 += float((vals * vals).sum())
         done += take
@@ -235,8 +221,6 @@ def classify_scale(X, alpha0: float, p: int = 1) -> ScaleClass:
 def concentration_set_member(X, i: int, j: int, y, C: float) -> bool:
     """True when y lands in U_C(X, i, j), i.e.
     psin_{x_0}(X) <= C (psin_{x_0}(X(y,i)) + psin_{x_0}(X(y,j)))."""
-    from . import geometry
-
     lhs = geometry.polar_sine(X, 0)
     rhs = geometry.polar_sine(geometry.replace_coordinate(X, y, i), 0) + geometry.polar_sine(
         geometry.replace_coordinate(X, y, j), 0
@@ -260,7 +244,7 @@ def concentration_fraction(
         return {"fraction": 0.0, "ball_mass": 0.0, "n_candidates": 0}
     ys = cloud.points[idx]
     w = cloud.weights[idx]
-    lhs = math.sqrt(float(_batch.psin_sq_at(X[None, :, :], 0)[0]))
+    lhs = geometry.polar_sine(X, 0)
     rhs = np.sqrt(_batch.psin_with_replacement(X, ys, i)) + np.sqrt(
         _batch.psin_with_replacement(X, ys, j)
     )

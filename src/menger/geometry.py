@@ -2,14 +2,21 @@
 and the discrete Menger-type curvatures built out of them.
 
 A simplex tuple X = (x_0, ..., x_{m-1}) is stored as an (m, D) float array.
-Coordinate 0 is the base vertex wherever a base is implied.  Everything here
-is scalar (one tuple at a time); the vectorised kernels used by the
-estimators live in _batch.py.
+Coordinate 0 is the base vertex wherever a base is implied.  The functions
+here take one tuple at a time.  Every Gram content, polar sine and
+curvature is a batch-of-one call into the kernels of _batch.py, so a scalar
+and a vectorised evaluation of the same quantity share one formula and one
+rank rule.  The one exception is affine_hull_distance (and so the heights
+and elevation sines); its docstring says why.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from . import _batch
 
 # Contents smaller than DEGENERACY_EPS * diam^n are treated as rank noise:
 # the volume/polar-sine cross check is skipped below this floor.
@@ -17,6 +24,12 @@ DEGENERACY_EPS = 1e-12
 # Maximum tolerated relative disagreement between the polar-sine form and
 # the volume form of c_d^2 on non-degenerate input.
 IDENTITY_RTOL = 1e-9
+
+_TINY = np.finfo(float).tiny
+
+
+class InvariantError(ArithmeticError):
+    """An identity the library guarantees failed to hold on valid input."""
 
 
 def as_tuple_array(X) -> np.ndarray:
@@ -60,9 +73,7 @@ def replace_coordinate(X, y, i: int):
 
 
 def pairwise_distances(X) -> np.ndarray:
-    X = as_tuple_array(X)
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return np.sqrt(_batch.pairwise_sq(as_tuple_array(X)[None])[0])
 
 
 def diameter(X) -> float:
@@ -98,25 +109,14 @@ def scale_at0(X) -> float:
 
 
 def gram_content(X, base: int = 0) -> float:
-    """M_n(X) at the given base vertex.
+    """M_n(X) at the given base vertex: the square root of the Gram
+    determinant of the edge vectors out of the base.
 
-    Square root of the Gram determinant of the edge vectors out of the
-    base.  The Gram matrix is positive semidefinite, so eigenvalues are
-    clamped at zero; rank-deficient tuples (n > D, repeated points,
-    affinely dependent points) return 0 rather than a numerically negative
-    determinant.
+    Rank-deficient tuples (n > D, repeated points, affinely dependent
+    points) return 0 rather than determinant noise; see
+    _batch.content_sq for the rank rule.
     """
-    X = as_tuple_array(X)
-    E = np.delete(X, base, axis=0) - X[base]
-    G = E @ E.T
-    ev = np.clip(np.linalg.eigvalsh(G), 0.0, None)
-    # Rank cut at the matrix_rank convention, k * eps * ev_max: eigenvalues
-    # below the eigensolver noise floor are numerically zero, so an exactly
-    # rank-deficient tuple (e.g. d+2 points inside a d-plane) returns 0
-    # instead of noise on the order of sqrt(eps) * edge scale.
-    if len(ev):
-        ev[ev < len(ev) * np.finfo(float).eps * ev[-1]] = 0.0
-    return float(np.sqrt(np.prod(ev)))
+    return math.sqrt(_batch.content_sq(as_tuple_array(X)[None], base)[0])
 
 
 def polar_sine(X, i: int = 0) -> float:
@@ -125,19 +125,18 @@ def polar_sine(X, i: int = 0) -> float:
     Returns 0 when a coordinate coincides with another (X outside the
     simplex set) or when the edges at x_i are affinely dependent.
     """
-    X = as_tuple_array(X)
-    edges = np.linalg.norm(np.delete(X, i, axis=0) - X[i], axis=1)
-    prod = float(np.prod(edges))
-    if prod == 0.0:
-        return 0.0
-    return gram_content(X, i) / prod
+    return math.sqrt(_batch.psin_sq_at(as_tuple_array(X)[None], i)[0])
 
 
 def affine_hull_distance(x, points) -> float:
     """Distance from x to the affine hull of the given points.
 
     The hull basis is extracted by SVD with a relative rank cut of 1e-12,
-    so nearly dependent spanning sets degrade gracefully.
+    so nearly dependent spanning sets degrade gracefully.  The residual
+    x - proj(x) is formed before its norm is taken, so the distance keeps
+    its relative accuracy on thin simplices.  _batch.affine_span_dist_sq
+    evaluates |v|^2 - v.proj(v) instead, which cancels there; the two meet
+    once that kernel takes the residual form.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim == 1:
@@ -191,17 +190,25 @@ def deviation_l2(X, plane) -> float:
 def menger_curvature(T) -> float:
     """c_M: reciprocal circumradius of a triangle, 4*area / product of sides.
 
-    Returns 0 for degenerate (collinear or coinciding) triples.
+    The base-0 content of a triangle is twice its area, so
+    c_M^2 = 4 content^2 / (d01^2 d02^2 d12^2).  Returns 0 for degenerate
+    (collinear or coinciding) triples.
     """
     T = as_tuple_array(T)
     if len(T) != 3:
         raise ValueError("Menger curvature takes exactly three points")
-    dm = pairwise_distances(T)
-    prod = dm[0, 1] * dm[0, 2] * dm[1, 2]
+    d2 = _batch.pairwise_sq(T[None])[0]
+    sides_sq = (float(d2[0, 1]), float(d2[0, 2]), float(d2[1, 2]))
+    content_sq = float(_batch.content_sq(T[None], 0)[0])
+    prod = sides_sq[0] * sides_sq[1] * sides_sq[2]
+    if _TINY <= prod < math.inf:
+        return math.sqrt(4.0 * content_sq / prod)
+    # The squared product grows like scale^6 and leaves the normal range
+    # long before the product of the sides (scale^3) does.
+    prod = math.sqrt(sides_sq[0]) * math.sqrt(sides_sq[1]) * math.sqrt(sides_sq[2])
     if prod == 0.0:
         return 0.0
-    # gram_content of a triangle is the parallelogram area, i.e. 2*area
-    return 2.0 * gram_content(T, 0) / float(prod)
+    return 2.0 * math.sqrt(content_sq) / prod
 
 
 def discrete_curvature_sq(X, cross_check: bool = True) -> float:
@@ -211,28 +218,21 @@ def discrete_curvature_sq(X, cross_check: bool = True) -> float:
     placements, divided by diam(X)^{d(d+1)}.  The volume form (content at
     x_0 squared times the sum of inverse edge products) is evaluated as a
     cross check whenever the tuple is comfortably non-degenerate; the two
-    must agree to IDENTITY_RTOL.
+    must agree to IDENTITY_RTOL, widened to the eps / tau^2 error model on
+    thin simplices, or InvariantError is raised.
     """
     X = as_tuple_array(X)
-    m = len(X)
-    d = m - 2
+    d = len(X) - 2
     if d < 1:
         raise ValueError("c_d needs at least 3 points (d >= 1)")
-    dm = pairwise_distances(X)
-    diam = float(dm.max())
-    if diam == 0.0:
-        return 0.0
-    psin2 = [polar_sine(X, i) ** 2 for i in range(m)]
-    denom = (d + 2) * diam ** (d * (d + 1))
-    value = float(np.sum(psin2)) / denom
+    terms = _batch.curvature_terms(X[None])
+    value = float(terms["cd_sq"][0])
 
     if cross_check:
-        vol = gram_content(X, 0)
+        diam = math.sqrt(terms["diam2"][0])
+        vol = math.sqrt(terms["content0_sq"][0])
         if vol > DEGENERACY_EPS * diam ** (d + 1):
-            dm2 = dm * dm
-            np.fill_diagonal(dm2, 1.0)
-            inv_sum = float(np.sum(1.0 / np.prod(dm2, axis=1)))
-            vol_form = vol * vol * inv_sum / denom
+            vol_form = float(terms["cd_sq_vol"][0])
             # Gram determinants of thin simplices lose relative accuracy
             # like eps / tau^2 (tau = content / diam^{d+1}), so the identity
             # tolerance must widen in that regime or valid inputs would trip
@@ -240,7 +240,7 @@ def discrete_curvature_sq(X, cross_check: bool = True) -> float:
             tau = vol / diam ** (d + 1)
             tol = max(IDENTITY_RTOL, 200.0 * np.finfo(float).eps / tau**2)
             if abs(value - vol_form) > tol * max(value, vol_form):
-                raise ArithmeticError(
+                raise InvariantError(
                     f"curvature forms disagree: psin form {value!r}, volume form {vol_form!r}"
                 )
     return value
@@ -259,9 +259,8 @@ def direct_menger(X) -> float:
     scale invariance that motivates c_d and is provided for comparison only.
     """
     X = as_tuple_array(X)
-    dm = pairwise_distances(X)
-    iu = np.triu_indices(len(X), k=1)
-    prod = float(np.prod(dm[iu] ** 2))
+    d2 = _batch.pairwise_sq(X[None])[0]
+    prod = float(np.prod(d2[np.triu_indices(len(X), k=1)]))
     if prod == 0.0:
         return 0.0
     return gram_content(X, 0) / prod

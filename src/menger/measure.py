@@ -38,7 +38,7 @@ class Ball:
     def contains(self, points) -> np.ndarray:
         """Boolean mask for closed-ball membership."""
         V = np.asarray(points, dtype=float) - self.center
-        return np.einsum("ij,ij->i", V, V) <= self.radius**2
+        return np.einsum("ij,ij->i", V, V) <= self.radius * self.radius
 
 
 class WeightedPointCloud:

@@ -96,7 +96,7 @@ def build_partition(
     within 2q, so g is total.
     """
     n = len(points)
-    q2 = quarter_radius**2
+    q2 = quarter_radius * quarter_radius
     kept_centers = net_points[kept]
     assignment = np.full(n, -1, dtype=int)
 

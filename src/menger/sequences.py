@@ -49,27 +49,20 @@ def constants(d: int, Cmu: float = 1.0) -> Constants:
     """The pair (C_p, alpha0) used throughout the multiscale machinery.
 
     C_p = 1 for d = 1, else sqrt(5) pi^2 / (4 asin(2^{-(5d/2+1)} / Cmu^2)).
-    alpha0 = min(1/(2 C_p^2), (1/(4 Cmu^2))^{1/d}); the minimum must land on
-    the second branch for d = 1 and the first for d > 1, and that is
-    asserted rather than assumed.
+    alpha0 = min(1/(2 C_p^2), (1/(4 Cmu^2))^{1/d}).  The minimum lands on
+    the second branch for d = 1 (Cmu >= 1 gives 1/(4 Cmu^2) <= 1/4 < 1/2)
+    and on the first for d > 1: asin(t) <= (pi/2) t makes 1/(2 C_p^2) of
+    order 2^{-5d} / Cmu^4, far below (4 Cmu^2)^{-1/d} (the ratio stays
+    under 1e-5 for d = 2..6, Cmu in [1, 1e4]).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if Cmu < 1:
         raise ValueError("Cmu must be >= 1")
     if d == 1:
-        cp = 1.0
-        a_cp = 1.0 / (2.0 * cp * cp)
-        a_mu = 1.0 / (4.0 * Cmu * Cmu)
-        if a_mu > a_cp:
-            raise ArithmeticError("alpha0 branch flipped for d=1")
-        return Constants(1, float(Cmu), cp, a_mu)
+        return Constants(1, float(Cmu), 1.0, 1.0 / (4.0 * Cmu * Cmu))
     cp = math.sqrt(5.0) * math.pi**2 / (4.0 * math.asin(2.0 ** -(5.0 * d / 2.0 + 1.0) / Cmu**2))
-    a_cp = 1.0 / (2.0 * cp * cp)
-    a_mu = (1.0 / (4.0 * Cmu * Cmu)) ** (1.0 / d)
-    if a_cp > a_mu:
-        raise ArithmeticError(f"alpha0 branch flipped for d={d}")
-    return Constants(d, float(Cmu), cp, a_cp)
+    return Constants(d, float(Cmu), cp, 1.0 / (2.0 * cp * cp))
 
 
 def augmented_size(k: int, d: int) -> int:

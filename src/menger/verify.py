@@ -155,7 +155,7 @@ def suite_geometry(seed: int = 7) -> dict:
         T = rng.normal(size=(4000, d + 2, d + 1))
         terms = _batch.curvature_terms(T)
         diam = np.sqrt(terms["diam2"])
-        tau = np.sqrt(_batch.content_sq(T, 0)) / diam ** (d + 1)
+        tau = np.sqrt(terms["content0_sq"]) / diam ** (d + 1)
         both = (terms["cd_sq"] > 0) & (terms["cd_sq_vol"] > 0)
         rel = np.abs(terms["cd_sq"] - terms["cd_sq_vol"]) / np.where(
             both, terms["cd_sq"], 1.0

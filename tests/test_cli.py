@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from menger import verify
 from menger.cli import main
+from menger.geometry import InvariantError
 from menger.measure import WeightedPointCloud, gen_four_corner_cantor, gen_plane_patch, gen_sphere
 
 
@@ -147,6 +149,23 @@ def test_verify_inject_failure(capsys):
     assert not json.loads(stdout)["passed"]
     assert "failed checks:" in err
     assert "harness_probe" in err
+
+
+def test_only_invariant_errors_exit_1(monkeypatch, capsys):
+    def fail(exc):
+        def run_suite(*args, **kwargs):
+            raise exc
+        return run_suite
+
+    monkeypatch.setattr(verify, "run_suite", fail(InvariantError("forms disagree")))
+    code, _, err = run(capsys, ["verify", "geometry"])
+    assert code == 1
+    assert "invariant failure: forms disagree" in err
+    # any other arithmetic fault is a bug and must surface as one
+    monkeypatch.setattr(verify, "run_suite", fail(ZeroDivisionError("float division by zero")))
+    with pytest.raises(ZeroDivisionError):
+        main(["verify", "geometry"])
+    assert "invariant failure" not in capsys.readouterr().err
 
 
 def test_ratio_thm13_table(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from menger import geometry
+from menger import _batch, geometry
+from menger.geometry import InvariantError
 from menger.planes import AffinePlane
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -31,6 +33,14 @@ def test_menger_curvature_right_triangle():
 
 def test_menger_curvature_equilateral():
     assert math.isclose(geometry.menger_curvature(EQUILATERAL), math.sqrt(3.0), rel_tol=1e-12)
+
+
+def test_menger_curvature_outside_the_squared_range():
+    # d01^2 d02^2 d12^2 overflows at 1e52 and underflows at 1e-60; the
+    # curvature itself is representable at both scales
+    for scale in (1e52, 1e-60):
+        got = geometry.menger_curvature(scale * EQUILATERAL)
+        assert math.isclose(got, math.sqrt(3.0) / scale, rel_tol=1e-12)
 
 
 def test_menger_curvature_collinear_is_zero():
@@ -79,6 +89,69 @@ def test_deviation_l2_against_plane():
 def test_gram_content_unit_cube_corner():
     X = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     assert math.isclose(geometry.gram_content(X, 0), 1.0, rel_tol=1e-12)
+    assert geometry.gram_content(X, -1) == geometry.gram_content(X, 3)
+
+
+# ---------------------------------------------------------------------------
+# high-precision content oracle (independent of the float kernels)
+
+
+def mp_gram_content(X, base):
+    """sqrt(det G) at base, G the Gram matrix of the edges, at 50 digits."""
+    with mpmath.workdps(50):
+        P = [[mpmath.mpf(float(v)) for v in row] for row in X]
+        E = [[a - b for a, b in zip(row, P[base])] for j, row in enumerate(P) if j != base]
+        G = mpmath.matrix([[mpmath.fsum(a * b for a, b in zip(u, v)) for v in E] for u in E])
+        return float(mpmath.sqrt(max(mpmath.det(G), 0)))
+
+
+def assert_content_matches_oracle(X):
+    """gram_content at every base against the oracle: 1e-9 relative away
+    from degeneracy (tau >= 1e-3, tau = content / diam^{d+1}), else the
+    eps / tau^2 error model of Gram determinants of thin simplices."""
+    n = len(X) - 1
+    tau = mp_gram_content(X, 0) / geometry.diameter(X) ** n
+    tol = 1e-9 if tau >= 1e-3 else 200.0 * float(np.finfo(float).eps) / tau**2
+    for base in range(len(X)):
+        want = mp_gram_content(X, base)
+        assert abs(geometry.gram_content(X, base) - want) <= tol * want
+    return tau >= 1e-3
+
+
+def test_gram_content_matches_mpmath_on_random_tuples(rng):
+    strict = 0
+    for d in (1, 2, 3):
+        for _ in range(40):
+            strict += assert_content_matches_oracle(rng.normal(size=(d + 2, d + 1)))
+    assert strict > 100
+
+
+def test_gram_content_matches_mpmath_on_thin_tuples(rng):
+    # flat in the first d coordinates, lifted by h out of that plane
+    for d in (1, 2, 3):
+        for h in (1e-2, 1e-3, 1e-4, 1e-5):
+            for _ in range(10):
+                X = rng.normal(size=(d + 2, d + 1))
+                X[:, d] *= h
+                assert_content_matches_oracle(X)
+
+
+def test_heights_match_mpmath_on_thin_tuples(rng):
+    # x_{d+1} at height h above the d-plane of the others; every height is
+    # content(X) / content(X without x_i), held to 1e-10 down to h = 1e-8
+    for d in (1, 2, 3):
+        for h in (1e-4, 1e-6, 1e-8):
+            for _ in range(10):
+                X = rng.normal(size=(d + 2, d + 1))
+                X[:, d] = 0.0
+                X[d + 1, d] = h
+                full = mp_gram_content(X, 0)
+                for i in range(d + 2):
+                    want = full / mp_gram_content(geometry.remove_coordinate(X, i), 0)
+                    assert abs(geometry.height(X, i) - want) <= 1e-10 * want
+                top = full / mp_gram_content(X[: d + 1], 0)
+                sine = top / float(np.linalg.norm(X[d + 1] - X[0]))
+                assert abs(geometry.elevation_sine(X, d + 1) - sine) <= 1e-10 * sine
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +213,24 @@ def test_product_formula_random_tuples(rng):
     assert checked > 1000
 
 
-def test_curvature_identity_cross_check_runs(rng):
+def test_curvature_identity_cross_check_runs(rng, monkeypatch):
     # the volume-form cross check is live: valid tuples pass through it
     for _ in range(50):
         X = rng.normal(size=(3, 2))
         v = geometry.discrete_curvature_sq(X, cross_check=True)
         assert v == geometry.discrete_curvature_sq(X, cross_check=False)
+    # and a volume form off by 1e-6 relative trips it
+    real = _batch.curvature_terms
+
+    def skewed(T):
+        terms = real(T)
+        terms["cd_sq_vol"] = terms["cd_sq_vol"] * (1.0 + 1e-6)
+        return terms
+
+    monkeypatch.setattr(_batch, "curvature_terms", skewed)
+    with pytest.raises(InvariantError):
+        geometry.discrete_curvature_sq(RIGHT)
+    assert math.isclose(geometry.discrete_curvature_sq(RIGHT, cross_check=False), 1.0 / 3.0)
 
 
 def test_curvature_scaling_degrees():

@@ -35,6 +35,10 @@ def test_ball_membership_is_closed():
     ball = Ball(np.zeros(2), 1.0)
     assert points_in_ball(cloud, ball).tolist() == [0, 1]  # boundary point counts
     assert ball_mass(cloud, ball) == 2.0
+    # r**2 (libm pow) rounds one ulp below r*r here, which would drop a
+    # point whose squared distance is exactly the rounded r*r
+    r = 2 * 0.35**8
+    assert Ball(np.zeros(2), r).contains([[r, 0.0]]).tolist() == [True]
     with pytest.raises(ValueError):
         Ball(np.zeros(2), -1.0)
 

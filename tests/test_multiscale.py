@@ -127,6 +127,11 @@ def test_partition_hand_case_direct_assignment():
     assert kept.tolist() == [0, 1, 2]
     part = build_partition(pts, pts[net], kept, 0.3)
     assert part.tolist() == [0, 0, 1, 1, 2]
+    # a point exactly on the quarter sphere is inside (q**2 is one ulp
+    # below the rounded q*q for this q)
+    q = 2 * 0.35**8
+    pts = as_pts([0.0, q])
+    assert build_partition(pts, pts[:1], np.array([0]), q).tolist() == [0, 0]
 
 
 def test_partition_hand_case_leftover_routing():
