@@ -71,7 +71,6 @@ def curvature_terms(T: np.ndarray) -> dict:
       min_sep2    (B,)   squared minimal pairwise separations
       psin2       (B, m) squared polar sines at every vertex
       content0_sq (B,)   squared Gram content at the base vertex x_0
-      diam_pow    (B,)   diam^{d(d+1)}
       cd_sq       (B,)   c_d^2 in the canonical polar-sine form
       psin0_nrm   (B,)   psin^2_{x_0}(X) / diam^{d(d+1)}  (the decomposition integrand)
       cd_sq_vol   (B,)   volume form of c_d^2 (cross-check path)
@@ -117,7 +116,6 @@ def curvature_terms(T: np.ndarray) -> dict:
         "min_sep2": min_sep2,
         "psin2": psin2,
         "content0_sq": vol2,
-        "diam_pow": denom,
         "cd_sq": cd_sq,
         "psin0_nrm": psin0_nrm,
         "cd_sq_vol": cd_sq_vol,

@@ -22,6 +22,8 @@ from .planes import beta2
 
 EXACT_TUPLE_LIMIT = 10_000_000
 _CHUNK = 1 << 18
+# decomposition_check pools the levels k > K_MAX into one "tail" class.
+K_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,15 @@ def _tuple_values(points: np.ndarray, sep_floor: float | None) -> np.ndarray:
     if sep_floor is not None:
         vals = np.where(terms["min_sep2"] >= sep_floor**2, vals, 0.0)
     return vals
+
+
+def _tuple_stream(weights: np.ndarray, arity: int, n_samples: int, seed: int):
+    """n_samples index tuples drawn i.i.d. from the normalised weights, in
+    chunks of at most _CHUNK rows, from one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    p = weights / weights.sum()
+    for lo in range(0, n_samples, _CHUNK):
+        yield rng.choice(len(p), size=(min(_CHUNK, n_samples - lo), arity), p=p)
 
 
 def continuous_curvature_sq(
@@ -120,18 +131,12 @@ def continuous_curvature_sq(
             mean=acc / factor, std_error=0.0, n_samples=total_tuples, mass_factor=factor, exact=True
         )
 
-    rng = np.random.default_rng(seed)
-    p = w / w.sum()
     s = 0.0
     s2 = 0.0
-    done = 0
-    while done < n_samples:
-        take = min(_CHUNK, n_samples - done)
-        ti = rng.choice(m, size=(take, arity), p=p)
+    for ti in _tuple_stream(w, arity, n_samples, seed):
         vals = _tuple_values(pts[ti], sep_floor)
         s += float(vals.sum())
         s2 += float((vals * vals).sum())
-        done += take
     mean = s / n_samples
     var = max(s2 / n_samples - mean * mean, 0.0)
     se = math.sqrt(var / n_samples)
@@ -169,28 +174,52 @@ class ScaleClass:
         return len(self.handle_indices)
 
 
+def _powers(alpha0: float, exps: np.ndarray) -> np.ndarray:
+    """alpha0**j for every entry j of exps, each one Python's float power."""
+    return np.array([alpha0**j for j in exps.tolist()], dtype=float)
+
+
+def scale_classes(T, alpha0: float, level=None):
+    """Scale class at x_0 of every tuple of a (B, m, D) stack: the edge
+    lengths |x_i - x_0| (B, m-1), the scale min/max of them (0 if an edge
+    vanishes), the level k with alpha0^{k+1} < scale <= alpha0^k (-1 at
+    scale 0) and the handle mask (B, m-1) of handle_indices at level k.
+
+    Every alpha0^k is Python's float power, so levels match the scalar
+    definition bit for bit; the log estimate only has to land near k.  A
+    given level ((B,) ints) sets the k of the handles and is returned as
+    the level.
+    """
+    if not 0.0 < alpha0 < 1.0:
+        raise ValueError("alpha0 must lie in (0, 1)")
+    T = np.asarray(T, dtype=float)
+    norms = np.linalg.norm(T[:, 1:, :] - T[:, :1, :], axis=2)
+    mx = norms.max(axis=1)
+    mx[mx == 0.0] = 1.0  # every norm is 0 there, so scale and ratios come out 0
+    scale = norms.min(axis=1) / mx
+    ok = scale > 0.0
+    if level is None:
+        level = np.full(len(T), -1)
+        s = scale[ok]
+        k = np.floor(np.log(s) / math.log(alpha0)).astype(np.int64)
+        while len(k):
+            step = (_powers(alpha0, k + 1) >= s).astype(np.int64) - (_powers(alpha0, k) < s)
+            if not step.any():
+                break
+            k += step
+        level[ok] = k
+    level = np.asarray(level)
+    ratios = norms / mx[:, None]
+    handles = np.where(level[:, None] == 0, ratios >= 1.0, ratios > _powers(alpha0, level)[:, None])
+    return norms, scale, level, handles
+
+
 def handle_indices(X, k: int, alpha0: float) -> tuple:
     """Coordinates i >= 1 whose edge ratio |x_i - x_0| / max_at0 exceeds
     alpha0^k.  At k = 0 the threshold degenerates to 1, so the coordinates
     attaining the maximum count as handles (the maximal edge is always one)."""
-    X = np.asarray(X, dtype=float)
-    norms = np.linalg.norm(X[1:] - X[0], axis=1)
-    ratios = norms / norms.max()
-    if k == 0:
-        hit = ratios >= 1.0
-    else:
-        hit = ratios > alpha0**k
-    return tuple(int(i) + 1 for i in np.nonzero(hit)[0])
-
-
-def _scale_level(s: float, alpha0: float) -> int:
-    """Unique k with alpha0^{k+1} < s <= alpha0^k, patched for floats."""
-    k = int(math.floor(math.log(s) / math.log(alpha0)))
-    while alpha0**k < s:
-        k -= 1
-    while alpha0 ** (k + 1) >= s:
-        k += 1
-    return k
+    handles = scale_classes(np.asarray(X, dtype=float)[None], alpha0, level=[k])[3][0]
+    return tuple(int(i) + 1 for i in np.nonzero(handles)[0])
 
 
 def classify_scale(X, alpha0: float, p: int = 1) -> ScaleClass:
@@ -203,29 +232,44 @@ def classify_scale(X, alpha0: float, p: int = 1) -> ScaleClass:
     if p not in (1, 2):
         raise ValueError("tolerance p must be 1 or 2")
     X = np.asarray(X, dtype=float)
-    norms = np.linalg.norm(X[1:] - X[0], axis=1)
-    mx = norms.max()
-    if mx == 0.0:
+    norms, scale, level, handles = scale_classes(X[None], alpha0)
+    if norms.max() == 0.0:
         raise ValueError("degenerate simplex: all coordinates at the base vertex")
-    s = float(norms.min() / mx)
+    s = float(scale[0])
     if s == 0.0:
         raise ValueError("degenerate simplex: a coordinate coincides with the base vertex")
     if s > alpha0**3:
         return ScaleClass(kind="well_scaled", k=0, p=3, scale=s, handle_indices=())
-    k = _scale_level(s, alpha0)
+    k = int(level[0])
     if p == 2 and k >= 1:
-        k -= 1
-    return ScaleClass(kind="scaled", k=k, p=p, scale=s, handle_indices=handle_indices(X, k, alpha0))
+        return ScaleClass(kind="scaled", k=k - 1, p=2, scale=s, handle_indices=handle_indices(X, k - 1, alpha0))
+    return ScaleClass(kind="scaled", k=k, p=p, scale=s, handle_indices=tuple(int(i) + 1 for i in np.nonzero(handles[0])[0]))
+
+
+def concentration_test(X, i: int, j: int, C: float):
+    """The membership mask of a batch ys (n, D) in the concentration set
+    U_C(X, i, j) = {y : psin_{x_0}(X) <= C (psin_{x_0}(X(y,i)) + psin_{x_0}(X(y,j)))},
+    as a function of ys; psin_{x_0}(X) is evaluated once, here.  Like
+    replace_coordinate, it needs 1 <= i, j <= m-1.
+    """
+    X = geometry.as_tuple_array(X)
+    for r in (i, j):
+        if not 1 <= r < len(X):
+            raise IndexError(f"replacement index must satisfy 1 <= i <= {len(X) - 1}, got {r}")
+    lhs = geometry.polar_sine(X, 0)
+
+    def member(ys) -> np.ndarray:
+        ys = np.asarray(ys, dtype=float)
+        rhs = np.sqrt(_batch.psin_with_replacement(X, ys, i)) + np.sqrt(_batch.psin_with_replacement(X, ys, j))
+        return lhs <= C * rhs
+
+    return member
 
 
 def concentration_set_member(X, i: int, j: int, y, C: float) -> bool:
     """True when y lands in U_C(X, i, j), i.e.
     psin_{x_0}(X) <= C (psin_{x_0}(X(y,i)) + psin_{x_0}(X(y,j)))."""
-    lhs = geometry.polar_sine(X, 0)
-    rhs = geometry.polar_sine(geometry.replace_coordinate(X, y, i), 0) + geometry.polar_sine(
-        geometry.replace_coordinate(X, y, j), 0
-    )
-    return lhs <= C * rhs
+    return bool(concentration_test(X, i, j, C)([y])[0])
 
 
 def concentration_fraction(
@@ -237,23 +281,21 @@ def concentration_fraction(
     a tuple coordinate simply fail the membership test, which is the
     discrete counterpart of the degenerate null set.
     """
-    X = np.asarray(X, dtype=float)
-    ball = Ball(X[0], radius)
-    idx = cloud.in_ball(ball)
+    member = concentration_test(X, i, j, C)
+    idx = cloud.in_ball(Ball(np.asarray(X, dtype=float)[0], radius))
     if len(idx) == 0:
         return {"fraction": 0.0, "ball_mass": 0.0, "n_candidates": 0}
-    ys = cloud.points[idx]
     w = cloud.weights[idx]
-    lhs = geometry.polar_sine(X, 0)
-    rhs = np.sqrt(_batch.psin_with_replacement(X, ys, i)) + np.sqrt(
-        _batch.psin_with_replacement(X, ys, j)
-    )
-    member = lhs <= C * rhs
     return {
-        "fraction": float(w[member].sum() / w.sum()),
+        "fraction": float(w[member(cloud.points[idx])].sum() / w.sum()),
         "ball_mass": float(w.sum()),
         "n_candidates": int(len(idx)),
     }
+
+
+# Class codes of decomposition_check; a (k, n) cell has code k (d+2) + n >= 0.
+_DEGENERATE, _WELL_SCALED, _TAIL = -3, -2, -1
+_CLASS_NAMES = {_DEGENERATE: "degenerate", _WELL_SCALED: "well_scaled", _TAIL: "tail"}
 
 
 def decomposition_check(
@@ -263,79 +305,55 @@ def decomposition_check(
     alpha0: float,
     n_samples: int = 20_000,
     seed: int = 0,
-    k_max: int = 20,
 ) -> dict:
     """Estimate int psin^2_{x_0}/diam^{d(d+1)} split by scale class.
 
-    Every sampled tuple lands in exactly one bucket (well-scaled, one
-    (k, n) cell with p = 1, a k > k_max tail, or degenerate with integrand
-    0), so the bucket totals sum to the unrestricted estimator on the same
-    stream; totals are exactly-rounded sums, making the equality bitwise.
-    The (k, n) cells also record the canonical-handle-position estimate,
-    i.e. the cell total divided by the binomial weight C(d+1, n).
+    Every sampled tuple lands in exactly one class: well-scaled, one
+    (k, n) cell with p = 1, the tail of levels k > K_MAX, or degenerate
+    with integrand 0.  So the class totals sum to the unrestricted
+    estimator on the same stream; totals are exactly-rounded sums, making
+    the equality bitwise.  The (k, n) cells also record the
+    canonical-handle-position estimate, i.e. the cell total divided by the
+    binomial weight C(d+1, n).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     idx = _restricted(cloud, query)
     pts = cloud.points[idx]
     w = cloud.weights[idx]
-    p = w / w.sum()
     mass = float(w.sum())
     arity = d + 2
-    rng = np.random.default_rng(seed)
 
-    a3 = alpha0**3
-    buckets: dict = {}
-    all_vals: list[np.ndarray] = []
-    done = 0
-    while done < n_samples:
-        take = min(_CHUNK, n_samples - done)
-        ti = rng.choice(len(idx), size=(take, arity), p=p)
+    vals = []
+    codes = []
+    for ti in _tuple_stream(w, arity, n_samples, seed):
         T = pts[ti]
         terms = _batch.curvature_terms(T)
-        vals = terms["psin0_nrm"]
-        all_vals.append(vals)
+        _, scale, level, handles = scale_classes(T, alpha0)
+        code = level * arity + handles.sum(axis=1)
+        code[level > K_MAX] = _TAIL
+        code[scale > alpha0**3] = _WELL_SCALED
+        code[(scale == 0.0) | (terms["min_sep2"] == 0.0)] = _DEGENERATE
+        vals.append(terms["psin0_nrm"])
+        codes.append(code)
+    vals = np.concatenate(vals)
+    codes = np.concatenate(codes)
+    groups = {int(c): vals[codes == c] for c in np.unique(codes)}
 
-        edges = T[:, 1:, :] - T[:, 0:1, :]
-        norms = np.sqrt(np.einsum("bik,bik->bi", edges, edges))
-        mx = norms.max(axis=1)
-        mn = norms.min(axis=1)
-        degen = (mx == 0.0) | (mn == 0.0) | (terms["min_sep2"] == 0.0)
-        scale = np.where(degen, 1.0, mn / np.where(mx == 0.0, 1.0, mx))
-
-        labels = np.empty(take, dtype=object)
-        labels[degen] = "degenerate"
-        well = ~degen & (scale > a3)
-        labels[well] = "well_scaled"
-        rest = np.nonzero(~degen & ~well)[0]
-        for r in rest:
-            k = _scale_level(float(scale[r]), alpha0)
-            if k > k_max:
-                labels[r] = "tail"
-            else:
-                n = len(handle_indices(T[r], k, alpha0))
-                labels[r] = f"k={k},n={n}"
-        label_list = labels.tolist()
-        for lab in set(label_list):
-            sel = np.fromiter((l == lab for l in label_list), dtype=bool, count=take)
-            buckets.setdefault(lab, []).append(vals[sel])
-        done += take
-
-    total = math.fsum(np.concatenate(all_vals).tolist())
-    bucket_sums = {lab: math.fsum(np.concatenate(chunks).tolist()) for lab, chunks in buckets.items()}
-    recombined = math.fsum(
-        v for chunks in buckets.values() for arr in chunks for v in arr.tolist()
-    )
+    total = math.fsum(vals.tolist())
+    recombined = math.fsum(np.concatenate(list(groups.values())).tolist())
     factor = mass**arity / n_samples
-
     cells = {}
-    for lab, ssum in bucket_sums.items():
+    for c, group in groups.items():
+        ssum = math.fsum(group.tolist())
         entry = {"sum": ssum, "estimate": ssum * factor}
-        if lab.startswith("k="):
-            n = int(lab.split("n=")[1])
-            entry["binomial_weight"] = math.comb(d + 1, n)
-            entry["canonical_cell_estimate"] = ssum * factor / math.comb(d + 1, n)
-        cells[lab] = entry
+        if c < 0:
+            cells[_CLASS_NAMES[c]] = entry
+            continue
+        k, n = divmod(c, arity)
+        entry["binomial_weight"] = math.comb(d + 1, n)
+        entry["canonical_cell_estimate"] = ssum * factor / math.comb(d + 1, n)
+        cells[f"k={k},n={n}"] = entry
 
     return {
         "total_estimate": total * factor,

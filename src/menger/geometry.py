@@ -177,13 +177,9 @@ def elevation_sine(X, i: int) -> float:
 def deviation_l2(X, plane) -> float:
     """D_2(X, L): sqrt of the sum of squared distances of the coordinates to L.
 
-    `plane` is anything exposing distance_many / distance (see planes.AffinePlane).
+    `plane` is anything exposing distance_many (see planes.AffinePlane).
     """
-    X = as_tuple_array(X)
-    if hasattr(plane, "distance_many"):
-        d = np.asarray(plane.distance_many(X), dtype=float)
-    else:
-        d = np.array([plane.distance(x) for x in X])
+    d = np.asarray(plane.distance_many(as_tuple_array(X)), dtype=float)
     return float(np.sqrt(np.sum(d * d)))
 
 

@@ -285,6 +285,8 @@ def jones_flatness_continuous(
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
+    if x_cap < 1:
+        raise ValueError("x_cap must be >= 1")
 
     idx = cloud.in_ball(query)
     terms: list = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _batch
+from .estimators import classify_scale, concentration_test, handle_indices, scale_classes
 from .geometry import max_at0, min_at0, polar_sine, replace_coordinate, scale_at0
 from .measure import Ball, WeightedPointCloud
 
@@ -122,8 +122,13 @@ def auxiliary_sequence(X, Y, k: int | None = None, d: int | None = None) -> list
         raise ValueError(f"piece must hold k*d = {k * d} points, got {len(Y)}")
     seq = [X]
     for q in range(1, k * d + 1):
-        seq.append(replace_coordinate(seq[-1], Y[q - 1], bar_index(q + 1, d)))
+        seq.append(_well_scaled_step(seq[-1], Y[q - 1], q, d))
     return seq
+
+
+def _well_scaled_step(prev, y, q: int, d: int):
+    """X_tilde_q from X_tilde_{q-1}: y_q replaces coordinate bar(q+1)."""
+    return replace_coordinate(prev, y, bar_index(q + 1, d))
 
 
 def well_scaled_sequence(X, Y, k: int | None = None, d: int | None = None) -> list:
@@ -133,7 +138,6 @@ def well_scaled_sequence(X, Y, k: int | None = None, d: int | None = None) -> li
     closing element X_{kd+1} is the last auxiliary element itself.
     """
     aux = auxiliary_sequence(X, Y, k, d)
-    dd = len(aux[0]) - 2
     kd = len(aux) - 1
     out = [replace_coordinate(aux[q - 1], tuple(Y)[q - 1], 1) for q in range(1, kd + 1)]
     out.append(aux[kd])
@@ -182,16 +186,14 @@ def check_well_scaled_bounds(seq, X, k: int, d: int, alpha0: float, rtol: float 
 
 def is_in_augmented_set(X, Y, Cp: float) -> bool:
     """Membership in the augmented set: every step of the construction
-    satisfies psin(X_tilde_q) <= Cp (psin(X_{q+1}) + psin(X_tilde_{q+1}))."""
+    satisfies psin(X_tilde_{q-1}) <= Cp (psin(X_q) + psin(X_tilde_q)), i.e.
+    y_q lies in U_Cp(X_tilde_{q-1}, 1, bar(q+1))."""
     aux = auxiliary_sequence(X, Y)
-    main = well_scaled_sequence(X, Y)
-    kd = len(aux) - 1
-    for q in range(kd):
-        lhs = _psin0(aux[q])
-        rhs = _psin0(main[q]) + _psin0(aux[q + 1])
-        if lhs > Cp * rhs:
-            return False
-    return True
+    d = len(aux[0]) - 2
+    return all(
+        concentration_test(aux[q - 1], 1, bar_index(q + 1, d), Cp)([Y[q - 1]])[0]
+        for q in range(1, len(aux))
+    )
 
 
 def multiscale_inequality_check(X, Y, Cp: float, k: int, d: int, rtol: float = 1e-12):
@@ -210,10 +212,14 @@ def multiscale_inequality_check(X, Y, Cp: float, k: int, d: int, rtol: float = 1
 # rake trees
 
 
-def _transpose(tup, i: int, j: int):
-    lst = list(tup)
-    lst[i], lst[j] = lst[j], lst[i]
-    return tuple(lst)
+def _rake_children(parent, z, n: int, j: int):
+    """The (left, right) children of a level-j rake node: z replaces
+    coordinate n-j on the left; on the right it replaces coordinate n-j-1,
+    which then swaps places with coordinate n-j."""
+    left = replace_coordinate(parent, z, n - j)
+    right = list(replace_coordinate(parent, z, n - j - 1))
+    right[n - j - 1], right[n - j] = right[n - j], right[n - j - 1]
+    return left, tuple(right)
 
 
 def rake_tree(X, Z, n: int, d: int | None = None) -> list:
@@ -237,12 +243,8 @@ def rake_tree(X, Z, n: int, d: int | None = None) -> list:
     levels = [[X]]
     for j in range(n - 1):
         nxt = []
-        for m in range(1, 2**j + 1):
-            parent = levels[j][m - 1]
-            z = Z[2**j + (m - 1) - 1]
-            left = replace_coordinate(parent, z, n - j)
-            right = _transpose(replace_coordinate(parent, z, n - j - 1), n - j - 1, n - j)
-            nxt.extend((left, right))
+        for m, parent in enumerate(levels[j]):
+            nxt.extend(_rake_children(parent, Z[2**j - 1 + m], n, j))
         levels.append(nxt)
     return levels
 
@@ -259,14 +261,11 @@ def is_in_overline_set(X, Z, Cp: float) -> bool:
     n = int(math.log2(len(Z) + 1)) + 1
     if short_scale_size(n) != len(Z):
         raise ValueError("piece size must be 2^(n-1)-1")
-    levels = rake_tree(X, Z, n)
-    for j in range(n - 1):
-        for m in range(1, 2**j + 1):
-            lhs = _psin0(levels[j][m - 1])
-            rhs = _psin0(levels[j + 1][2 * m - 2]) + _psin0(levels[j + 1][2 * m - 1])
-            if lhs > Cp * rhs:
-                return False
-    return True
+    nodes = [node for level in rake_tree(X, Z, n) for node in level]  # 1-based: i has children 2i, 2i+1
+    return all(
+        _psin0(nodes[i - 1]) <= Cp * (_psin0(nodes[2 * i - 1]) + _psin0(nodes[2 * i]))
+        for i in range(1, len(Z) + 1)
+    )
 
 
 def rake_inequality_check(X, Z, Cp: float, n: int, rtol: float = 1e-12):
@@ -280,18 +279,14 @@ def rake_inequality_check(X, Z, Cp: float, n: int, rtol: float = 1e-12):
 def rake_property_level(Xs, k: int, alpha0: float) -> int | None:
     """Smallest k' in [0, k-1] certifying the leaf as a single-handled
     simplex with tolerance p=2, or None."""
-    from .estimators import handle_indices
-
     Xs = _as_array(Xs)
-    norms = np.linalg.norm(Xs[1:] - Xs[0], axis=1)
-    mx = norms.max()
-    if mx == 0.0 or norms.min() == 0.0:
+    _, scale, level, _ = scale_classes(Xs[None], alpha0)
+    # alpha0^{k'+2} < scale <= alpha0^{k'} holds for k' = level - 1 and
+    # k' = level only, and the handle count never falls from k' to k' + 1.
+    kp = max(int(level[0]) - 1, 0)
+    if scale[0] == 0.0 or kp >= k or len(handle_indices(Xs, kp, alpha0)) != 1:
         return None
-    s = float(norms.min() / mx)
-    for kp in range(k):
-        if alpha0 ** (kp + 2) < s <= alpha0**kp and len(handle_indices(Xs, kp, alpha0)) == 1:
-            return kp
-    return None
+    return kp
 
 
 def check_rake_property(Xs, X, k: int, alpha0: float, rtol: float = 1e-9) -> bool:
@@ -329,19 +324,11 @@ def annulus_conditional_mass(
     compares against it.
     """
     Xp = _as_array(X_tilde_prev)
-    x0 = Xp[0]
-    mx = max_at0(Xp)
-    level = k - math.ceil(q / d)
-    idx = annulus_indices(cloud, x0, mx, level, alpha0)
+    member = concentration_test(Xp, 1, bar_index(q + 1, d), Cp)
+    idx = annulus_indices(cloud, Xp[0], max_at0(Xp), k - math.ceil(q / d), alpha0)
     if len(idx) == 0:
         return 0.0
-    ys = cloud.points[idx]
-    lhs = _psin0(Xp)
-    rhs = np.sqrt(_batch.psin_with_replacement(Xp, ys, 1)) + np.sqrt(
-        _batch.psin_with_replacement(Xp, ys, bar_index(q + 1, d))
-    )
-    member = lhs <= Cp * rhs
-    return float(cloud.weights[idx][member].sum())
+    return float(cloud.weights[idx][member(cloud.points[idx])].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +359,10 @@ def sample_well_scaled_piece(
     max_attempts rejections pile up at one step.
     """
     rng = np.random.default_rng(rng)
-    X_arr = np.asarray(X, dtype=float)
-    d = len(X_arr) - 2
-    x0 = X_arr[0]
-    mx = max_at0(X_arr)
-    cur = tuple(X_arr)
+    cur = np.asarray(X, dtype=float)
+    d = len(cur) - 2
+    x0 = cur[0]
+    mx = max_at0(cur)
     out = []
     attempts_per_q = []
     for q in range(1, k * d + 1):
@@ -384,20 +370,16 @@ def sample_well_scaled_piece(
         idx = annulus_indices(cloud, x0, mx, level, alpha0)
         if len(idx) == 0:
             raise PieceSamplingError("annulus holds no support points", q)
-        lhs = _psin0(cur)
-        accepted = None
+        member = concentration_test(cur, 1, bar_index(q + 1, d), Cp)
         for attempt in range(1, max_attempts + 1):
             y = cloud.points[_draw(rng, idx, cloud.weights)]
-            main = replace_coordinate(cur, y, 1)
-            aux = replace_coordinate(cur, y, bar_index(q + 1, d))
-            if lhs <= Cp * (_psin0(main) + _psin0(aux)):
-                accepted = (y, aux, attempt)
+            if member(y[None])[0]:
                 break
-        if accepted is None:
+        else:
             raise PieceSamplingError("two-term inequality kept rejecting", q)
-        y, cur, n_att = accepted
+        cur = _well_scaled_step(cur, y, q, d)
         out.append(y)
-        attempts_per_q.append(n_att)
+        attempts_per_q.append(attempt)
     if stats is not None:
         stats["attempts_per_q"] = attempts_per_q
     return np.asarray(out)
@@ -422,35 +404,26 @@ def sample_short_scale_piece(
     d = len(X_arr) - 2
     if not 1 < n <= d:
         raise ValueError("handle count must satisfy 1 < n <= d")
-    x0 = X_arr[0]
-    mx = max_at0(X_arr)
-    idx = annulus_indices(cloud, x0, mx, k, alpha0)
+    idx = annulus_indices(cloud, X_arr[0], max_at0(X_arr), k, alpha0)
     if len(idx) == 0:
         raise PieceSamplingError("annulus holds no support points")
-    levels: list[list] = [[tuple(X_arr)]]
+    nodes = [tuple(X_arr)]  # breadth first: node i has children 2i and 2i+1 (1-based)
     out = []
     attempts_per_node = []
     for i in range(1, short_scale_size(n) + 1):
+        parent = nodes[i - 1]
         j = i.bit_length() - 1
-        m = i - 2**j + 1
-        parent = levels[j][m - 1]
         lhs = _psin0(parent)
-        accepted = None
         for attempt in range(1, max_attempts + 1):
             z = cloud.points[_draw(rng, idx, cloud.weights)]
-            left = replace_coordinate(parent, z, n - j)
-            right = _transpose(replace_coordinate(parent, z, n - j - 1), n - j - 1, n - j)
+            left, right = _rake_children(parent, z, n, j)
             if lhs <= Cp * (_psin0(left) + _psin0(right)):
-                accepted = (z, left, right, attempt)
                 break
-        if accepted is None:
+        else:
             raise PieceSamplingError("two-child inequality kept rejecting", i)
-        z, left, right, n_att = accepted
-        if len(levels) == j + 1:
-            levels.append([])
-        levels[j + 1].extend((left, right))
+        nodes += (left, right)
         out.append(z)
-        attempts_per_node.append(n_att)
+        attempts_per_node.append(attempt)
     if stats is not None:
         stats["attempts_per_node"] = attempts_per_node
     return np.asarray(out)
@@ -538,8 +511,6 @@ def sample_scaled_simplex(
         rows += [cloud.points[i] for i in handles]
         rows += [cloud.points[i] for i in tines]
         X = np.asarray(rows)
-        from .estimators import classify_scale
-
         try:
             cls = classify_scale(X, alpha0)
         except ValueError:

@@ -715,27 +715,32 @@ SUITES = {
 }
 
 
+def _run(names, seed: int, inject_failure: str | None) -> tuple[list, list]:
+    """Run the named suites under the one injection rule: net_separation
+    corrupts a real net when the multiscale suite runs; any other request
+    becomes a failing check.  Returns (suite reports, injected checks)."""
+    suites = [
+        suite_multiscale(seed, inject_failure=inject_failure) if name == "multiscale" else SUITES[name](seed)
+        for name in names
+    ]
+    corrupts_net = inject_failure == "net_separation" and "multiscale" in names
+    return suites, [_check(inject_failure, False, injected=True)] if inject_failure and not corrupts_net else []
+
+
 def run_suite(name: str, seed: int = 7, inject_failure: str | None = None) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {sorted(SUITES)} or 'all'")
-    if name == "multiscale":
-        return suite_multiscale(seed, inject_failure=inject_failure)
-    report = SUITES[name](seed)
-    if inject_failure and inject_failure != "net_separation":
-        report["checks"].append(_check(inject_failure, False, injected=True))
+    (report,), injected = _run([name], seed, inject_failure)
+    if injected:
+        report["checks"] += injected
         report["passed"] = False
     return report
 
 
 def run_all(seed: int = 7, inject_failure: str | None = None) -> dict:
-    suites = []
-    for name in ("geometry", "multiscale", "sequences", "inequalities"):
-        if name == "multiscale":
-            suites.append(suite_multiscale(seed, inject_failure=inject_failure))
-        else:
-            suites.append(SUITES[name](seed))
-    if inject_failure and inject_failure != "net_separation":
-        suites.append(_suite("injected", [_check(inject_failure, False, injected=True)]))
+    suites, injected = _run(list(SUITES), seed, inject_failure)
+    if injected:
+        suites.append(_suite("injected", injected))
     return {
         "seed": seed,
         "passed": all(s["passed"] for s in suites),

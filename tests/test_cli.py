@@ -151,6 +151,20 @@ def test_verify_inject_failure(capsys):
     assert "harness_probe" in err
 
 
+@pytest.mark.parametrize(
+    "suite, injected",
+    [("geometry", "net_separation"), ("sequences", "net_separation"), ("multiscale", "foo")],
+)
+def test_every_injected_failure_fails_the_report(capsys, suite, injected):
+    # net_separation corrupts a real net only where the multiscale suite
+    # runs; elsewhere, like any other name, it is added as a failing check.
+    code, stdout, err = run(capsys, ["verify", suite, "--inject-failure", injected])
+    assert code == 1
+    report = json.loads(stdout)
+    assert not report["passed"]
+    assert injected in err
+
+
 def test_only_invariant_errors_exit_1(monkeypatch, capsys):
     def fail(exc):
         def run_suite(*args, **kwargs):

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menger import geometry
+from menger import _batch, geometry
 from menger.estimators import (
+    K_MAX,
     MCEstimate,
     classify_scale,
     concentration_fraction,
     concentration_set_member,
+    concentration_test,
     continuous_curvature_sq,
     curvature_over_Ulambda,
     decomposition_check,
@@ -18,6 +20,7 @@ from menger.estimators import (
     prop11_ratio,
 )
 from menger.measure import Ball, WeightedPointCloud, gen_plane_patch, gen_sphere
+from menger.sequences import annulus_conditional_mass, constants
 
 
 def oracle_c1_sq_integral(points, weights):
@@ -154,6 +157,9 @@ def test_classify_degenerate_rejected():
         classify_scale(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 0.25)
     with pytest.raises(ValueError):
         classify_scale(np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 0.0]]), 0.25, p=3)
+    for alpha0 in (0.0, 1.0, 1.5):  # the levels need 0 < alpha0 < 1
+        with pytest.raises(ValueError):
+            classify_scale(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.1]]), alpha0)
 
 
 def test_handle_indices_k0_takes_the_argmax():
@@ -179,6 +185,143 @@ def test_classification_partitions_valid_simplices(X):
         assert cls.kind == "scaled"
         assert 0.25 ** (cls.k + 1) < s <= 0.25**cls.k
         assert cls.handle_indices  # the longest edge is always a handle
+
+
+ALPHAS = (0.25, 0.35, constants(2).alpha0)
+
+
+def oracle_level(s, alpha0):
+    """The scalar definition, one tuple at a time: a log estimate patched
+    until alpha0^{k+1} < s <= alpha0^k holds for Python float powers."""
+    k = int(math.floor(math.log(s) / math.log(alpha0)))
+    while alpha0**k < s:
+        k -= 1
+    while alpha0 ** (k + 1) >= s:
+        k += 1
+    return k
+
+
+def oracle_handles(X, k, alpha0):
+    norms = np.linalg.norm(X[1:] - X[0], axis=1)
+    ratios = norms / norms.max()
+    return tuple(
+        i + 1 for i, r in enumerate(ratios.tolist()) if (r >= 1.0 if k == 0 else r > alpha0**k)
+    )
+
+
+def oracle_classify(X, alpha0, p):
+    norms = np.linalg.norm(X[1:] - X[0], axis=1)
+    s = float(norms.min() / norms.max())
+    if s > alpha0**3:
+        return ("well_scaled", 0, 3, s, ())
+    k = oracle_level(s, alpha0)
+    if p == 2 and k >= 1:
+        k -= 1
+    return ("scaled", k, p, s, oracle_handles(X, k, alpha0))
+
+
+def oracle_label(T, min_sep2, alpha0):
+    norms = np.linalg.norm(T[1:] - T[0], axis=1)
+    if norms.min() == 0.0 or min_sep2 == 0.0:
+        return "degenerate"
+    s = float(norms.min() / norms.max())
+    if s > alpha0**3:
+        return "well_scaled"
+    k = oracle_level(s, alpha0)
+    if k > K_MAX:
+        return "tail"
+    return f"k={k},n={len(oracle_handles(T, k, alpha0))}"
+
+
+def planted_tuple(alpha0, levels, nudges, signs):
+    """Base at the origin, edge i along axis i with length alpha0**levels[i]
+    moved by nudges[i] ulps, so scales land exactly on (or next to) powers."""
+    X = np.zeros((len(levels) + 1, len(levels)))
+    for i, (k, nudge, sign) in enumerate(zip(levels, nudges, signs)):
+        r = alpha0**k
+        for _ in range(abs(nudge)):
+            r = np.nextafter(r, np.inf if nudge > 0 else 0.0)
+        X[i + 1, i] = sign * r
+    return X
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(ALPHAS),
+    st.integers(2, 4).flatmap(
+        lambda e: st.tuples(
+            st.lists(st.integers(0, 30), min_size=e, max_size=e),
+            st.lists(st.sampled_from([-1, 0, 0, 0, 1]), min_size=e, max_size=e),
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=e, max_size=e),
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_scale_classes_match_scalar_oracle(alpha0, planted, seed):
+    rng = np.random.default_rng(seed)
+    scattered = rng.normal(size=(len(planted[0]) + 1, 3))
+    shrink = alpha0 ** rng.uniform(0, 8, size=(len(scattered) - 1, 1))
+    scattered[1:] = scattered[0] + (scattered[1:] - scattered[0]) * shrink
+    for X in (planted_tuple(alpha0, *planted), scattered):
+        norms = np.linalg.norm(X[1:] - X[0], axis=1)
+        if norms.min() == 0.0:  # a deep level's squared edge underflowed
+            with pytest.raises(ValueError):
+                classify_scale(X, alpha0)
+            continue
+        for p in (1, 2):
+            cls = classify_scale(X, alpha0, p)
+            assert (cls.kind, cls.k, cls.p, cls.scale, cls.handle_indices) == oracle_classify(X, alpha0, p)
+        k = oracle_level(float(norms.min() / norms.max()), alpha0)
+        for kk in {0, max(k - 1, 0), k, k + 1}:
+            assert handle_indices(X, kk, alpha0) == oracle_handles(X, kk, alpha0)
+
+
+def planted_cloud(alpha0, D, levels):
+    """The origin, carrying most of the mass, plus points at exact powers of
+    alpha0 along every axis, so sampled tuples based at the origin have
+    scales exactly at powers of alpha0."""
+    pts = [np.zeros(D)]
+    for axis in range(D):
+        for k in range(levels):
+            for sign in (1.0, -1.0):
+                pt = np.zeros(D)
+                pt[axis] = sign * alpha0**k
+                pts.append(pt)
+    w = np.ones(len(pts))
+    w[0] = len(pts)
+    return WeightedPointCloud(np.asarray(pts), w)
+
+
+@settings(max_examples=24)
+@given(
+    st.sampled_from(ALPHAS),
+    st.sampled_from(["planted2", "planted3", "sphere"]),
+    st.integers(1, 2),
+    st.integers(0, 2**16),
+)
+def test_decomposition_labels_match_scalar_oracle(alpha0, kind, d, seed):
+    if kind == "sphere":
+        cloud = gen_sphere(3, 200, seed=seed)
+    else:
+        cloud = planted_cloud(alpha0, int(kind[-1]), 8 if alpha0 < 1e-3 else 26)
+    n_samples = 1500
+    rep = decomposition_check(cloud, None, d, alpha0, n_samples=n_samples, seed=seed)
+
+    # The same stream, labelled one tuple at a time.
+    rng = np.random.default_rng(seed)
+    ti = rng.choice(len(cloud), size=(n_samples, d + 2), p=cloud.weights / cloud.weights.sum())
+    T = cloud.points[ti]
+    terms = _batch.curvature_terms(T)
+    labels = [oracle_label(t, sep, alpha0) for t, sep in zip(T, terms["min_sep2"].tolist())]
+    sums = {}
+    for label, v in zip(labels, terms["psin0_nrm"].tolist()):
+        sums.setdefault(label, []).append(v)
+    assert rep["exact_partition"]
+    assert {label: cell["sum"] for label, cell in rep["classes"].items()} == {
+        label: math.fsum(vals) for label, vals in sums.items()
+    }
+    factor = cloud.total_mass() ** (d + 2) / n_samples
+    assert rep["total_estimate"] == math.fsum(terms["psin0_nrm"].tolist()) * factor
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +385,51 @@ def test_prop11_ratio_zero_over_zero(patch12):
     out = prop11_ratio(patch12, center, 0.3, 0.2, 1, mode="exact")
     assert out["flag"] == "zero_over_zero"
     assert out["ratio"] == 0.0
+
+
+def test_concentration_paths_agree_bitwise():
+    """The three public U_C paths share one membership test: on one annulus
+    cloud they select the same points, bit for bit."""
+    rng = np.random.default_rng(8)
+    a0, k, d, q = 0.3, 3, 2, 1
+    X = np.zeros((4, 3))
+    X[1] = [1.0, 0.0, 0.0]
+    X[2] = [0.0, a0**3.5, 0.0]
+    X[3] = [0.0, 0.0, a0**3.2]
+    level = k - math.ceil(q / d)
+    dirs = rng.normal(size=(400, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    ys = dirs * a0 ** (level + rng.uniform(0.05, 0.95, size=(400, 1)))
+    cloud = WeightedPointCloud(ys, rng.uniform(0.1, 1.0, size=400))
+    lhs = geometry.polar_sine(X, 0)
+    ratios = [
+        lhs / (geometry.polar_sine(geometry.replace_coordinate(X, y, 1), 0)
+               + geometry.polar_sine(geometry.replace_coordinate(X, y, 2), 0))
+        for y in ys
+    ]
+    C = float(np.median(ratios))
+    mask = np.array([concentration_set_member(X, 1, 2, y, C) for y in ys])
+    assert 0 < mask.sum() < len(ys)
+    assert (concentration_test(X, 1, 2, C)(ys) == mask).all()
+    w = cloud.weights
+    res = concentration_fraction(cloud, X, 1, 2, a0**level, C)
+    assert res["n_candidates"] == len(ys)
+    assert res["fraction"] == float(w[mask].sum() / w.sum())
+    assert annulus_conditional_mass(cloud, X, q, k, d, C, a0) == float(w[mask].sum())
+
+    # The base vertex is never replaced; i = 0 (or j past the end) raises.
+    with pytest.raises(IndexError):
+        concentration_test(X, 0, 2, C)
+    with pytest.raises(IndexError):
+        concentration_test(X, 1, 4, C)
+    with pytest.raises(IndexError):
+        concentration_set_member(X, 0, 2, ys[0], C)
+    with pytest.raises(IndexError):
+        concentration_fraction(cloud, X, 0, 2, a0**level, C)
+
+
+def test_concentration_fraction_rejects_base_replacement():
+    circle = gen_sphere(2, 500, seed=1)
+    X = circle.points[:3]
+    with pytest.raises(IndexError):
+        concentration_fraction(circle, X, 0, 2, 0.8, 1.0)

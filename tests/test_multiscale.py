@@ -229,6 +229,12 @@ def test_family_rejects_bad_alpha0(circle):
         jones_flatness_continuous(circle, circle.bounding_ball(), 1, rho=1.5)
 
 
+def test_continuous_flatness_rejects_bad_x_cap(circle):
+    for x_cap in (0, -1):
+        with pytest.raises(ValueError, match="x_cap"):
+            jones_flatness_continuous(circle, circle.bounding_ball(), 1, x_cap=x_cap)
+
+
 def test_beta2_scans_once_and_repeated_query_scans_nothing(circle, monkeypatch):
     scans = []
     contains = Ball.contains
