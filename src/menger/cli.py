@@ -42,8 +42,8 @@ def _parse_ball(text: str, ambient: int) -> Ball:
         raise InputError(f"bad --ball {text!r}, expected 'cx,cy,...:r'") from exc
     if len(center) != ambient:
         raise InputError(f"--ball center has {len(center)} coordinates, cloud is {ambient}-dim")
-    if r <= 0:
-        raise InputError("--ball radius must be positive")
+    if not (np.isfinite(center).all() and 0 < r < np.inf):
+        raise InputError("--ball needs a finite center and a positive finite radius")
     return Ball(center, r)
 
 

@@ -3,7 +3,7 @@ sampled simplices, concentration sets, and the separated-tuple ratio.
 
 The continuous curvature c_d^2(mu|_Q) = int_{Q^{d+2}} c_d^2 dmu^{d+2} is
 computed exactly (exhaustive sum over ordered index tuples) whenever
-|supp /\\ Q|^{d+2} <= exact_threshold, else by Monte Carlo with the mass
+|supp /\\ Q|^{d+2} <= EXACT_TUPLE_LIMIT, else by Monte Carlo with the mass
 factor mu(Q)^{d+2}.  Sampling uses one seeded generator consumed
 identically regardless of any separation filter, so U_lambda estimates at
 different lambda share a sample stream and are monotone by construction.
@@ -90,12 +90,11 @@ def continuous_curvature_sq(
     seed: int = 0,
     mode: str = "auto",
     lam: float | None = None,
-    exact_threshold: int = EXACT_TUPLE_LIMIT,
 ) -> MCEstimate:
     """c_d^2(mu|_Q), optionally restricted to the separated region U_lambda(Q).
 
     mode: "auto" picks exhaustive summation when the tuple count
-    m^{d+2} <= exact_threshold, "exact"/"mc" force a path.  lam (with a
+    m^{d+2} <= EXACT_TUPLE_LIMIT, "exact"/"mc" force a path.  lam (with a
     ball query) keeps only tuples whose minimal pairwise distance is at
     least lam * radius(Q).
     """
@@ -113,7 +112,7 @@ def continuous_curvature_sq(
     sep_floor = None if lam is None else lam * query.radius
 
     total_tuples = m**arity
-    use_exact = mode == "exact" or (mode == "auto" and total_tuples <= exact_threshold)
+    use_exact = mode == "exact" or (mode == "auto" and total_tuples <= EXACT_TUPLE_LIMIT)
     if mode not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
 

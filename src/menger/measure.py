@@ -12,9 +12,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-# Above this size the support diameter switches from the exact pairwise
-# maximum to the centroid bound 2*max|x - centroid| (an upper bound).
-EXACT_DIAMETER_LIMIT = 20000
+# Entries per row block of a point-to-centre difference array, and so of
+# its squared-distance table.
+BLOCK_ENTRIES = 2**22
+
+
+def _sq_dist_blocks(points: np.ndarray, centers: np.ndarray):
+    """Yield (lo, d2) row blocks of the squared distances from `points` to
+    `centers`: d2[i, j] = |points[lo + i] - centers[j]|^2.  Each block's
+    (rows, centers, D) difference array holds at most BLOCK_ENTRIES
+    entries.  Blocks split rows only, so every entry is the same einsum
+    whatever the block size."""
+    rows = max(1, BLOCK_ENTRIES // max(len(centers) * points.shape[1], 1))
+    for lo in range(0, len(points), rows):
+        diff = points[lo : lo + rows, None, :] - centers[None, :, :]
+        yield lo, np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # free it before the next block is allocated
 
 
 @dataclass(frozen=True)
@@ -47,8 +60,8 @@ class WeightedPointCloud:
     def __init__(self, points, weights):
         points = np.ascontiguousarray(points, dtype=float)
         weights = np.ascontiguousarray(weights, dtype=float)
-        if points.ndim != 2:
-            raise ValueError("points must be (N, D)")
+        if points.ndim != 2 or points.shape[1] < 1:
+            raise ValueError("points must be (N, D) with D >= 1")
         if weights.shape != (len(points),):
             raise ValueError("need exactly one weight per point")
         if not np.all(np.isfinite(points)) or not np.all(np.isfinite(weights)):
@@ -60,7 +73,6 @@ class WeightedPointCloud:
         self.points = points
         self.weights = weights
         self._diameter: float | None = None
-        self._diameter_exact: bool | None = None
         self._median_nn: float | None = None
 
     def __len__(self) -> int:
@@ -83,28 +95,11 @@ class WeightedPointCloud:
         return WeightedPointCloud(self.points[indices], self.weights[indices])
 
     def support_diameter(self) -> float:
+        """Exact diameter of the support: the largest pairwise distance."""
         if self._diameter is None:
-            n = len(self.points)
-            if n <= EXACT_DIAMETER_LIMIT:
-                best = 0.0
-                block = max(1, int(2**22 // max(n, 1)))
-                for lo in range(0, n, block):
-                    diff = self.points[lo : lo + block, None, :] - self.points[None, :, :]
-                    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-                    best = max(best, float(d2.max()))
-                self._diameter = float(np.sqrt(best))
-                self._diameter_exact = True
-            else:
-                c = self.points.mean(axis=0)
-                r = np.linalg.norm(self.points - c, axis=1).max()
-                self._diameter = float(2.0 * r)
-                self._diameter_exact = False
+            best = max(float(d2.max()) for _, d2 in _sq_dist_blocks(self.points, self.points))
+            self._diameter = float(np.sqrt(best))
         return self._diameter
-
-    @property
-    def diameter_exact(self) -> bool:
-        self.support_diameter()
-        return bool(self._diameter_exact)
 
     def median_nn_distance(self) -> float:
         """Median distance to the nearest distinct-index neighbour."""
@@ -167,8 +162,8 @@ def points_in_ball(cloud: WeightedPointCloud, ball: Ball) -> np.ndarray:
 
 def gen_plane_patch(d: int, D: int, n: int, seed=0) -> WeightedPointCloud:
     """Uniform sample of a unit d-cube patch of a d-plane embedded in R^D."""
-    if not 1 <= d <= D:
-        raise ValueError("need 1 <= d <= D")
+    if not 1 <= d <= D or n < 1:
+        raise ValueError("need 1 <= d <= D and n >= 1")
     rng = np.random.default_rng(seed)
     pts = np.zeros((n, D))
     pts[:, :d] = rng.uniform(-0.5, 0.5, size=(n, d))
@@ -177,6 +172,8 @@ def gen_plane_patch(d: int, D: int, n: int, seed=0) -> WeightedPointCloud:
 
 def gen_sphere(D: int, n: int, seed=0) -> WeightedPointCloud:
     """Uniform sample of the unit sphere in R^D (D=2 gives the circle)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, D))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -189,8 +186,8 @@ def gen_lipschitz_graph(d: int, D: int, lip: float, n: int, seed=0) -> WeightedP
     The map is a small sum of smooth waves with gradient bounded by 1,
     scaled so the full Jacobian has operator norm <= lip.
     """
-    if not 1 <= d < D:
-        raise ValueError("need 1 <= d < D")
+    if not 1 <= d < D or n < 1:
+        raise ValueError("need 1 <= d < D and n >= 1")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-0.5, 0.5, size=(n, d))
     m_out = D - d

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import Ball, WeightedPointCloud
+from .geometry import InvariantError
+from .measure import Ball, WeightedPointCloud, _sq_dist_blocks
 from .planes import beta2
 
 # Hard cap on how far below the nearest-neighbour floor level building may
@@ -32,8 +33,8 @@ MAX_LEVELS_BELOW_TOP = 64
 def scale_index(diam: float, alpha0: float) -> int:
     """m(Q) = ceil(ln diam / ln alpha0), patched so that the defining
     sandwich alpha0^m <= diam < alpha0^{m-1} holds under floating point."""
-    if diam <= 0:
-        raise ValueError("scale index needs a positive diameter")
+    if not 0.0 < diam < math.inf:
+        raise ValueError("scale index needs a positive finite diameter")
     if not 0.0 < alpha0 < 1.0:
         raise ValueError("alpha0 must lie in (0, 1)")
     m = math.ceil(math.log(diam) / math.log(alpha0))
@@ -95,49 +96,40 @@ def build_partition(
     whose quarter ball meets B'.  Every dropped net point has a kept center
     within 2q, so g is total.
     """
-    n = len(points)
     q2 = quarter_radius * quarter_radius
     kept_centers = net_points[kept]
-    assignment = np.full(n, -1, dtype=int)
-
-    block = max(1, int(2**22 // max(len(kept_centers), 1)))
-    for lo in range(0, n, block):
-        chunk = points[lo : lo + block]
-        diff = chunk[:, None, :] - kept_centers[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        inside = d2 <= q2
-        has = inside.any(axis=1)
-        assignment[lo : lo + block][has] = np.argmax(inside[has], axis=1)
-
-    leftover = np.ones(len(net_points), dtype=bool)
-    leftover[kept] = False
-    leftover_pos = np.nonzero(leftover)[0]
+    assignment = _first_within(points, kept_centers, q2)
     unassigned = np.nonzero(assignment < 0)[0]
     if len(unassigned) == 0:
         return assignment
 
-    if len(leftover_pos) == 0:
-        raise AssertionError("net covering violated: unassigned points but no leftover balls")
-    leftover_centers = net_points[leftover_pos]
+    leftover = np.ones(len(net_points), dtype=bool)
+    leftover[kept] = False
+    leftover_centers = net_points[leftover]
     # g(B'): smallest kept index whose quarter ball meets the leftover ball,
     # i.e. center distance <= 2q.  Guaranteed to exist by the drop rule, as
     # long as both compare against the same rounded square (2q)*(2q).
     two_q = 2.0 * quarter_radius
-    diff = leftover_centers[:, None, :] - kept_centers[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    meets = d2 <= two_q * two_q
-    if not meets.any(axis=1).all():
-        raise AssertionError("dropped net ball meets no kept quarter ball")
-    g = np.argmax(meets, axis=1)
-
-    diff = points[unassigned][:, None, :] - leftover_centers[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    inside = d2 <= q2
-    if not inside.any(axis=1).all():
-        raise AssertionError("net covering violated: point outside every quarter ball")
-    first = np.argmax(inside, axis=1)
+    g = _first_within(leftover_centers, kept_centers, two_q * two_q)
+    if (g < 0).any():
+        raise InvariantError("dropped net ball meets no kept quarter ball")
+    first = _first_within(points[unassigned], leftover_centers, q2)
+    if (first < 0).any():
+        raise InvariantError("net covering violated: point outside every quarter ball")
     assignment[unassigned] = g[first]
     return assignment
+
+
+def _first_within(points: np.ndarray, centers: np.ndarray, r2: float) -> np.ndarray:
+    """Index of the first centre within squared distance r2 of each point,
+    -1 where there is none."""
+    first = np.full(len(points), -1, dtype=int)
+    for lo, d2 in _sq_dist_blocks(points, centers):
+        inside = d2 <= r2
+        has = inside.any(axis=1)
+        if has.any():
+            first[lo : lo + len(d2)][has] = np.argmax(inside[has], axis=1)
+    return first
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,8 @@ def fit_plane(cloud, ball, d: int) -> AffinePlane:
 
 
 def _beta2_value(points, weights, plane: AffinePlane, radius: float) -> float:
+    if radius == 0.0:  # a point mass is flat; dist/diam would be 0/0
+        return 0.0
     dist = plane.distance_many(points)
     diam = 2.0 * radius
     return float(np.sqrt(np.sum(weights * (dist / diam) ** 2) / weights.sum()))
@@ -113,7 +115,7 @@ def _beta2_value(points, weights, plane: AffinePlane, radius: float) -> float:
 
 def beta2_with_plane(cloud, ball, plane: AffinePlane) -> float:
     """beta_2(B, L): sqrt( sum_{x in B} w(x) (dist(x,L)/diam B)^2 / mu(B) )
-    with diam B = 2 * radius.  An empty ball contributes 0."""
+    with diam B = 2 * radius.  An empty ball or one of radius 0 contributes 0."""
     idx = cloud.in_ball(ball)
     if len(idx) == 0:
         return 0.0
@@ -123,7 +125,7 @@ def beta2_with_plane(cloud, ball, plane: AffinePlane) -> float:
 def beta2(cloud, ball, d: int) -> Beta2Result:
     """beta_2(B) = inf over affine d-planes, attained by the weighted PCA
     plane.  An empty restriction gives value 0 (mass 0) with a canonical
-    plane through the ball center."""
+    plane through the ball center; a ball of radius 0 gives value 0."""
     idx = cloud.in_ball(ball)
     if len(idx) == 0:
         plane = AffinePlane(np.asarray(ball.center, dtype=float), _canonical_frame(d, cloud.ambient_dim))

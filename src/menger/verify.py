@@ -272,7 +272,7 @@ def _level_axioms(cloud, level) -> dict:
     }
 
 
-def suite_multiscale(seed: int = 7, inject_failure: str | None = None) -> dict:
+def suite_multiscale(seed: int = 7, corrupt_net: bool = False) -> dict:
     checks = []
     alpha0 = 0.25
     clouds = {
@@ -291,7 +291,7 @@ def suite_multiscale(seed: int = 7, inject_failure: str | None = None) -> dict:
             for key, ok in ax.items():
                 if not ok:
                     axiom_fail.append(f"{name}/n={n}/{key}")
-    if inject_failure == "net_separation":
+    if corrupt_net:
         cloud = clouds["circle"]
         fam = multiscale.MultiresolutionFamily(cloud, alpha0, order_seed=seed)
         level = fam.level(fam.n_top + 1)
@@ -719,11 +719,11 @@ def _run(names, seed: int, inject_failure: str | None) -> tuple[list, list]:
     """Run the named suites under the one injection rule: net_separation
     corrupts a real net when the multiscale suite runs; any other request
     becomes a failing check.  Returns (suite reports, injected checks)."""
+    corrupts_net = inject_failure == "net_separation" and "multiscale" in names
     suites = [
-        suite_multiscale(seed, inject_failure=inject_failure) if name == "multiscale" else SUITES[name](seed)
+        suite_multiscale(seed, corrupt_net=corrupts_net) if name == "multiscale" else SUITES[name](seed)
         for name in names
     ]
-    corrupts_net = inject_failure == "net_separation" and "multiscale" in names
     return suites, [_check(inject_failure, False, injected=True)] if inject_failure and not corrupts_net else []
 
 

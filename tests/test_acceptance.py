@@ -410,9 +410,7 @@ def test_rectifiable_ratio_bounded_and_cantor_curvature_grows():
 
     unit = Ball(np.zeros(2), 1.0)
     curvatures = [
-        estimators.continuous_curvature_sq(
-            gen_four_corner_cantor(level), unit, 1, mode="exact", exact_threshold=20_000_000
-        ).estimate
+        estimators.continuous_curvature_sq(gen_four_corner_cantor(level), unit, 1, mode="exact").estimate
         for level in (2, 3, 4)
     ]
     assert curvatures[0] > 0

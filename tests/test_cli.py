@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from menger import verify
 from menger.cli import main
@@ -44,6 +46,23 @@ def test_generate_plane_row_count(tmp_path, capsys):
     )
     assert code == 0
     assert len(WeightedPointCloud.from_csv(out)) == 100
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sphere", "--n", "0"],
+        ["plane", "--n", "0"],
+        ["graph", "--n", "0"],
+        ["sphere", "--D", "0"],
+    ],
+)
+def test_generate_rejects_empty_and_zero_dimensional_clouds(tmp_path, capsys, argv):
+    out = tmp_path / "g.csv"
+    code, _, err = run(capsys, ["generate", *argv, "--out", str(out)])
+    assert code == 2
+    assert "error" in err
+    assert not out.exists()
 
 
 def test_generate_requires_out(capsys):
@@ -116,6 +135,15 @@ def test_input_error_exit_codes(plane_csv, tmp_path, capsys):
     assert run(capsys, ["beta", "--input", plane_csv, "--d", "1", "--ball", "0,0:-1"])[0] == 2
 
 
+@pytest.mark.parametrize("command", ["beta", "flatness", "curvature"])
+def test_non_finite_ball_exits_2(plane_csv, capsys, command):
+    for ball in ("0,0:inf", "0,0:nan", "nan,0:1"):
+        code, stdout, err = run(capsys, [command, "--input", plane_csv, "--ball", ball])
+        assert code == 2
+        assert stdout == ""
+        assert "--ball" in err
+
+
 def test_bad_sample_counts_exit_2(tmp_path, capsys):
     path = tmp_path / "circle.csv"
     gen_sphere(2, 500, seed=1).to_csv(path)
@@ -139,6 +167,13 @@ def test_verify_geometry_suite(capsys, tmp_path):
     doc = json.loads(stdout)
     assert doc["passed"]
     assert json.loads(out.read_text()) == doc
+
+
+def test_corrupt_net_fails_the_multiscale_suite():
+    report = verify.suite_multiscale(7, corrupt_net=True)
+    assert not report["passed"]
+    axioms = next(c for c in report["checks"] if c["name"] == "net_partition_axioms")
+    assert "injected/net_separation" in axioms["detail"]["failures"]
 
 
 def test_verify_inject_failure(capsys):
@@ -200,3 +235,79 @@ def test_verify_subprocess_determinism(tmp_path):
     b = subprocess.run(cmd, capture_output=True, check=True)
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["passed"]
+
+
+# ---------------------------------------------------------------------------
+# exit codes under argument and CSV mutations
+
+_BAD_NUMBERS = ("0", "-1", "-0.5", "nan", "inf", "-inf")
+_GOOD_FLAGS = {
+    "generate": {"--d": "1", "--D": "2", "--n": "20", "--level": "2", "--lip": "0.5", "--seed": "3"},
+    "beta": {"--d": "1", "--ball": "0,0:0.5"},
+    "flatness": {"--d": "1", "--ball": "0,0:0.5", "--alpha0": "0.25", "--seed": "3"},
+    "curvature": {"--d": "1", "--ball": "0,0:0.5", "--samples": "200", "--seed": "3", "--lambda": "0.2"},
+    "ratio": {"--d": "1", "--samples": "200", "--seed": "3", "--alpha0": "0.25"},
+}
+_CHOICES = {
+    "generate": ["plane", "sphere", "graph", "cantor"],
+    "flatness": ["--mode=discrete", "--mode=continuous"],
+    "ratio": ["thm12", "thm13", "prop11", "prop43"],
+}
+_CLOUDS = {
+    "cantor": gen_four_corner_cantor(2),
+    "circle": gen_sphere(2, 20, seed=1),
+    "sphere": gen_sphere(3, 12, seed=2),
+    "single": WeightedPointCloud(np.array([[0.1, 0.2]]), np.ones(1)),
+    "duplicates": WeightedPointCloud(np.tile([0.1, 0.2], (10, 1)), np.ones(10)),
+}
+_CSV_MUTATIONS = ("dim=0", "dim=-1", "dim=x", "empty", "header_only", "missing_field", "weight", "coordinate")
+
+
+@st.composite
+def _cloud_text(draw, mutation) -> str:
+    """The CSV text of a small valid cloud, or of one mutation of it."""
+    cloud = _CLOUDS[draw(st.sampled_from(sorted(_CLOUDS)))]
+    lines = [f"dim={cloud.ambient_dim}"]
+    lines += [",".join(repr(float(v)) for v in [*p, w]) for p, w in zip(cloud.points, cloud.weights)]
+    row = draw(st.integers(1, len(lines) - 1))
+    fields = lines[row].split(",")
+    if mutation.startswith("dim="):
+        lines[0] = mutation
+    elif mutation == "empty":
+        return ""
+    elif mutation == "header_only":
+        lines = lines[:1]
+    elif mutation == "missing_field":
+        lines[row] = ",".join(fields[:-1])
+    elif mutation == "weight":
+        lines[row] = ",".join(fields[:-1] + [draw(st.sampled_from(_BAD_NUMBERS))])
+    elif mutation == "coordinate":
+        lines[row] = ",".join([draw(st.sampled_from(("nan", "inf", "-inf")))] + fields[1:])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_cli_exit_code_is_always_0_1_or_2(tmp_path_factory, data):
+    # Each example takes one command with valid flags on a valid cloud of at
+    # most 20 points and mutates at most one of them.
+    command = data.draw(st.sampled_from(sorted(_GOOD_FLAGS)))
+    flags = dict(_GOOD_FLAGS[command])
+    target = data.draw(st.sampled_from(["none", "csv", *flags]))
+    if target in flags:
+        bad = data.draw(st.sampled_from(_BAD_NUMBERS))
+        flags[target] = data.draw(st.sampled_from([f"0,0:{bad}", f"{bad},0:0.5"])) if target == "--ball" else bad
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    mutation = data.draw(st.sampled_from(_CSV_MUTATIONS)) if target == "csv" else "none"
+    path.write_text(data.draw(_cloud_text(mutation)))
+    argv = [command]
+    if command in _CHOICES:
+        argv.append(data.draw(st.sampled_from(_CHOICES[command])))
+    for flag, value in flags.items():
+        argv += [flag, value]
+    argv += ["--out" if command == "generate" else "--input", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects e.g. "--n nan" with exit 2
+        code = exc.code
+    assert code in (0, 1, 2), argv

@@ -28,6 +28,19 @@ def test_cloud_constructor_validation():
         WeightedPointCloud(np.array([[np.inf, 0.0]]), np.ones(1))
     with pytest.raises(ValueError):
         WeightedPointCloud(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(ValueError):
+        WeightedPointCloud(np.zeros((2, 0)), np.ones(2))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_generators_reject_empty_samples(n):
+    for gen in (
+        lambda: gen_sphere(2, n),
+        lambda: gen_plane_patch(1, 2, n),
+        lambda: gen_lipschitz_graph(1, 2, 0.5, n),
+    ):
+        with pytest.raises(ValueError, match="n >= 1"):
+            gen()
 
 
 def test_ball_membership_is_closed():
@@ -146,10 +159,18 @@ def test_generators_are_seeded():
 # queries
 
 
-def test_support_diameter_exact_flag():
+def test_support_diameter_pair():
     cloud = WeightedPointCloud(np.array([[0.0, 0.0], [3.0, 4.0]]), np.ones(2))
     assert cloud.support_diameter() == 5.0
-    assert cloud.diameter_exact
+
+
+def test_support_diameter_is_exact_above_20000_points():
+    # a centroid bound would give 2 * (1 - centroid) = 1.9999 here
+    x = np.zeros(20001)
+    x[1:-1] = np.linspace(1e-6, 1e-3, 19999)
+    x[-1] = 1.0
+    cloud = WeightedPointCloud(x[:, None], np.ones(len(x)))
+    assert cloud.support_diameter() == 1.0
 
 
 def test_median_nn_distance_grid():

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from menger.geometry import InvariantError
 from menger.measure import Ball, WeightedPointCloud, gen_plane_patch
 from menger.multiscale import (
     MultiresolutionFamily,
@@ -144,6 +147,29 @@ def test_partition_hand_case_leftover_routing():
     assert kept.tolist() == [0, 2]
     part = build_partition(pts, pts[net], kept, 0.3)
     assert part.tolist() == [0, 0, 1]
+
+
+def test_partition_covering_violation_is_an_invariant_error():
+    # the net misses the point at 5: no quarter ball, kept or leftover, holds it
+    pts = as_pts([0.0, 5.0])
+    with pytest.raises(InvariantError, match="outside every quarter ball"):
+        build_partition(pts, pts[:1], np.array([0]), 1.0)
+
+
+def test_partition_leftover_routing_runs_in_bounded_memory():
+    # every point misses the kept quarter ball at 0 and lies in leftover
+    # quarter balls, so the last lookup spans a 6000 x 6000 table (288 MB)
+    n = 6000
+    pts = as_pts(np.linspace(1.1, 2.5, n))
+    net_pts = as_pts(np.concatenate([[0.0], np.linspace(1.5, 2.0, n)]))
+    tracemalloc.start()
+    try:
+        part = build_partition(pts, net_pts, np.array([0]), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (part == 0).all()
+    assert peak < 200 * 2**20
 
 
 def test_partition_sandwich_on_random_cloud(circle):

@@ -108,6 +108,16 @@ def test_beta2_empty_ball():
     assert res.mass == 0.0
 
 
+def test_beta2_of_a_point_mass_is_zero():
+    # a ball of radius 0 would divide 0 by its diameter 0
+    cloud = WeightedPointCloud(np.tile([0.1, 0.2], (3, 1)), np.ones(3))
+    ball = Ball(cloud.points[0], 0.0)
+    res = beta2(cloud, ball, 1)
+    assert res.value == 0.0
+    assert res.mass == 3.0
+    assert beta2_with_plane(cloud, ball, res.plane) == 0.0
+
+
 def test_fit_plane_empty_restriction_raises():
     with pytest.raises(ValueError):
         fit_plane(line_cloud(), Ball(np.array([50.0, 50.0]), 0.5), 1)
