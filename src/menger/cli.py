@@ -219,6 +219,8 @@ def cmd_verify(args) -> int:
 
 def _ratio_balls(cloud, rng, count: int, lo: float = 0.2, hi: float = 0.5):
     diam = cloud.support_diameter()
+    if diam == 0.0:
+        raise ValueError("ratio experiments need a cloud of positive diameter")
     w = cloud.weights / cloud.total_mass()
     for b in range(count):
         ci = int(rng.choice(len(cloud), p=w))

@@ -16,6 +16,10 @@ from scipy.spatial import cKDTree
 # its squared-distance table.
 BLOCK_ENTRIES = 2**22
 
+# Relative pad on the bounds that spatial searches prune with, so that
+# rounding in a bound cannot drop a pair that the exact einsum test keeps.
+_PAD = 1.0 + 1e-9
+
 
 def _sq_dist_blocks(points: np.ndarray, centers: np.ndarray):
     """Yield (lo, d2) row blocks of the squared distances from `points` to
@@ -28,6 +32,59 @@ def _sq_dist_blocks(points: np.ndarray, centers: np.ndarray):
         diff = points[lo : lo + rows, None, :] - centers[None, :, :]
         yield lo, np.einsum("ijk,ijk->ij", diff, diff)
         del diff  # free it before the next block is allocated
+
+
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms of a 2-D array."""
+    return np.einsum("ij,ij->i", v, v)
+
+
+# Largest leaf of the diameter's branch and bound; a cloud this small is
+# one leaf, scanned against itself.
+LEAF_SIZE = 256
+
+
+def _leaves(points: np.ndarray) -> list[np.ndarray]:
+    """Index sets of at most LEAF_SIZE points, by median splits along the
+    widest axis."""
+    stack, leaves = [np.arange(len(points))], []
+    while stack:
+        idx = stack.pop()
+        if len(idx) <= LEAF_SIZE:
+            leaves.append(idx)
+            continue
+        sub = points[idx]
+        axis = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
+        half = len(idx) // 2
+        order = np.argpartition(sub[:, axis], half)
+        stack += [idx[order[:half]], idx[order[half:]]]
+    return leaves
+
+
+def _max_sq_dist(points: np.ndarray) -> float:
+    """Largest squared pairwise distance, as the einsum of _sq_dist_blocks.
+
+    The farthest-point sweep and the box bounds only prune: a leaf pair is
+    skipped when the squared max-distance between the two bounding boxes,
+    times _PAD, is below both the sweep's bound and the best scanned pair.
+    The result is the maximum over _sq_dist_blocks scans alone; the pad
+    covers a numpy whose row-norm and table einsums round differently.
+    """
+    far = points[np.argmax(_sq_norms(points - points[0]))]
+    lb = float(_sq_norms(points - far).max())
+    best = 0.0
+    leaves = _leaves(points)
+    lo = np.array([points[i].min(axis=0) for i in leaves])
+    hi = np.array([points[i].max(axis=0) for i in leaves])
+    a, b = np.triu_indices(len(leaves))
+    span = np.maximum(hi[a] - lo[b], hi[b] - lo[a])
+    ub = _sq_norms(span)
+    for k in np.argsort(ub, kind="stable")[::-1]:
+        if ub[k] * _PAD < max(lb, best):
+            break
+        for _, d2 in _sq_dist_blocks(points[leaves[a[k]]], points[leaves[b[k]]]):
+            best = max(best, float(d2.max()))
+    return best
 
 
 @dataclass(frozen=True)
@@ -50,8 +107,7 @@ class Ball:
 
     def contains(self, points) -> np.ndarray:
         """Boolean mask for closed-ball membership."""
-        V = np.asarray(points, dtype=float) - self.center
-        return np.einsum("ij,ij->i", V, V) <= self.radius * self.radius
+        return _sq_norms(np.asarray(points, dtype=float) - self.center) <= self.radius * self.radius
 
 
 class WeightedPointCloud:
@@ -95,10 +151,17 @@ class WeightedPointCloud:
         return WeightedPointCloud(self.points[indices], self.weights[indices])
 
     def support_diameter(self) -> float:
-        """Exact diameter of the support: the largest pairwise distance."""
+        """Exact diameter of the support: the largest pairwise distance.
+
+        Branch and bound over leaf pairs: the points are bisected into
+        leaves of at most LEAF_SIZE, a double farthest-point sweep gives a
+        lower bound, and leaf pairs are scanned from the largest bounding-box
+        max-distance down until that bound falls below the best pair found.
+        Every candidate distance is the blocked scan's einsum, so the value
+        is the all-pairs maximum bit for bit.
+        """
         if self._diameter is None:
-            best = max(float(d2.max()) for _, d2 in _sq_dist_blocks(self.points, self.points))
-            self._diameter = float(np.sqrt(best))
+            self._diameter = float(np.sqrt(_max_sq_dist(self.points)))
         return self._diameter
 
     def median_nn_distance(self) -> float:
@@ -153,11 +216,6 @@ class WeightedPointCloud:
 def ball_mass(cloud: WeightedPointCloud, ball: Ball) -> float:
     """mu(B): total weight inside the closed ball."""
     return cloud.mass_in(ball)
-
-
-def points_in_ball(cloud: WeightedPointCloud, ball: Ball) -> np.ndarray:
-    """Indices of support points inside the closed ball."""
-    return cloud.in_ball(ball)
 
 
 def gen_plane_patch(d: int, D: int, n: int, seed=0) -> WeightedPointCloud:

@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import InvariantError
-from .measure import Ball, WeightedPointCloud, _sq_dist_blocks
+from .measure import _PAD, Ball, WeightedPointCloud, _sq_norms
 from .planes import beta2
 
 # Hard cap on how far below the nearest-neighbour floor level building may
@@ -55,20 +56,20 @@ def build_net(points: np.ndarray, order: np.ndarray, r: float) -> np.ndarray:
 
     Returns the selected indices (in admission order).  Admitted points are
     pairwise more than r apart and every point is within r of one of them.
+    A point is admitted iff no earlier admitted point lies within r of it;
+    each admission marks its r-ball covered, from k-d-tree candidates
+    re-tested with the exact closed comparison.
     """
-    selected = np.empty(len(order), dtype=int)
-    sel_pts = np.empty((len(order), points.shape[1]))
-    count = 0
+    tree = cKDTree(points)
+    covered = np.zeros(len(points), dtype=bool)
+    selected = []
     for idx in order:
-        p = points[idx]
-        if count:
-            diff = sel_pts[:count] - p
-            if np.einsum("ij,ij->i", diff, diff).min() <= r * r:
-                continue
-        selected[count] = idx
-        sel_pts[count] = p
-        count += 1
-    return selected[:count].copy()
+        if covered[idx]:
+            continue
+        selected.append(idx)
+        near = np.asarray(tree.query_ball_point(points[idx], r * _PAD), dtype=int)
+        covered[near[_sq_norms(points[near] - points[idx]) <= r * r]] = True
+    return np.asarray(selected, dtype=int)
 
 
 def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> np.ndarray:
@@ -122,13 +123,24 @@ def build_partition(
 
 def _first_within(points: np.ndarray, centers: np.ndarray, r2: float) -> np.ndarray:
     """Index of the first centre within squared distance r2 of each point,
-    -1 where there is none."""
+    -1 where there is none.
+
+    Centres claim, in index order, the still unclaimed k-d-tree candidates
+    that pass the exact closed comparison; the walk stops once every point
+    is claimed.
+    """
     first = np.full(len(points), -1, dtype=int)
-    for lo, d2 in _sq_dist_blocks(points, centers):
-        inside = d2 <= r2
-        has = inside.any(axis=1)
-        if has.any():
-            first[lo : lo + len(d2)][has] = np.argmax(inside[has], axis=1)
+    tree = cKDTree(points)
+    radius = math.sqrt(r2) * _PAD
+    left = len(points)
+    for j, c in enumerate(centers):
+        near = np.asarray(tree.query_ball_point(c, radius), dtype=int)
+        near = near[first[near] < 0]
+        hit = near[_sq_norms(points[near] - c) <= r2]
+        first[hit] = j
+        left -= len(hit)
+        if left == 0:
+            break
     return first
 
 

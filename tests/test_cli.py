@@ -229,6 +229,16 @@ def test_ratio_thm13_table(tmp_path, capsys):
     assert len(rows) == 21
 
 
+def test_ratio_on_zero_diameter_cloud_exits_2(tmp_path, capsys):
+    # every ball drawn from a cloud of diameter 0 has radius 0
+    path = tmp_path / "dup.csv"
+    WeightedPointCloud(np.array([[0.1, 0.2], [0.1, 0.2]]), np.ones(2)).to_csv(path)
+    for experiment in ("thm12", "thm13", "prop11", "prop43"):
+        code, stdout, err = run(capsys, ["ratio", experiment, "--input", str(path), "--samples", "200"])
+        assert (code, stdout) == (2, ""), experiment
+        assert "error" in err
+
+
 def test_verify_subprocess_determinism(tmp_path):
     cmd = [sys.executable, "-m", "menger.cli", "verify", "sequences", "--seed", "7"]
     a = subprocess.run(cmd, capture_output=True, check=True)

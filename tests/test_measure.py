@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from menger.measure import (
     Ball,
@@ -11,7 +13,6 @@ from menger.measure import (
     gen_lipschitz_graph,
     gen_plane_patch,
     gen_sphere,
-    points_in_ball,
     regularity_constant,
     sample_tuple,
 )
@@ -46,7 +47,7 @@ def test_generators_reject_empty_samples(n):
 def test_ball_membership_is_closed():
     cloud = WeightedPointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), np.ones(3))
     ball = Ball(np.zeros(2), 1.0)
-    assert points_in_ball(cloud, ball).tolist() == [0, 1]  # boundary point counts
+    assert cloud.in_ball(ball).tolist() == [0, 1]  # boundary point counts
     assert ball_mass(cloud, ball) == 2.0
     # r**2 (libm pow) rounds one ulp below r*r here, which would drop a
     # point whose squared distance is exactly the rounded r*r
@@ -173,6 +174,65 @@ def test_support_diameter_is_exact_above_20000_points():
     assert cloud.support_diameter() == 1.0
 
 
+def reference_diameter(points):
+    """sqrt of the largest squared distance over all pairs, 100 rows at a time."""
+    best = 0.0
+    for lo in range(0, len(points), 100):
+        diff = points[lo : lo + 100, None, :] - points[None, :, :]
+        best = max(best, float(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    return float(np.sqrt(best))
+
+
+def _diameter_cloud(kind, n, rng):
+    if kind == "circle":
+        t = rng.uniform(0.0, 2.0 * np.pi, n)
+        return np.c_[np.cos(t), np.sin(t)]
+    if kind == "sphere":
+        g = rng.normal(size=(n, 3))
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
+    if kind == "duplicates":
+        return rng.normal(size=(5, 2))[rng.integers(0, 5, n)]
+    if kind == "collinear":
+        return rng.uniform(-1.0, 1.0, (n, 1)) * rng.normal(size=(1, 3)) + rng.normal(size=(1, 3))
+    if kind == "tied":
+        # a regular polygon: every vertex has an antipode at the same
+        # distance, plus interior points
+        m = 2 * int(rng.integers(2, 40))
+        t = 2.0 * np.pi * np.arange(m) / m
+        inner = rng.uniform(-0.5, 0.5, (n - m, 2))
+        return np.r_[np.c_[np.cos(t), np.sin(t)], inner][rng.permutation(n)]
+    if kind == "blob":
+        return rng.normal(size=(n, 3))
+    return np.repeat(rng.normal(size=(1, 2)), n, axis=0)  # one point
+
+
+@given(
+    st.sampled_from(["circle", "sphere", "blob", "duplicates", "collinear", "tied", "single"]),
+    st.integers(257, 3000),
+    st.sampled_from([1e-150, 1.0, 1e150]),
+    st.integers(0, 2**32 - 1),
+)
+def test_support_diameter_matches_all_pairs_max(kind, n, scale, seed):
+    pts = scale * _diameter_cloud(kind, n, np.random.default_rng(seed))
+    cloud = WeightedPointCloud(pts, np.ones(len(pts)))
+    assert cloud.support_diameter() == reference_diameter(pts)
+    solo = WeightedPointCloud(pts[:1], np.ones(1))
+    assert solo.support_diameter() == 0.0
+
+
+def test_support_diameter_scans_a_pair_whose_bound_is_tight():
+    # Four clusters of 256 equal points, so every leaf is one point-sized
+    # box and the P-Q leaf pair's bound is exactly |P - Q|^2.  The sweep
+    # from R finds R-S, 1e-10 shorter in square: P-Q must still be scanned.
+    p, q = np.array([0.4, 0.49]), np.array([0.6, -0.49])
+    pq2 = float(np.einsum("i,i->", p - q, p - q))
+    r, s = np.zeros(2), np.array([np.sqrt(pq2 * (1.0 - 1e-10)), 0.0])
+    pts = np.repeat(np.array([r, p, q, s]), 256, axis=0)
+    cloud = WeightedPointCloud(pts, np.ones(len(pts)))
+    assert float(np.einsum("i,i->", r - s, r - s)) < pq2
+    assert cloud.support_diameter() == np.sqrt(pq2) == reference_diameter(pts)
+
+
 def test_median_nn_distance_grid():
     pts = np.array([[0.0], [1.0], [2.0], [3.0]])
     cloud = WeightedPointCloud(pts, np.ones(4))
@@ -182,7 +242,7 @@ def test_median_nn_distance_grid():
 def test_bounding_ball_contains_everything():
     cloud = gen_sphere(2, 100, seed=6)
     ball = cloud.bounding_ball()
-    assert len(points_in_ball(cloud, ball)) == len(cloud)
+    assert len(cloud.in_ball(ball)) == len(cloud)
 
 
 def test_sample_tuple_masses_and_restriction(rng):

@@ -9,6 +9,7 @@ from menger.geometry import InvariantError
 from menger.measure import Ball, WeightedPointCloud, gen_plane_patch
 from menger.multiscale import (
     MultiresolutionFamily,
+    _first_within,
     build_ball_family,
     build_net,
     build_partition,
@@ -96,8 +97,56 @@ def reference_ball_family(net_points, quarter_radius):
     return np.asarray(kept, dtype=int)
 
 
+def reference_first_within(points, centers, r2):
+    """First centre within squared distance r2 of each point, from the full
+    point-to-centre table."""
+    first = np.full(len(points), -1, dtype=int)
+    diff = points[:, None, :] - centers[None, :, :]
+    inside = np.einsum("ijk,ijk->ij", diff, diff) <= r2
+    has = inside.any(axis=1)
+    if has.any():
+        first[has] = np.argmax(inside[has], axis=1)
+    return first
+
+
+def reference_partition(points, net_points, kept, quarter_radius):
+    """The partition by full-table lookups: kept quarter balls first, then
+    leftover quarter balls routed to the first kept ball they meet."""
+    q2 = quarter_radius * quarter_radius
+    assignment = reference_first_within(points, net_points[kept], q2)
+    unassigned = assignment < 0
+    if not unassigned.any():
+        return assignment
+    leftover = np.ones(len(net_points), dtype=bool)
+    leftover[kept] = False
+    two_q = 2.0 * quarter_radius
+    g = reference_first_within(net_points[leftover], net_points[kept], two_q * two_q)
+    if (g < 0).any():
+        raise InvariantError("dropped net ball meets no kept quarter ball")
+    first = reference_first_within(points[unassigned], net_points[leftover], q2)
+    if (first < 0).any():
+        raise InvariantError("net covering violated: point outside every quarter ball")
+    assignment[unassigned] = g[first]
+    return assignment
+
+
+def outcome(fn, *args):
+    """A routine's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except InvariantError as exc:
+        return repr(exc)
+
+
+def same(a, b):
+    """The same raised error, or equal integer arrays."""
+    if isinstance(a, str) or isinstance(b, str):
+        return isinstance(a, str) and isinstance(b, str) and a == b
+    return a.dtype.kind == b.dtype.kind == "i" and np.array_equal(a, b)
+
+
 # Integer grids with radii whose squares are exact, so many center
-# distances land exactly on r or 2q and the closed comparisons decide.
+# distances land exactly on r, q or 2q and the closed comparisons decide.
 grid_clouds = st.integers(1, 3).flatmap(
     lambda D: st.lists(st.lists(st.integers(0, 5), min_size=D, max_size=D), min_size=1, max_size=40)
 ).map(lambda rows: np.asarray(rows, dtype=float))
@@ -113,6 +162,33 @@ def test_greedy_routines_match_reference_loop(pts, r, q, data):
         kept = build_ball_family(net_points, q)
         assert kept.dtype.kind == "i"
         assert np.array_equal(kept, reference_ball_family(net_points, q))
+    # a q-net covers within q, so the partition exists; an r-net with r > q
+    # may not cover, and both versions must then raise the same error
+    for net_points in (pts[build_net(pts, order, q)], pts[net]):
+        kept = build_ball_family(net_points, q)
+        args = (pts, net_points, kept, q)
+        assert same(outcome(build_partition, *args), outcome(reference_partition, *args))
+    centers = pts[data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=12))]
+    for r2 in (r * r, q * q, (2.0 * q) * (2.0 * q)):
+        assert same(_first_within(pts, centers, r2), reference_first_within(pts, centers, r2))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 300))
+def test_tree_searches_keep_exact_boundary_hits(seed, D, n):
+    # r2 is the squared distance of a pair, so points sit on the sphere
+    # itself, where a tree search at radius sqrt(r2) can round either way;
+    # at 1e-160 the squared distances are subnormal, below the pad's reach
+    rng = np.random.default_rng(seed)
+    unit = rng.normal(size=(n, D))
+    for scale in (10.0 ** rng.integers(-3, 4), 1e-160, 1e-150, 1e150):
+        pts = unit * scale
+        centers = pts[rng.choice(n, size=min(n, 20), replace=False)]
+        for i, j in rng.integers(0, n, size=(4, 2)):
+            r2 = float(np.einsum("i,i->", pts[i] - pts[j], pts[i] - pts[j]))
+            assert same(_first_within(pts, centers, r2), reference_first_within(pts, centers, r2))
+            r = float(np.sqrt(r2))
+            order = rng.permutation(n)
+            assert np.array_equal(build_net(pts, order, r), reference_net(pts, order, r))
 
 
 def test_ball_family_drop_rule_is_closed():
