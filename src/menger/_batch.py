@@ -5,61 +5,202 @@ the only implementation of the content, polar-sine and curvature formulas:
 the scalar functions of geometry.py call them with B = 1.  Gram determinants are clamped at zero
 (the Gram matrix is positive semidefinite); tuples with coinciding
 coordinates get polar sine 0.
+
+Every kernel reads one dot table per tuple, laid out by a plan cached per
+(m, D, bases) (_plan).  The difference of each pair of vertices is formed
+once; the table holds each squared pair length and each distinct
+off-diagonal Gram entry once, as one contiguous einsum over the coordinates
+of two pair rows (6 dot products per triangle, where a Gram einsum at every
+base takes 21).  The Gram matrix at base b is read off the table: vertex
+v's diagonal entry is the squared length of the pair {v, b}, and the entry
+of v, w is the dot product of the rows of {v, b} and {w, b}.  Each entry
+carries the bits that a Gram einsum of the edge vectors x_v - x_b gives:
+
+- a pair row holds x_v - x_b or x_b - x_v, and the second is the exact
+  negation of the first (rounding is symmetric); rows touching the first
+  base are formed as x_v - x_b, so that base needs no negation;
+- a dot product is unchanged when its factors swap, and negating one
+  factor negates it exactly, except that a zero stays +0, as 0.0 - dot
+  does;
+- both are the same einsum inner loop over contiguous coordinates, so the
+  products accumulate in the same order;
+- det, trace and eigvalsh then see the same matrix, and every later step
+  (edge products, maxima, sums over a tuple's vertices) runs per row in
+  the same order.
+
+Stacks are processed in row blocks whose working arrays hold about
+BLOCK_ENTRIES floats in all, so memory stays a small multiple of the
+input.  No value depends on another row, so the block size moves no bit.
+tests/test_batch.py holds the direct formulas and checks every output
+against them bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
+# Floats held by the working arrays of one row block, all arrays together.
+BLOCK_ENTRIES = 2**19
 
-def pairwise_sq(T: np.ndarray) -> np.ndarray:
-    """Squared distance matrices, shape (B, m, m)."""
-    diff = T[:, :, None, :] - T[:, None, :, :]
-    return np.einsum("bijk,bijk->bij", diff, diff)
+_EPS = np.finfo(float).eps
 
 
-def content_sq(T: np.ndarray, base: int) -> np.ndarray:
-    """Squared Gram content at the given base vertex, clamped at 0.
+class _Plan(NamedTuple):
+    """Index tables for stacks of m points with Gram matrices at `bases`.
 
-    Tuples whose determinant falls below the determinant noise bound
+    Pair p joins the vertices ia[p] and ic[p], the unordered pairs in
+    lexicographic order; its row holds x_ia - x_ic, pointing away from the
+    first base where it touches that base, so that base's Gram matrix needs
+    no negation.  Column j of a block's dot table is the dot product of the
+    pair rows left[j] and right[j], taken as 0.0 - dot where neg[j].  The
+    first P columns are the squared pair lengths, the others the distinct
+    off-diagonal Gram entries; `gram` lists each base's k x k matrix as
+    columns of that table.
+    """
+
+    m: int
+    ia: np.ndarray  # (P,)
+    ic: np.ndarray  # (P,)
+    left: np.ndarray | None  # (P + Q,); None when Q = 0: then the pair
+    right: np.ndarray | None  # (P + Q,)   rows themselves are both factors
+    neg: np.ndarray | None  # (P + Q,) bool; None when no column is negated
+    gram: np.ndarray  # (len(bases) * k * k,)
+    edges: np.ndarray  # (m, m-1): the pairs {i, j}, j != i ascending, at vertex i
+    rows: int  # rows per block
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(m: int, D: int, bases: tuple) -> _Plan:
+    ia, ic = np.triu_indices(m, k=1)
+    if bases:
+        away = ia == bases[0]
+        ia[away], ic[away] = ic[away], bases[0]
+    pair = {}
+    for p, (a, c) in enumerate(zip(ia.tolist(), ic.tolist())):
+        pair[a, c] = pair[c, a] = p
+    left, right, neg = list(range(len(ia))), list(range(len(ia))), [False] * len(ia)
+    column = {}
+    gram = []
+    for b in bases:
+        verts = [v for v in range(m) if v != b]
+        for v in verts:
+            for w in verts:
+                if v == w:
+                    gram.append(pair[v, b])
+                    continue
+                key = (min(v, w), max(v, w), b)
+                if key not in column:
+                    column[key] = len(left)
+                    left.append(pair[v, b])
+                    right.append(pair[w, b])
+                    # the row of {v, b} holds x_v - x_b or its negation
+                    neg.append((ia[pair[v, b]] == v) != (ia[pair[w, b]] == w))
+                gram.append(column[key])
+    # pair differences and their two gathers, two gathers of pair rows per
+    # dot-table column, the table, the Gram stack and what det makes of it
+    width = 3 * len(ia) * D + 2 * len(left) * D + len(left) + 3 * len(gram)
+    return _Plan(
+        m,
+        ia,
+        ic,
+        np.array(left, dtype=np.intp) if column else None,
+        np.array(right, dtype=np.intp) if column else None,
+        np.array(neg) if any(neg) else None,
+        np.array(gram, dtype=np.intp),
+        np.array([[pair[i, j] for j in range(m) if j != i] for i in range(m)], dtype=np.intp),
+        max(1, BLOCK_ENTRIES // width),
+    )
+
+
+def _blocks(T: np.ndarray, bases: tuple):
+    """(plan, rows, dot table) for each row block of the stack T."""
+    B, m, D = T.shape
+    plan = _plan(m, D, bases)
+    for lo in range(0, B, plan.rows):
+        rows = slice(lo, lo + plan.rows)
+        block = T[rows]
+        diff = np.subtract(block.take(plan.ia, axis=1), block.take(plan.ic, axis=1))
+        if plan.left is None:
+            dots = np.einsum("bjk,bjk->bj", diff, diff)
+        else:
+            dots = np.einsum("bjk,bjk->bj", diff.take(plan.left, axis=1), diff.take(plan.right, axis=1))
+        if plan.neg is not None:
+            np.subtract(0.0, dots, out=dots, where=plan.neg)
+        yield plan, rows, dots
+
+
+def _gram(dots: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Gram matrices at the plan's bases, shape (n, len(bases), k, k)."""
+    k = plan.m - 1
+    return dots.take(plan.gram, axis=1).reshape(len(dots), -1, k, k)
+
+
+def _content(G: np.ndarray) -> np.ndarray:
+    """Squared Gram content of each k x k matrix of a stack, clamped at 0.
+
+    Matrices whose determinant falls below the determinant noise bound
     (~ k eps trace^k) are re-evaluated through eigenvalues with the
     matrix_rank cut (k eps ev_max): exactly rank-deficient tuples, e.g.
     d+2 points inside a d-plane, come out 0 rather than noise on the order
     of eps * edge scale^2k.
     """
-    E = np.delete(T, base, axis=1) - T[:, base, None, :]
-    G = np.einsum("bik,bjk->bij", E, E)
     # An LU pivot that underflows to 0 (subnormal edges) makes det warn; its
     # determinant comes out 0, below the floor, so eigvalsh settles it.
+    # np.maximum(x, 0.0) is what np.clip(x, 0.0, None) calls.
     with np.errstate(divide="ignore"):
-        det = np.clip(np.linalg.det(G), 0.0, None)
-    k = G.shape[1]
-    eps = np.finfo(float).eps
-    floor = 10.0 * k * eps * np.trace(G, axis1=1, axis2=2) ** k
+        det = np.maximum(np.linalg.det(G), 0.0)
+    k = G.shape[-1]
+    floor = 10.0 * k * _EPS * G.trace(axis1=-2, axis2=-1) ** k
     suspect = det < floor
     if suspect.any():
-        ev = np.clip(np.linalg.eigvalsh(G[suspect]), 0.0, None)
-        ev[ev < k * eps * ev[:, -1:]] = 0.0
+        ev = np.maximum(np.linalg.eigvalsh(G[suspect]), 0.0)
+        ev[ev < k * _EPS * ev[:, -1:]] = 0.0
         det[suspect] = ev.prod(axis=1)
     return det
 
 
-def edge_prod_sq(d2: np.ndarray, i: int) -> np.ndarray:
-    """prod_{j != i} |x_i - x_j|^2 per tuple."""
-    col = d2[:, i, :].copy()
-    col[:, i] = 1.0
-    return col.prod(axis=1)
+def _ratio(num, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, else 0."""
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
 
 
-def psin_sq_at(T: np.ndarray, i: int, d2: np.ndarray | None = None) -> np.ndarray:
+def pairwise_sq(T: np.ndarray) -> np.ndarray:
+    """Squared distance matrices, shape (B, m, m)."""
+    B, m, _ = T.shape
+    out = np.zeros((B, m, m))
+    for plan, rows, dots in _blocks(T, ()):
+        out[rows, plan.ia, plan.ic] = dots
+        out[rows, plan.ic, plan.ia] = dots
+    return out
+
+
+def pair_and_content_sq(T: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared pair lengths (B, P), the pairs a < c in lexicographic order,
+    and the squared Gram content at the given base vertex (B,), clamped at
+    0, off one dot table; see _content for the rank rule."""
+    B, m, _ = T.shape
+    d2 = np.empty((B, m * (m - 1) // 2))
+    out = np.empty(B)
+    for plan, rows, dots in _blocks(T, (range(m)[base],)):
+        d2[rows] = dots[:, : d2.shape[1]]
+        out[rows] = _content(_gram(dots, plan))[:, 0]
+    return d2, out
+
+
+def content_sq(T: np.ndarray, base: int) -> np.ndarray:
+    """Squared Gram content at the given base vertex, clamped at 0."""
+    return pair_and_content_sq(T, base)[1]
+
+
+def psin_sq_at(T: np.ndarray, i: int) -> np.ndarray:
     """Squared polar sine at vertex i per tuple, 0 on coinciding coordinates."""
-    if d2 is None:
-        d2 = pairwise_sq(T)
-    num = content_sq(T, i)
-    den = edge_prod_sq(d2, i)
-    out = np.zeros(len(T))
-    ok = den > 0.0
-    out[ok] = num[ok] / den[ok]
+    i = range(T.shape[1])[i]
+    out = np.empty(len(T))
+    for plan, rows, dots in _blocks(T, (i,)):
+        out[rows] = _ratio(_content(_gram(dots, plan))[:, 0], dots.take(plan.edges[i], axis=1).prod(axis=1))
     return out
 
 
@@ -77,49 +218,36 @@ def curvature_terms(T: np.ndarray) -> dict:
     """
     B, m, _ = T.shape
     d = m - 2
-    d2 = pairwise_sq(T)
-    np.clip(d2, 0.0, None, out=d2)
-    offdiag = ~np.eye(m, dtype=bool)
-    diam2 = d2[:, offdiag].max(axis=1) if B else np.zeros(0)
-    min_sep2 = d2[:, offdiag].min(axis=1) if B else np.zeros(0)
-
-    vol2 = content_sq(T, 0)
-    psin2 = np.empty((B, m))
-    prods = np.empty((B, m))
-    for i in range(m):
-        prods[:, i] = edge_prod_sq(d2, i)
-        num = vol2 if i == 0 else content_sq(T, i)
-        ok = prods[:, i] > 0.0
-        psin2[:, i] = 0.0
-        psin2[ok, i] = num[ok] / prods[ok, i]
-
+    P = m * (m - 1) // 2
+    out = {
+        "diam2": np.empty(B),
+        "min_sep2": np.empty(B),
+        "psin2": np.empty((B, m)),
+        "content0_sq": np.empty(B),
+        "cd_sq": np.zeros(B),
+        "psin0_nrm": np.zeros(B),
+        "cd_sq_vol": np.zeros(B),
+    }
     # diam^{d(d+1)} = (diam^2)^{d(d+1)/2}; d(d+1)/2 is an integer
     half_exp = d * (d + 1) // 2
-    denom = diam2**half_exp
-    pos = denom > 0.0
-
-    cd_sq = np.zeros(B)
-    cd_sq[pos] = psin2[pos].sum(axis=1) / ((d + 2) * denom[pos])
-
-    psin0_nrm = np.zeros(B)
-    psin0_nrm[pos] = psin2[pos, 0] / denom[pos]
-
-    inv = np.zeros((B, m))
-    allpos = prods > 0.0
-    inv[allpos] = 1.0 / prods[allpos]
-    good = pos & allpos.all(axis=1)
-    cd_sq_vol = np.zeros(B)
-    cd_sq_vol[good] = vol2[good] * inv[good].sum(axis=1) / ((d + 2) * denom[good])
-
-    return {
-        "diam2": diam2,
-        "min_sep2": min_sep2,
-        "psin2": psin2,
-        "content0_sq": vol2,
-        "cd_sq": cd_sq,
-        "psin0_nrm": psin0_nrm,
-        "cd_sq_vol": cd_sq_vol,
-    }
+    for plan, rows, dots in _blocks(T, tuple(range(m))):
+        d2 = dots[:, :P]
+        vol2 = _content(_gram(dots, plan))
+        prods = dots.take(plan.edges, axis=1).prod(axis=2)
+        psin2 = _ratio(vol2, prods)
+        diam2 = d2.max(axis=1)
+        denom = diam2**half_exp
+        pos = denom > 0.0
+        out["diam2"][rows] = diam2
+        out["min_sep2"][rows] = d2.min(axis=1)
+        out["psin2"][rows] = psin2
+        out["content0_sq"][rows] = vol2[:, 0]
+        np.divide(psin2.sum(axis=1), (d + 2) * denom, out=out["cd_sq"][rows], where=pos)
+        np.divide(psin2[:, 0], denom, out=out["psin0_nrm"][rows], where=pos)
+        inv_sum = _ratio(1.0, prods).sum(axis=1)
+        good = pos & (prods > 0.0).all(axis=1)
+        np.divide(vol2[:, 0] * inv_sum, (d + 2) * denom, out=out["cd_sq_vol"][rows], where=good)
+    return out
 
 
 def psin_with_replacement(X: np.ndarray, ys: np.ndarray, i: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def continuous_curvature_sq(
     mode: "auto" picks exhaustive summation when the tuple count
     m^{d+2} <= EXACT_TUPLE_LIMIT, "exact"/"mc" force a path.  lam (with a
     ball query) keeps only tuples whose minimal pairwise distance is at
-    least lam * radius(Q).
+    least lam * radius(Q); it must be >= 0, and +inf empties the region.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -104,6 +104,8 @@ def continuous_curvature_sq(
         raise ValueError("n_samples must be >= 1")
     if lam is not None and query is None:
         raise ValueError("a separation parameter needs a ball query")
+    if lam is not None and not lam >= 0.0:  # NaN fails every comparison
+        raise ValueError(f"lambda must be a nonnegative number, got {lam!r}")
     idx = _restricted(cloud, query)
     m = len(idx)
     arity = d + 2
@@ -153,8 +155,6 @@ def curvature_over_Ulambda(
 ) -> MCEstimate:
     """int over U_lambda(B) of c_d^2: tuples in B^{d+2} with minimal pairwise
     distance >= lam * radius(B).  lam > 2 leaves an empty region."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     return continuous_curvature_sq(cloud, ball, d, n_samples=n_samples, seed=seed, mode=mode, lam=lam)
 
 

@@ -193,9 +193,9 @@ def menger_curvature(T) -> float:
     T = as_tuple_array(T)
     if len(T) != 3:
         raise ValueError("Menger curvature takes exactly three points")
-    d2 = _batch.pairwise_sq(T[None])[0]
-    sides_sq = (float(d2[0, 1]), float(d2[0, 2]), float(d2[1, 2]))
-    content_sq = float(_batch.content_sq(T[None], 0)[0])
+    d2, content = _batch.pair_and_content_sq(T[None], 0)
+    sides_sq = (float(d2[0, 0]), float(d2[0, 1]), float(d2[0, 2]))  # d01, d02, d12
+    content_sq = float(content[0])
     prod = sides_sq[0] * sides_sq[1] * sides_sq[2]
     if _TINY <= prod < math.inf:
         return math.sqrt(4.0 * content_sq / prod)

@@ -124,6 +124,18 @@ def test_curvature_exact_on_small_cloud(tmp_path, capsys):
     assert json.loads(stdout)["estimate"] == 0.0
 
 
+def test_curvature_rejects_a_bad_separation_parameter(tmp_path, capsys):
+    path = tmp_path / "cantor.csv"
+    gen_four_corner_cantor(2).to_csv(path)
+    args = ["curvature", "--input", str(path), "--d", "1", "--ball", "0,0:1", "--lambda"]
+    for lam in ("nan", "-0.4"):
+        code, stdout, _ = run(capsys, args + [lam])
+        assert code == 2 and stdout == ""
+    code, stdout, _ = run(capsys, args + ["inf"])
+    assert code == 0
+    assert json.loads(stdout)["estimate"] == 0.0
+
+
 def test_input_error_exit_codes(plane_csv, tmp_path, capsys):
     assert run(capsys, ["beta", "--input", str(tmp_path / "nope.csv"), "--d", "1"])[0] == 2
     bad = tmp_path / "bad.csv"

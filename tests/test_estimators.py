@@ -100,6 +100,16 @@ def test_separation_restriction_monotone(cantor2):
         curvature_over_Ulambda(cantor2, ball, -0.1, 1)
 
 
+def test_separation_parameter_is_validated_where_it_enters(cantor2):
+    # -0.4 used to give the 0.4 value (only lam**2 entered) and NaN an
+    # estimate of 0; +inf is a legal, empty region
+    ball = Ball(np.zeros(2), 1.0)
+    for lam in (-0.4, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda"):
+            continuous_curvature_sq(cantor2, ball, 1, mode="exact", lam=lam)
+    assert continuous_curvature_sq(cantor2, ball, 1, mode="exact", lam=math.inf).estimate == 0.0
+
+
 def test_query_and_mode_validation(small_cloud):
     with pytest.raises(ValueError):
         continuous_curvature_sq(small_cloud, Ball(np.array([99.0, 0.0]), 0.1), 1)
