@@ -7,6 +7,15 @@ computed exactly (exhaustive sum over ordered index tuples) whenever
 factor mu(Q)^{d+2}.  Sampling uses one seeded generator consumed
 identically regardless of any separation filter, so U_lambda estimates at
 different lambda share a sample stream and are monotone by construction.
+
+The content at vertex p of an ordered tuple depends only on its base t_p
+and on the other indices in position order, so the exact path factors each
+distinct Gram matrix once: _batch.content_table holds the base-0 content
+of every ordered tuple, and each vertex reads its entry there, with the
+bits the per-tuple kernel gives.  The table costs 8 B per ordered tuple:
+at most 80 MB at the auto limit, and 134 MB for the 256^3 tuples of a
+forced-exact level-4 Cantor cloud.  A separation floor is applied before
+the kernel, on both paths, so tuples below it cost no Gram determinant.
 """
 
 from __future__ import annotations
@@ -65,11 +74,13 @@ def _restricted(cloud: WeightedPointCloud, query: Ball | None) -> np.ndarray:
 
 
 def _tuple_values(points: np.ndarray, sep_floor: float | None) -> np.ndarray:
-    """c_d^2 per tuple, with the optional separation indicator applied."""
-    terms = _batch.curvature_terms(points)
-    vals = terms["cd_sq"]
-    if sep_floor is not None:
-        vals = np.where(terms["min_sep2"] >= sep_floor**2, vals, 0.0)
+    """c_d^2 per tuple, 0 below the optional separation floor; the kernel
+    runs only on the tuples that pass it."""
+    if sep_floor is None:
+        return _batch.curvature_terms(points)["cd_sq"]
+    keep = _batch.min_sep_sq(points) >= sep_floor**2
+    vals = np.zeros(len(points))
+    vals[keep] = _batch.curvature_terms(points[keep])["cd_sq"]
     return vals
 
 
@@ -122,11 +133,10 @@ def continuous_curvature_sq(
     factor = mass**arity
 
     if use_exact:
+        table = _batch.content_table(pts, arity, None if sep_floor is None else sep_floor**2)
         acc = 0.0
         for lo in range(0, total_tuples, _CHUNK):
-            flat = np.arange(lo, min(lo + _CHUNK, total_tuples))
-            ti = np.stack(np.unravel_index(flat, (m,) * arity), axis=1)
-            vals = _tuple_values(pts[ti], sep_floor)
+            ti, vals = _batch.ordered_cd_sq(table, lo, min(lo + _CHUNK, total_tuples))
             acc += float(np.sum(vals * np.prod(w[ti], axis=1)))
         return MCEstimate(
             mean=acc / factor, std_error=0.0, n_samples=total_tuples, mass_factor=factor, exact=True

@@ -78,9 +78,8 @@ def suite_geometry(seed: int = 7) -> dict:
     rng = _rng(seed, 1)
     T = rng.normal(size=(10_000, 3, 2))
     c1_sq = _batch.curvature_terms(T)["cd_sq"]
-    d2 = _batch.pairwise_sq(T)
-    area2 = _batch.content_sq(T, 0)  # squared parallelogram content
-    cm_sq = 4.0 * area2 / (d2[:, 0, 1] * d2[:, 0, 2] * d2[:, 1, 2])
+    d2, area2 = _batch.pair_and_content_sq(T, 0)  # area2: squared parallelogram content
+    cm_sq = 4.0 * area2 / (d2[:, 0] * d2[:, 1] * d2[:, 2])
     eps = RTOL * cm_sq
     lo_bad = int(np.sum(c1_sq < cm_sq / 12.0 - eps))
     hi_bad = int(np.sum(c1_sq > cm_sq / 4.0 + eps))

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menger import _batch, geometry
+from menger import _batch, estimators, geometry
 from menger.estimators import (
     K_MAX,
     MCEstimate,
@@ -108,6 +109,149 @@ def test_separation_parameter_is_validated_where_it_enters(cantor2):
         with pytest.raises(ValueError, match="lambda"):
             continuous_curvature_sq(cantor2, ball, 1, mode="exact", lam=lam)
     assert continuous_curvature_sq(cantor2, ball, 1, mode="exact", lam=math.inf).estimate == 0.0
+
+
+def ref_exact_mean(cloud, query, d, lam=None):
+    """The exact sum as the per-tuple kernel gives it: curvature_terms on
+    every ordered tuple, _CHUNK tuples at a time, the separation floor
+    applied to its output."""
+    idx = cloud.in_ball(query)
+    pts, w = cloud.points[idx], cloud.weights[idx]
+    m, arity = len(idx), d + 2
+    total, chunk = m**arity, estimators._CHUNK
+    acc = 0.0
+    for lo in range(0, total, chunk):
+        ti = np.stack(np.unravel_index(np.arange(lo, min(lo + chunk, total)), (m,) * arity), axis=1)
+        terms = _batch.curvature_terms(pts[ti])
+        vals = terms["cd_sq"]
+        if lam is not None:
+            vals = np.where(terms["min_sep2"] >= (lam * query.radius) ** 2, vals, 0.0)
+        acc += float(np.sum(vals * np.prod(w[ti], axis=1)))
+    return acc / float(w.sum()) ** arity
+
+
+def ref_mc(cloud, query, d, n_samples, seed, lam):
+    """(mean, std_error) of the Monte Carlo path with the full kernel run on
+    every sampled tuple and the separation floor applied to its output."""
+    idx = cloud.in_ball(query)
+    pts, w = cloud.points[idx], cloud.weights[idx]
+    s = s2 = 0.0
+    for ti in estimators._tuple_stream(w, d + 2, n_samples, seed):
+        terms = _batch.curvature_terms(pts[ti])
+        vals = np.where(terms["min_sep2"] >= (lam * query.radius) ** 2, terms["cd_sq"], 0.0)
+        s += float(vals.sum())
+        s2 += float((vals * vals).sum())
+    mean = s / n_samples
+    return mean, math.sqrt(max(s2 / n_samples - mean * mean, 0.0) / n_samples)
+
+
+def awkward_clouds(rng, m, D):
+    """Clouds of m points in R^D whose tuples reach every branch of the
+    content: Gaussian at scales 1e-6..1e6, repeated points, nearly
+    collinear points, and integer points, whose Gram determinants cancel
+    exactly and go to the eigenvalue fallback."""
+    out = [rng.normal(size=(m, D)) * s for s in (1e-6, 1.0, 1e6)]
+    dup = rng.normal(size=(m, D))
+    dup[m // 2 :] = dup[: m - m // 2]
+    out.append(dup)
+    line = np.outer(rng.normal(size=m), rng.normal(size=D)) + 1e-9 * rng.normal(size=(m, D))
+    out.append(line)
+    out.append(rng.integers(-2, 3, size=(m, D)).astype(float))
+    return [WeightedPointCloud(p, rng.uniform(0.1, 1.0, size=m)) for p in out]
+
+
+def enclosing_ball(cloud):
+    c = cloud.points.mean(axis=0)
+    return Ball(c, 1.001 * float(np.linalg.norm(cloud.points - c, axis=1).max()))
+
+
+def grid_on_the_floor(rng, D):
+    """Integer points in [-1, 1]^D with a ball and a lambda whose separation
+    floor is exactly 1 (0.4 * 2.5 rounds to 1.0): many tuples sit on it."""
+    return WeightedPointCloud(rng.integers(-1, 2, size=(9, D)).astype(float), rng.uniform(0.1, 1.0, size=9)), Ball(
+        np.zeros(D), 2.5
+    )
+
+
+def assert_same_bits(got, want):
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), (got, want)
+
+
+@pytest.mark.parametrize("d, m", [(1, 11), (2, 6), (3, 4)])
+def test_exact_sums_match_the_per_tuple_kernel_bitwise(d, m):
+    rng = np.random.default_rng(d)
+    for D in (1, 2, 3, 4):
+        for cloud in awkward_clouds(rng, m, D):
+            ball = enclosing_ball(cloud)
+            for lam in (None, 0.0, 0.3, math.inf):
+                got = continuous_curvature_sq(cloud, ball, d, mode="exact", lam=lam)
+                assert_same_bits(got.mean, ref_exact_mean(cloud, ball, d, lam))
+    for D in (1, 2, 3):
+        cloud, ball = grid_on_the_floor(rng, D)
+        got = continuous_curvature_sq(cloud, ball, d, mode="exact", lam=0.4)
+        assert_same_bits(got.mean, ref_exact_mean(cloud, ball, d, 0.4))
+    # a ball holding one point: a pair table without pairs
+    one = WeightedPointCloud(np.array([[0.0, 0.0], [5.0, 5.0]]), np.ones(2))
+    for lam in (None, 0.3):
+        got = continuous_curvature_sq(one, Ball([5.0, 5.0], 0.5), d, mode="exact", lam=lam)
+        assert got.n_samples == 1 and got.mean == 0.0
+
+
+def test_exact_sums_keep_their_bits_across_chunk_and_block_seams(monkeypatch):
+    # 70^3 ordered tuples fill one _CHUNK and part of a second; then chunks
+    # and row blocks of a few rows, whose seams fall inside tuples' runs
+    rng = np.random.default_rng(70)
+    cloud = WeightedPointCloud(rng.normal(size=(70, 2)), rng.uniform(0.1, 1.0, size=70))
+    ball = enclosing_ball(cloud)
+    assert 70**3 % estimators._CHUNK != 0 and 70**3 > estimators._CHUNK
+    for lam in (None, 0.3):
+        got = continuous_curvature_sq(cloud, ball, 1, mode="exact", lam=lam)
+        assert_same_bits(got.mean, ref_exact_mean(cloud, ball, 1, lam))
+    monkeypatch.setattr(estimators, "_CHUNK", 1000)
+    monkeypatch.setattr(_batch, "BLOCK_ENTRIES", 2**9)
+    _batch._plan.cache_clear()
+    try:
+        for d, m in ((1, 13), (2, 6), (3, 4)):
+            for cloud in awkward_clouds(rng, m, d + 1)[3:]:
+                ball = enclosing_ball(cloud)
+                for lam in (None, 0.3):
+                    got = continuous_curvature_sq(cloud, ball, d, mode="exact", lam=lam)
+                    assert_same_bits(got.mean, ref_exact_mean(cloud, ball, d, lam))
+    finally:
+        _batch._plan.cache_clear()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mc_separation_filter_keeps_every_bit(d):
+    rng = np.random.default_rng(10 + d)
+    for D in (1, 2, 3, 4):
+        for cloud in awkward_clouds(rng, 9, D)[1::2]:
+            ball = enclosing_ball(cloud)
+            for lam in (0.0, 0.3, math.inf):
+                got = continuous_curvature_sq(cloud, ball, d, n_samples=3000, seed=D, mode="mc", lam=lam)
+                mean, se = ref_mc(cloud, ball, d, 3000, D, lam)
+                assert_same_bits(got.mean, mean)
+                assert_same_bits(got.std_error, se)
+        cloud, ball = grid_on_the_floor(rng, D)
+        got = continuous_curvature_sq(cloud, ball, d, n_samples=3000, seed=D, mode="mc", lam=0.4)
+        mean, se = ref_mc(cloud, ball, d, 3000, D, 0.4)
+        assert_same_bits(got.mean, mean)
+        assert_same_bits(got.std_error, se)
+
+
+@pytest.mark.parametrize("d, m", [(1, 100), (3, 16)])
+def test_exact_path_memory_is_the_table_plus_a_few_blocks(d, m):
+    # 8 B per ordered tuple for the content table; every other array is
+    # bounded by row blocks and chunks, not by the tuple count
+    rng = np.random.default_rng(m)
+    cloud = WeightedPointCloud(rng.normal(size=(m, d + 1)), rng.uniform(0.1, 1.0, size=m))
+    tracemalloc.start()
+    try:
+        continuous_curvature_sq(cloud, None, d, mode="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * m ** (d + 2) + 6 * 8 * _batch.BLOCK_ENTRIES
 
 
 def test_query_and_mode_validation(small_cloud):
