@@ -270,13 +270,15 @@ def curvature_terms(T: np.ndarray) -> dict:
     return out
 
 
-def min_sep_sq(T: np.ndarray) -> np.ndarray:
-    """Squared minimal pairwise separation per tuple (B,), the bits of
-    curvature_terms' min_sep2."""
-    out = np.empty(len(T))
-    for _, rows, dots in _blocks(T, ()):
-        out[rows] = dots.min(axis=1)
-    return out
+def separated(min_sep2: np.ndarray, floor2: float) -> np.ndarray:
+    """Which tuples, by squared minimal separation, reach the squared
+    separation floor: the one floor rule of both estimator paths."""
+    return min_sep2 >= floor2
+
+
+# content_table's entry for a tuple below the separation floor; a content
+# is clamped at 0, so no content takes this value.
+BELOW_FLOOR = -1.0
 
 
 class ContentTable(NamedTuple):
@@ -285,7 +287,7 @@ class ContentTable(NamedTuple):
     pair_sq: np.ndarray  # (m, m) squared pair lengths
     content: np.ndarray  # (m**arity,) base-0 Gram content per tuple, flat C order
     arity: int
-    floor2: float | None  # the squared separation floor, if any
+    floored: bool  # whether tuples below a separation floor hold BELOW_FLOOR
 
 
 def _index_tuples(lo: int, hi: int, m: int, arity: int) -> np.ndarray:
@@ -312,11 +314,11 @@ def content_table(points: np.ndarray, arity: int, floor2: float | None) -> Conte
     """The pair table of the points (m, D) and the squared base-0 Gram
     content of each of their m**arity ordered index tuples.
 
-    With floor2, only the entries of tuples whose squared minimal
-    separation is at least floor2 are filled; the others are left unset.
+    With floor2, the entries of tuples whose squared minimal separation is
+    below floor2 hold BELOW_FLOOR instead, and cost no determinant.
     Separation does not depend on the order of a tuple, so every entry that
-    ordered_cd_sq reads for a passing tuple is filled.  The table costs 8 B
-    per ordered tuple.
+    ordered_cd_sq reads for a passing tuple holds its content.  The table
+    costs 8 B per ordered tuple.
     """
     m, D = points.shape
     pair_sq = pairwise_sq(points[None])[0]
@@ -325,18 +327,21 @@ def content_table(points: np.ndarray, arity: int, floor2: float | None) -> Conte
     for lo in range(0, len(content), rows):
         hi = min(lo + rows, len(content))
         t = _index_tuples(lo, hi, m, arity)
-        flat = slice(lo, hi)
-        if floor2 is not None:
-            keep = _tuple_pair_sq(pair_sq, t).min(axis=0) >= floor2
-            t, flat = t[:, keep], lo + np.flatnonzero(keep)
-        content[flat] = content_sq(points.take(t.T, axis=0), 0)
-    return ContentTable(pair_sq, content, arity, floor2)
+        if floor2 is None:
+            content[lo:hi] = content_sq(points.take(t.T, axis=0), 0)
+            continue
+        keep = separated(_tuple_pair_sq(pair_sq, t).min(axis=0), floor2)
+        block = content[lo:hi]
+        block[~keep] = BELOW_FLOOR
+        block[keep] = content_sq(points.take(t[:, keep].T, axis=0), 0)
+    return ContentTable(pair_sq, content, arity, floor2 is not None)
 
 
 def ordered_cd_sq(table: ContentTable, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The ordered index tuples with flat indices lo..hi-1 (n, arity) and
     their c_d^2 (n,), read off the tables; 0 for tuples below the
-    separation floor, which never reach the assembly.
+    separation floor, whose entries in the content table mark them and
+    which never reach the assembly.
 
     The content at vertex p of tuple t is the base-0 content of the tuple
     (t_p, the others in position order): the same Gram matrix, so the same
@@ -358,11 +363,11 @@ def ordered_cd_sq(table: ContentTable, lo: int, hi: int) -> tuple[np.ndarray, np
     out = np.zeros(t.shape[1])
     for b in range(0, len(out), rows):
         tb = t[:, b : b + rows]
-        d2 = _tuple_pair_sq(table.pair_sq, tb)
         sel = slice(b, b + tb.shape[1])
-        if table.floor2 is not None:
-            keep = d2.min(axis=0) >= table.floor2
-            tb, d2, sel = tb[:, keep], d2[:, keep], b + np.flatnonzero(keep)
+        if table.floored:
+            keep = table.content[lo + b : lo + b + tb.shape[1]] != BELOW_FLOOR
+            tb, sel = tb[:, keep], b + np.flatnonzero(keep)
+        d2 = _tuple_pair_sq(table.pair_sq, tb)
         vol2 = table.content.take(rotate @ tb)
         prods = d2.take(plan.edges, axis=0).prod(axis=1)
         out[sel] = _assemble(vol2.T, prods.T, d2.max(axis=0))[2]

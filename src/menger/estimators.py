@@ -14,8 +14,9 @@ distinct Gram matrix once: _batch.content_table holds the base-0 content
 of every ordered tuple, and each vertex reads its entry there, with the
 bits the per-tuple kernel gives.  The table costs 8 B per ordered tuple:
 at most 80 MB at the auto limit, and 134 MB for the 256^3 tuples of a
-forced-exact level-4 Cantor cloud.  A separation floor is applied before
-the kernel, on both paths, so tuples below it cost no Gram determinant.
+forced-exact level-4 Cantor cloud; a forced exact sum whose table would
+exceed EXACT_TABLE_BYTES is refused.  On the exact path a tuple below the
+separation floor costs no Gram determinant.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .measure import Ball, WeightedPointCloud
 from .planes import beta2
 
 EXACT_TUPLE_LIMIT = 10_000_000
+# Largest content table (8 B per ordered tuple) an exact sum may build: the
+# auto path stays below it, a forced mode="exact" above it raises.
+EXACT_TABLE_BYTES = 1 << 30
 _CHUNK = 1 << 18
 # decomposition_check pools the levels k > K_MAX into one "tail" class.
 K_MAX = 20
@@ -74,13 +78,11 @@ def _restricted(cloud: WeightedPointCloud, query: Ball | None) -> np.ndarray:
 
 
 def _tuple_values(points: np.ndarray, sep_floor: float | None) -> np.ndarray:
-    """c_d^2 per tuple, 0 below the optional separation floor; the kernel
-    runs only on the tuples that pass it."""
-    if sep_floor is None:
-        return _batch.curvature_terms(points)["cd_sq"]
-    keep = _batch.min_sep_sq(points) >= sep_floor**2
-    vals = np.zeros(len(points))
-    vals[keep] = _batch.curvature_terms(points[keep])["cd_sq"]
+    """c_d^2 per tuple, with the optional separation indicator applied."""
+    terms = _batch.curvature_terms(points)
+    vals = terms["cd_sq"]
+    if sep_floor is not None:
+        vals = np.where(_batch.separated(terms["min_sep2"], sep_floor**2), vals, 0.0)
     return vals
 
 
@@ -105,9 +107,11 @@ def continuous_curvature_sq(
     """c_d^2(mu|_Q), optionally restricted to the separated region U_lambda(Q).
 
     mode: "auto" picks exhaustive summation when the tuple count
-    m^{d+2} <= EXACT_TUPLE_LIMIT, "exact"/"mc" force a path.  lam (with a
-    ball query) keeps only tuples whose minimal pairwise distance is at
-    least lam * radius(Q); it must be >= 0, and +inf empties the region.
+    m^{d+2} <= EXACT_TUPLE_LIMIT, "exact"/"mc" force a path; "exact" raises
+    ValueError when its content table would exceed EXACT_TABLE_BYTES.  lam
+    (with a ball query) keeps only tuples whose minimal pairwise distance
+    is at least lam * radius(Q); it must be >= 0, and +inf empties the
+    region.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -133,6 +137,12 @@ def continuous_curvature_sq(
     factor = mass**arity
 
     if use_exact:
+        if 8 * total_tuples > EXACT_TABLE_BYTES:
+            raise ValueError(
+                f"an exact sum over {m}^{arity} ordered tuples needs a content table of "
+                f"{8 * total_tuples / 2**30:.1f} GiB, over the {EXACT_TABLE_BYTES / 2**30:g} GiB "
+                "bound; use mode='mc'"
+            )
         table = _batch.content_table(pts, arity, None if sep_floor is None else sep_floor**2)
         acc = 0.0
         for lo in range(0, total_tuples, _CHUNK):

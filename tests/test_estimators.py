@@ -254,6 +254,19 @@ def test_exact_path_memory_is_the_table_plus_a_few_blocks(d, m):
     assert peak <= 8 * m ** (d + 2) + 6 * 8 * _batch.BLOCK_ENTRIES
 
 
+def test_forced_exact_refuses_a_table_over_the_bound(monkeypatch):
+    # the auto path never builds a table over the bound
+    assert 8 * estimators.EXACT_TUPLE_LIMIT <= estimators.EXACT_TABLE_BYTES
+    rng = np.random.default_rng(11)
+    cloud = WeightedPointCloud(rng.normal(size=(11, 2)), np.ones(11))
+    monkeypatch.setattr(estimators, "EXACT_TABLE_BYTES", 8 * 11**3)
+    assert continuous_curvature_sq(cloud, None, 1, mode="exact").exact
+    monkeypatch.setattr(estimators, "EXACT_TABLE_BYTES", 8 * 11**3 - 1)
+    with pytest.raises(ValueError, match="mode='mc'"):
+        continuous_curvature_sq(cloud, None, 1, mode="exact")
+    assert not continuous_curvature_sq(cloud, None, 1, n_samples=100, mode="mc").exact
+
+
 def test_query_and_mode_validation(small_cloud):
     with pytest.raises(ValueError):
         continuous_curvature_sq(small_cloud, Ball(np.array([99.0, 0.0]), 0.1), 1)
