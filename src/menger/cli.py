@@ -175,14 +175,9 @@ def cmd_flatness(args) -> int:
 def cmd_curvature(args) -> int:
     cloud = _load_cloud(args.input)
     ball = _query(args, cloud)
-    if args.lam is not None:
-        est = estimators.curvature_over_Ulambda(
-            cloud, ball, args.lam, args.d, n_samples=args.samples, seed=args.seed
-        )
-    else:
-        est = estimators.continuous_curvature_sq(
-            cloud, ball, args.d, n_samples=args.samples, seed=args.seed
-        )
+    est = estimators.continuous_curvature_sq(
+        cloud, ball, args.d, n_samples=args.samples, seed=args.seed, lam=args.lam
+    )
     payload = {
         "command": "curvature",
         "input": args.input,

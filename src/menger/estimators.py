@@ -22,7 +22,7 @@ separation floor costs no Gram determinant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class MCEstimate:
     n_samples: int
     mass_factor: float
     exact: bool
-    details: dict = field(default_factory=dict)
 
     @property
     def estimate(self) -> float:
@@ -77,13 +76,22 @@ def _restricted(cloud: WeightedPointCloud, query: Ball | None) -> np.ndarray:
     return idx
 
 
-def _tuple_values(points: np.ndarray, sep_floor: float | None) -> np.ndarray:
+def _tuple_values(points: np.ndarray, floor2: float | None) -> np.ndarray:
     """c_d^2 per tuple, with the optional separation indicator applied."""
     terms = _batch.curvature_terms(points)
     vals = terms["cd_sq"]
-    if sep_floor is not None:
-        vals = np.where(_batch.separated(terms["min_sep2"], sep_floor**2), vals, 0.0)
+    if floor2 is not None:
+        vals = np.where(_batch.separated(terms["min_sep2"], floor2), vals, 0.0)
     return vals
+
+
+def _floor_sq(sep_floor: float) -> float:
+    """sep_floor**2, or +inf where the square overflows: no tuple of finite
+    points is that far apart, so the separated region is empty."""
+    try:
+        return sep_floor**2
+    except OverflowError:
+        return math.inf
 
 
 def _tuple_stream(weights: np.ndarray, arity: int, n_samples: int, seed: int):
@@ -110,8 +118,8 @@ def continuous_curvature_sq(
     m^{d+2} <= EXACT_TUPLE_LIMIT, "exact"/"mc" force a path; "exact" raises
     ValueError when its content table would exceed EXACT_TABLE_BYTES.  lam
     (with a ball query) keeps only tuples whose minimal pairwise distance
-    is at least lam * radius(Q); it must be >= 0, and +inf empties the
-    region.
+    is at least lam * radius(Q); it must be >= 0, and any lam > 2
+    (+inf included) empties the region.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -126,7 +134,7 @@ def continuous_curvature_sq(
     arity = d + 2
     pts = cloud.points[idx]
     w = cloud.weights[idx]
-    sep_floor = None if lam is None else lam * query.radius
+    floor2 = None if lam is None else _floor_sq(lam * query.radius)
 
     total_tuples = m**arity
     use_exact = mode == "exact" or (mode == "auto" and total_tuples <= EXACT_TUPLE_LIMIT)
@@ -143,7 +151,7 @@ def continuous_curvature_sq(
                 f"{8 * total_tuples / 2**30:.1f} GiB, over the {EXACT_TABLE_BYTES / 2**30:g} GiB "
                 "bound; use mode='mc'"
             )
-        table = _batch.content_table(pts, arity, None if sep_floor is None else sep_floor**2)
+        table = _batch.content_table(pts, arity, floor2)
         acc = 0.0
         for lo in range(0, total_tuples, _CHUNK):
             ti, vals = _batch.ordered_cd_sq(table, lo, min(lo + _CHUNK, total_tuples))
@@ -155,27 +163,13 @@ def continuous_curvature_sq(
     s = 0.0
     s2 = 0.0
     for ti in _tuple_stream(w, arity, n_samples, seed):
-        vals = _tuple_values(pts[ti], sep_floor)
+        vals = _tuple_values(pts[ti], floor2)
         s += float(vals.sum())
         s2 += float((vals * vals).sum())
     mean = s / n_samples
     var = max(s2 / n_samples - mean * mean, 0.0)
     se = math.sqrt(var / n_samples)
     return MCEstimate(mean=mean, std_error=se, n_samples=n_samples, mass_factor=factor, exact=False)
-
-
-def curvature_over_Ulambda(
-    cloud: WeightedPointCloud,
-    ball: Ball,
-    lam: float,
-    d: int,
-    n_samples: int = 100_000,
-    seed: int = 0,
-    mode: str = "auto",
-) -> MCEstimate:
-    """int over U_lambda(B) of c_d^2: tuples in B^{d+2} with minimal pairwise
-    distance >= lam * radius(B).  lam > 2 leaves an empty region."""
-    return continuous_curvature_sq(cloud, ball, d, n_samples=n_samples, seed=seed, mode=mode, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -283,12 +277,6 @@ def concentration_test(X, i: int, j: int, C: float):
         return lhs <= C * rhs
 
     return member
-
-
-def concentration_set_member(X, i: int, j: int, y, C: float) -> bool:
-    """True when y lands in U_C(X, i, j), i.e.
-    psin_{x_0}(X) <= C (psin_{x_0}(X(y,i)) + psin_{x_0}(X(y,j)))."""
-    return bool(concentration_test(X, i, j, C)([y])[0])
 
 
 def concentration_fraction(
@@ -400,7 +388,7 @@ def prop11_ratio(
     both sides zero gives ratio 0.
     """
     ball = Ball(center, t)
-    est = curvature_over_Ulambda(cloud, ball, lam, d, n_samples=n_samples, seed=seed, mode=mode)
+    est = continuous_curvature_sq(cloud, ball, d, n_samples=n_samples, seed=seed, mode=mode, lam=lam)
     res = beta2(cloud, ball, d)
     b2sq = res.value**2
     mass = res.mass

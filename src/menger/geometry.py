@@ -80,13 +80,6 @@ def diameter(X) -> float:
     return float(pairwise_distances(X).max())
 
 
-def min_separation(X) -> float:
-    """Smallest pairwise distance (0 if two coordinates coincide)."""
-    dm = pairwise_distances(X)
-    m = len(dm)
-    return float(dm[~np.eye(m, dtype=bool)].min())
-
-
 def max_at0(X) -> float:
     """max_{x_0}(X): longest edge at the base vertex."""
     X = as_tuple_array(X)
@@ -157,12 +150,6 @@ def height(X, i: int) -> float:
     return affine_hull_distance(X[i], remove_coordinate(X, i))
 
 
-def min_height(X) -> float:
-    """h(X) = min_i h_{x_i}(X)."""
-    X = as_tuple_array(X)
-    return min(height(X, i) for i in range(len(X)))
-
-
 def elevation_sine(X, i: int) -> float:
     """sin(theta_i(X)) = dist(x_i, aff hull of X(i)) / |x_i - x_0|, i >= 1."""
     X = as_tuple_array(X)
@@ -172,15 +159,6 @@ def elevation_sine(X, i: int) -> float:
     if denom == 0.0:
         raise ValueError("degenerate tuple: x_i coincides with the base vertex")
     return height(X, i) / denom
-
-
-def deviation_l2(X, plane) -> float:
-    """D_2(X, L): sqrt of the sum of squared distances of the coordinates to L.
-
-    `plane` is anything exposing distance_many (see planes.AffinePlane).
-    """
-    d = np.asarray(plane.distance_many(as_tuple_array(X)), dtype=float)
-    return float(np.sqrt(np.sum(d * d)))
 
 
 def menger_curvature(T) -> float:
@@ -207,7 +185,7 @@ def menger_curvature(T) -> float:
     return 2.0 * math.sqrt(content_sq) / prod
 
 
-def discrete_curvature_sq(X, cross_check: bool = True) -> float:
+def discrete_curvature_sq(X) -> float:
     """c_d^2(X) for a (d+2)-tuple X.
 
     Canonical form: mean of the squared polar sines over all base-vertex
@@ -224,21 +202,20 @@ def discrete_curvature_sq(X, cross_check: bool = True) -> float:
     terms = _batch.curvature_terms(X[None])
     value = float(terms["cd_sq"][0])
 
-    if cross_check:
-        diam = math.sqrt(terms["diam2"][0])
-        vol = math.sqrt(terms["content0_sq"][0])
-        if vol > DEGENERACY_EPS * diam ** (d + 1):
-            vol_form = float(terms["cd_sq_vol"][0])
-            # Gram determinants of thin simplices lose relative accuracy
-            # like eps / tau^2 (tau = content / diam^{d+1}), so the identity
-            # tolerance must widen in that regime or valid inputs would trip
-            # the check.
-            tau = vol / diam ** (d + 1)
-            tol = max(IDENTITY_RTOL, 200.0 * np.finfo(float).eps / tau**2)
-            if abs(value - vol_form) > tol * max(value, vol_form):
-                raise InvariantError(
-                    f"curvature forms disagree: psin form {value!r}, volume form {vol_form!r}"
-                )
+    diam = math.sqrt(terms["diam2"][0])
+    vol = math.sqrt(terms["content0_sq"][0])
+    if vol > DEGENERACY_EPS * diam ** (d + 1):
+        vol_form = float(terms["cd_sq_vol"][0])
+        # Gram determinants of thin simplices lose relative accuracy like
+        # eps / tau^2 (tau = content / diam^{d+1}), so the identity
+        # tolerance must widen in that regime or valid inputs would trip
+        # the check.
+        tau = vol / diam ** (d + 1)
+        tol = max(IDENTITY_RTOL, 200.0 * np.finfo(float).eps / tau**2)
+        if abs(value - vol_form) > tol * max(value, vol_form):
+            raise InvariantError(
+                f"curvature forms disagree: psin form {value!r}, volume form {vol_form!r}"
+            )
     return value
 
 
@@ -260,13 +237,3 @@ def direct_menger(X) -> float:
     if prod == 0.0:
         return 0.0
     return gram_content(X, 0) / prod
-
-
-def is_nondegenerate(X, eps: float = DEGENERACY_EPS) -> bool:
-    """True when no coordinates coincide and the tuple spans full rank,
-    with content above eps * diam^{m-1}."""
-    X = as_tuple_array(X)
-    if min_separation(X) == 0.0:
-        return False
-    diam = diameter(X)
-    return gram_content(X, 0) > eps * diam ** (len(X) - 1)

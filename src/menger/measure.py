@@ -1,5 +1,5 @@
 """Weighted point clouds as discrete measures: containers, CSV I/O,
-reference generators, tuple sampling and Ahlfors-regularity probing.
+reference generators and Ahlfors-regularity probing.
 
 CSV format: first line `dim=D`, then one row `c_1,...,c_D,weight` per
 point.  Weights must be strictly positive.
@@ -213,11 +213,6 @@ class WeightedPointCloud:
         return cls(arr[:, :dim], arr[:, dim])
 
 
-def ball_mass(cloud: WeightedPointCloud, ball: Ball) -> float:
-    """mu(B): total weight inside the closed ball."""
-    return cloud.mass_in(ball)
-
-
 def gen_plane_patch(d: int, D: int, n: int, seed=0) -> WeightedPointCloud:
     """Uniform sample of a unit d-cube patch of a d-plane embedded in R^D."""
     if not 1 <= d <= D or n < 1:
@@ -282,21 +277,6 @@ def gen_four_corner_cantor(level: int) -> WeightedPointCloud:
         side /= 4.0
     n = len(centers)
     return WeightedPointCloud(centers, np.full(n, 1.0 / n))
-
-
-def sample_tuple(cloud: WeightedPointCloud, restriction: Ball | None, m: int, rng) -> np.ndarray:
-    """Draw an m-tuple of support points i.i.d. proportional to mass,
-    optionally restricted to a ball.  Returns the (m, D) point array."""
-    rng = np.random.default_rng(rng)
-    if restriction is None:
-        idx = np.arange(len(cloud))
-    else:
-        idx = cloud.in_ball(restriction)
-        if len(idx) == 0:
-            raise ValueError("restriction ball holds no support points")
-    w = cloud.weights[idx]
-    chosen = rng.choice(idx, size=m, p=w / w.sum())
-    return cloud.points[chosen]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ from .planes import beta2
 # Hard cap on how far below the nearest-neighbour floor level building may
 # run; guards degenerate clouds with duplicated points.
 MAX_LEVELS_BELOW_TOP = 64
+# Ratio of consecutive scales t_{j+1} / t_j of the continuous functional's
+# quadrature.
+SCALE_RATIO = 0.5
 
 
 def scale_index(diam: float, alpha0: float) -> int:
@@ -187,7 +190,6 @@ class FlatnessReport:
 
     total: float
     terms: list = field(default_factory=list)
-    kind: str = "discrete"
 
     def to_dict(self) -> dict:
         return {"total": self.total, "terms": self.terms}
@@ -270,32 +272,29 @@ def jones_flatness_discrete(
         mass = family._beta_cache[n, j, d][1]
         total += b2 * mass
         terms.append({"level": n, "j": j, "beta2sq": b2, "mass": mass})
-    return FlatnessReport(total=total, terms=terms, kind="discrete")
+    return FlatnessReport(total=total, terms=terms)
 
 
 def jones_flatness_continuous(
     cloud: WeightedPointCloud,
     query: Ball,
     d: int,
-    rho: float = 0.5,
     x_cap: int = 256,
 ) -> FlatnessReport:
     """J_d(mu|_B) = int_0^{diam B} int_B beta_2^2(x, t) dmu(x) dt/t.
 
-    Quadrature: geometric scale grid t_j = diam(B) rho^j with log weight
-    ln(1/rho), truncated at the resolution floor; the x-integral is the
-    weighted sum over support points in B, decimated to at most x_cap
-    points (stride subsample, mass rescaled).
+    Quadrature: geometric scale grid t_j = diam(B) SCALE_RATIO^j with log
+    weight ln(1/SCALE_RATIO), truncated at the resolution floor; the
+    x-integral is the weighted sum over support points in B, decimated to
+    at most x_cap points (stride subsample, mass rescaled).
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
     if x_cap < 1:
         raise ValueError("x_cap must be >= 1")
 
     idx = cloud.in_ball(query)
     terms: list = []
     if len(idx) == 0:
-        return FlatnessReport(total=0.0, terms=terms, kind="continuous")
+        return FlatnessReport(total=0.0, terms=terms)
     mass_b = float(cloud.weights[idx].sum())
     if len(idx) > x_cap:
         stride = int(np.ceil(len(idx) / x_cap))
@@ -306,7 +305,7 @@ def jones_flatness_continuous(
     w_sub = w_sub * (mass_b / w_sub.sum())
 
     floor = max(cloud.median_nn_distance(), 1e-12 * max(query.diameter, 1e-300))
-    log_w = math.log(1.0 / rho)
+    log_w = math.log(1.0 / SCALE_RATIO)
     total = 0.0
     t = query.diameter
     level = 0
@@ -317,6 +316,6 @@ def jones_flatness_continuous(
             layer += wx * b2
             terms.append({"t": t, "x": int(pi), "beta2sq": b2, "weight": float(wx)})
         total += log_w * layer
-        t *= rho
+        t *= SCALE_RATIO
         level += 1
-    return FlatnessReport(total=total, terms=terms, kind="continuous")
+    return FlatnessReport(total=total, terms=terms)

@@ -30,18 +30,6 @@ class AffinePlane:
         if not np.allclose(gram, np.eye(len(self.basis)), atol=1e-8):
             raise ValueError("basis rows must be orthonormal")
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def project(self, x) -> np.ndarray:
-        v = np.asarray(x, dtype=float) - self.point
-        return self.point + self.basis.T @ (self.basis @ v)
-
-    def distance(self, x) -> float:
-        v = np.asarray(x, dtype=float) - self.point
-        return float(np.linalg.norm(v - self.basis.T @ (self.basis @ v)))
-
     def distance_many(self, points) -> np.ndarray:
         V = np.asarray(points, dtype=float) - self.point
         W = V - V @ self.basis.T @ self.basis
@@ -97,29 +85,14 @@ def fit_plane_points(points, weights, d: int) -> AffinePlane:
     return AffinePlane(centroid, basis)
 
 
-def fit_plane(cloud, ball, d: int) -> AffinePlane:
-    """Best affine d-plane for the cloud restricted to a ball."""
-    idx = cloud.in_ball(ball)
-    if len(idx) == 0:
-        raise ValueError("empty restriction")
-    return fit_plane_points(cloud.points[idx], cloud.weights[idx], d)
-
-
 def _beta2_value(points, weights, plane: AffinePlane, radius: float) -> float:
+    """beta_2(B, L): sqrt( sum_{x in B} w(x) (dist(x,L)/diam B)^2 / mu(B) )
+    over the points of B, with diam B = 2 * radius."""
     if radius == 0.0:  # a point mass is flat; dist/diam would be 0/0
         return 0.0
     dist = plane.distance_many(points)
     diam = 2.0 * radius
     return float(np.sqrt(np.sum(weights * (dist / diam) ** 2) / weights.sum()))
-
-
-def beta2_with_plane(cloud, ball, plane: AffinePlane) -> float:
-    """beta_2(B, L): sqrt( sum_{x in B} w(x) (dist(x,L)/diam B)^2 / mu(B) )
-    with diam B = 2 * radius.  An empty ball or one of radius 0 contributes 0."""
-    idx = cloud.in_ball(ball)
-    if len(idx) == 0:
-        return 0.0
-    return _beta2_value(cloud.points[idx], cloud.weights[idx], plane, ball.radius)
 
 
 def beta2(cloud, ball, d: int) -> Beta2Result:

@@ -21,7 +21,17 @@ import numpy as np
 
 from .estimators import classify_scale, concentration_test, handle_indices, scale_classes
 from .geometry import max_at0, min_at0, polar_sine, replace_coordinate, scale_at0
-from .measure import Ball, WeightedPointCloud
+from .measure import WeightedPointCloud
+
+
+# Draws per step before a piece sampler gives up, and fresh bases before
+# sample_scaled_simplex does.
+PIECE_ATTEMPTS = 64
+SIMPLEX_ATTEMPTS = 32
+# Relative slack of the scale-lemma bounds (BOUND_RTOL) and of the chained
+# polar-sine inequalities (CHAIN_RTOL).
+BOUND_RTOL = 1e-9
+CHAIN_RTOL = 1e-12
 
 
 class PieceSamplingError(RuntimeError):
@@ -144,7 +154,7 @@ def well_scaled_sequence(X, Y, k: int | None = None, d: int | None = None) -> li
     return out
 
 
-def well_scaled_bound_report(seq, X, k: int, d: int, alpha0: float, rtol: float = 1e-9) -> list:
+def well_scaled_bound_report(seq, X, k: int, d: int, alpha0: float) -> list:
     """Scale-lemma violations of a well-scaled sequence; empty when clean.
 
     For q <= kd:  alpha0^{k+1-ceil(q/d)} max_at0(X) < max_at0(X_q)
@@ -164,24 +174,20 @@ def well_scaled_bound_report(seq, X, k: int, d: int, alpha0: float, rtol: float 
         c = math.ceil(q / d)
         lo = alpha0 ** (k + 1 - c) * mx
         hi = alpha0 ** (k - c) * mx
-        if not (mq > lo * (1.0 - rtol)):
+        if not (mq > lo * (1.0 - BOUND_RTOL)):
             failures.append((q, f"max_at0 {mq} not above {lo}"))
-        if not (mq <= hi * (1.0 + rtol)):
+        if not (mq <= hi * (1.0 + BOUND_RTOL)):
             failures.append((q, f"max_at0 {mq} exceeds {hi}"))
-        if not (scale_at0(Xq) > alpha0**3 * (1.0 - rtol)):
+        if not (scale_at0(Xq) > alpha0**3 * (1.0 - BOUND_RTOL)):
             failures.append((q, "element not well-scaled"))
     last = _as_array(seq[-1])
-    if not (min_at0(last) > alpha0 * mx * (1.0 - rtol)):
+    if not (min_at0(last) > alpha0 * mx * (1.0 - BOUND_RTOL)):
         failures.append((kd + 1, f"min_at0 {min_at0(last)} not above {alpha0 * mx}"))
-    if abs(max_at0(last) - mx) > rtol * mx:
+    if abs(max_at0(last) - mx) > BOUND_RTOL * mx:
         failures.append((kd + 1, f"max_at0 {max_at0(last)} drifted from {mx}"))
-    if not (scale_at0(last) > alpha0**3 * (1.0 - rtol)):
+    if not (scale_at0(last) > alpha0**3 * (1.0 - BOUND_RTOL)):
         failures.append((kd + 1, "closing element not well-scaled"))
     return failures
-
-
-def check_well_scaled_bounds(seq, X, k: int, d: int, alpha0: float, rtol: float = 1e-9) -> bool:
-    return not well_scaled_bound_report(seq, X, k, d, alpha0, rtol)
 
 
 def is_in_augmented_set(X, Y, Cp: float) -> bool:
@@ -196,7 +202,7 @@ def is_in_augmented_set(X, Y, Cp: float) -> bool:
     )
 
 
-def multiscale_inequality_check(X, Y, Cp: float, k: int, d: int, rtol: float = 1e-12):
+def multiscale_inequality_check(X, Y, Cp: float, k: int, d: int):
     """The chained inequality psin^2(X) <= (kd+1) Cp^{2kd} sum_q psin^2(X_q).
 
     Holds whenever is_in_augmented_set does; returns (ok, lhs, rhs).
@@ -205,7 +211,7 @@ def multiscale_inequality_check(X, Y, Cp: float, k: int, d: int, rtol: float = 1
     lhs = _psin0(tuple(X)) ** 2
     pieces = well_scaled_sequence(X, Y, k, d)
     rhs = (kd + 1) * Cp ** (2 * kd) * sum(_psin0(p) ** 2 for p in pieces)
-    return lhs <= rhs * (1.0 + rtol), lhs, rhs
+    return lhs <= rhs * (1.0 + CHAIN_RTOL), lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +274,12 @@ def is_in_overline_set(X, Z, Cp: float) -> bool:
     )
 
 
-def rake_inequality_check(X, Z, Cp: float, n: int, rtol: float = 1e-12):
+def rake_inequality_check(X, Z, Cp: float, n: int):
     """psin^2(X) <= 2^{n-1} Cp^{2(n-1)} sum_s psin^2(X^s); (ok, lhs, rhs)."""
     lhs = _psin0(tuple(X)) ** 2
     leaves = rake_sequence(X, Z, n)
     rhs = 2 ** (n - 1) * Cp ** (2 * (n - 1)) * sum(_psin0(leaf) ** 2 for leaf in leaves)
-    return lhs <= rhs * (1.0 + rtol), lhs, rhs
+    return lhs <= rhs * (1.0 + CHAIN_RTOL), lhs, rhs
 
 
 def rake_property_level(Xs, k: int, alpha0: float) -> int | None:
@@ -289,12 +295,12 @@ def rake_property_level(Xs, k: int, alpha0: float) -> int | None:
     return kp
 
 
-def check_rake_property(Xs, X, k: int, alpha0: float, rtol: float = 1e-9) -> bool:
+def check_rake_property(Xs, X, k: int, alpha0: float) -> bool:
     """Leaf lemma: the leaf never outgrows the parent's top edge and sits
     in a single-handled class at some level k' <= k-1."""
     Xs_arr = _as_array(Xs)
     X_arr = _as_array(X)
-    if max_at0(Xs_arr) > max_at0(X_arr) * (1.0 + rtol):
+    if max_at0(Xs_arr) > max_at0(X_arr) * (1.0 + BOUND_RTOL):
         return False
     return rake_property_level(Xs_arr, k, alpha0) is not None
 
@@ -346,9 +352,7 @@ def sample_well_scaled_piece(
     k: int,
     Cp: float,
     alpha0: float,
-    max_attempts: int = 64,
     rng=None,
-    stats: dict | None = None,
 ) -> np.ndarray:
     """Draw a well-scaled piece Y for X from the cloud, coordinate by
     coordinate: y_q comes from the step-q annulus weighted by mass and is
@@ -356,7 +360,7 @@ def sample_well_scaled_piece(
     is_in_augmented_set by construction.
 
     Raises PieceSamplingError when an annulus holds no support points or
-    max_attempts rejections pile up at one step.
+    PIECE_ATTEMPTS rejections pile up at one step.
     """
     rng = np.random.default_rng(rng)
     cur = np.asarray(X, dtype=float)
@@ -364,14 +368,13 @@ def sample_well_scaled_piece(
     x0 = cur[0]
     mx = max_at0(cur)
     out = []
-    attempts_per_q = []
     for q in range(1, k * d + 1):
         level = k - math.ceil(q / d)
         idx = annulus_indices(cloud, x0, mx, level, alpha0)
         if len(idx) == 0:
             raise PieceSamplingError("annulus holds no support points", q)
         member = concentration_test(cur, 1, bar_index(q + 1, d), Cp)
-        for attempt in range(1, max_attempts + 1):
+        for _ in range(PIECE_ATTEMPTS):
             y = cloud.points[_draw(rng, idx, cloud.weights)]
             if member(y[None])[0]:
                 break
@@ -379,9 +382,6 @@ def sample_well_scaled_piece(
             raise PieceSamplingError("two-term inequality kept rejecting", q)
         cur = _well_scaled_step(cur, y, q, d)
         out.append(y)
-        attempts_per_q.append(attempt)
-    if stats is not None:
-        stats["attempts_per_q"] = attempts_per_q
     return np.asarray(out)
 
 
@@ -392,9 +392,7 @@ def sample_short_scale_piece(
     k: int,
     Cp: float,
     alpha0: float,
-    max_attempts: int = 64,
     rng=None,
-    stats: dict | None = None,
 ) -> np.ndarray:
     """Draw a short-scale piece Z (all from A_k(x_0, max_at0)) so the rake
     tree built from it lies in the overline augmented set: each z is
@@ -409,12 +407,11 @@ def sample_short_scale_piece(
         raise PieceSamplingError("annulus holds no support points")
     nodes = [tuple(X_arr)]  # breadth first: node i has children 2i and 2i+1 (1-based)
     out = []
-    attempts_per_node = []
     for i in range(1, short_scale_size(n) + 1):
         parent = nodes[i - 1]
         j = i.bit_length() - 1
         lhs = _psin0(parent)
-        for attempt in range(1, max_attempts + 1):
+        for _ in range(PIECE_ATTEMPTS):
             z = cloud.points[_draw(rng, idx, cloud.weights)]
             left, right = _rake_children(parent, z, n, j)
             if lhs <= Cp * (_psin0(left) + _psin0(right)):
@@ -423,9 +420,6 @@ def sample_short_scale_piece(
             raise PieceSamplingError("two-child inequality kept rejecting", i)
         nodes += (left, right)
         out.append(z)
-        attempts_per_node.append(attempt)
-    if stats is not None:
-        stats["attempts_per_node"] = attempts_per_node
     return np.asarray(out)
 
 
@@ -482,7 +476,7 @@ def plant_short_scale_piece(X, n: int, k: int, alpha0: float, rng) -> np.ndarray
 
 
 def sample_scaled_simplex(
-    cloud: WeightedPointCloud, d: int, k: int, n: int, alpha0: float, rng, max_attempts: int = 32
+    cloud: WeightedPointCloud, d: int, k: int, n: int, alpha0: float, rng
 ) -> np.ndarray:
     """Draw an n-handled level-k simplex from cloud support points: a mass-
     weighted base, the farthest support point as the leading handle, extra
@@ -492,7 +486,7 @@ def sample_scaled_simplex(
     if not 1 <= n <= d:
         raise ValueError("need 1 <= n <= d")
     w_all = cloud.weights / cloud.total_mass()
-    for _ in range(max_attempts):
+    for _ in range(SIMPLEX_ATTEMPTS):
         b = int(rng.choice(len(cloud), p=w_all))
         x0 = cloud.points[b]
         dist = np.linalg.norm(cloud.points - x0, axis=1)

@@ -16,7 +16,6 @@ import numpy as np
 from . import _batch, estimators, geometry, multiscale, sequences
 from .measure import (
     Ball,
-    ball_mass,
     gen_four_corner_cantor,
     gen_lipschitz_graph,
     gen_plane_patch,
@@ -363,7 +362,7 @@ def suite_multiscale(seed: int = 7, corrupt_net: bool = False) -> dict:
     # Continuous functional on the blown ball stays comparable (one-sided).
     fam_c = multiscale.MultiresolutionFamily(circle, alpha0, order_seed=seed)
     rd = multiscale.jones_flatness_discrete(circle, q, fam_c, 1)
-    rc = multiscale.jones_flatness_continuous(circle, q.blow(6.0), 1, rho=0.5, x_cap=64)
+    rc = multiscale.jones_flatness_continuous(circle, q.blow(6.0), 1, x_cap=64)
     checks.append(
         _check(
             "discrete_vs_continuous_flatness",
@@ -637,7 +636,7 @@ def suite_inequalities(seed: int = 7) -> dict:
         trunc = np.asarray(aux[q - 1])
         g = sequences.annulus_conditional_mass(sphere, trunc, q, 3, 2, cp2, 0.35)
         level = 3 - math.ceil(q / 2)
-        bm = ball_mass(sphere, Ball(trunc[0], 0.35**level * geometry.max_at0(trunc)))
+        bm = sphere.mass_in(Ball(trunc[0], 0.35**level * geometry.max_at0(trunc)))
         g_count += 1
         if g > bm * (1 + 1e-12) or g < 0.5 * bm:
             g_fail.append([rep, q, g, bm])
@@ -648,20 +647,20 @@ def suite_inequalities(seed: int = 7) -> dict:
     # Separated-tuple curvature against beta2: bounded spread in lambda.
     c220 = gen_sphere(2, 220, seed=(seed, 571))
     rng = _rng(seed, 572)
-    stats = []
+    scaled = []
     for b in range(4):
         center = c220.points[int(rng.integers(len(c220)))]
         for lam in (0.2, 0.4, 0.8):
             r = estimators.prop11_ratio(c220, center, 0.5, lam, 1, mode="exact")
             if r["ratio"] is not None and r["ratio"] > 0:
-                stats.append(r["ratio"] * lam**6)
-    stats_ok = bool(stats) and max(stats) <= 10.0 * float(np.median(stats))
+                scaled.append(r["ratio"] * lam**6)
+    scaled_ok = bool(scaled) and max(scaled) <= 10.0 * float(np.median(scaled))
     checks.append(
         _check(
             "separated_curvature_trend",
-            stats_ok,
-            n_stats=len(stats),
-            max_over_median=(max(stats) / float(np.median(stats))) if stats else None,
+            scaled_ok,
+            n_stats=len(scaled),
+            max_over_median=(max(scaled) / float(np.median(scaled))) if scaled else None,
         )
     )
 
@@ -679,7 +678,7 @@ def suite_inequalities(seed: int = 7) -> dict:
                 cloud, ball, 1, n_samples=20_000, seed=seed, mode="auto"
             )
             flatness = multiscale.jones_flatness_discrete(cloud, ball, fam, 1).total
-            denom = max(flatness, ball_mass(cloud, ball))
+            denom = max(flatness, cloud.mass_in(ball))
             if denom > 0:
                 ratios.append(est.estimate / denom)
     stable = bool(ratios) and max(ratios) <= 10.0 * float(np.median(ratios))

@@ -131,9 +131,10 @@ def test_curvature_rejects_a_bad_separation_parameter(tmp_path, capsys):
     for lam in ("nan", "-0.4"):
         code, stdout, _ = run(capsys, args + [lam])
         assert code == 2 and stdout == ""
-    code, stdout, _ = run(capsys, args + ["inf"])
-    assert code == 0
-    assert json.loads(stdout)["estimate"] == 0.0
+    for lam in ("inf", "1e200"):  # (1e200)**2 overflows a float
+        code, stdout, _ = run(capsys, args + [lam])
+        assert code == 0
+        assert json.loads(stdout)["estimate"] == 0.0
 
 
 def test_input_error_exit_codes(plane_csv, tmp_path, capsys):
@@ -262,7 +263,7 @@ def test_verify_subprocess_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 # exit codes under argument and CSV mutations
 
-_BAD_NUMBERS = ("0", "-1", "-0.5", "nan", "inf", "-inf")
+_BAD_NUMBERS = ("0", "-1", "-0.5", "nan", "inf", "-inf", "1e200")
 _GOOD_FLAGS = {
     "generate": {"--d": "1", "--D": "2", "--n": "20", "--level": "2", "--lip": "0.5", "--seed": "3"},
     "beta": {"--d": "1", "--ball": "0,0:0.5"},

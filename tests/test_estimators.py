@@ -12,10 +12,8 @@ from menger.estimators import (
     MCEstimate,
     classify_scale,
     concentration_fraction,
-    concentration_set_member,
     concentration_test,
     continuous_curvature_sq,
-    curvature_over_Ulambda,
     decomposition_check,
     handle_indices,
     prop11_ratio,
@@ -89,26 +87,30 @@ def test_estimate_scaling_degree(small_cloud):
 def test_separation_restriction_monotone(cantor2):
     ball = Ball(np.zeros(2), 1.0)
     vals = [
-        curvature_over_Ulambda(cantor2, ball, lam, 1, mode="exact").estimate
+        continuous_curvature_sq(cantor2, ball, 1, mode="exact", lam=lam).estimate
         for lam in (0.0, 0.1, 0.5, 1.0)
     ]
     assert vals[0] == continuous_curvature_sq(cantor2, ball, 1, mode="exact").estimate
     assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
     assert vals[1] > vals[2] > 0.0
     # lambda > 2 empties the separated region of any ball
-    assert curvature_over_Ulambda(cantor2, ball, 2.5, 1, mode="exact").estimate == 0.0
+    assert continuous_curvature_sq(cantor2, ball, 1, mode="exact", lam=2.5).estimate == 0.0
     with pytest.raises(ValueError):
-        curvature_over_Ulambda(cantor2, ball, -0.1, 1)
+        continuous_curvature_sq(cantor2, ball, 1, lam=-0.1)
 
 
 def test_separation_parameter_is_validated_where_it_enters(cantor2):
     # -0.4 used to give the 0.4 value (only lam**2 entered) and NaN an
-    # estimate of 0; +inf is a legal, empty region
+    # estimate of 0; +inf is a legal, empty region, and so is 1e200, whose
+    # squared floor overflows a float
     ball = Ball(np.zeros(2), 1.0)
     for lam in (-0.4, -math.inf, math.nan):
         with pytest.raises(ValueError, match="lambda"):
             continuous_curvature_sq(cantor2, ball, 1, mode="exact", lam=lam)
-    assert continuous_curvature_sq(cantor2, ball, 1, mode="exact", lam=math.inf).estimate == 0.0
+    for lam in (math.inf, 1e200):
+        for mode in ("exact", "mc"):
+            est = continuous_curvature_sq(cantor2, ball, 1, n_samples=1000, mode=mode, lam=lam)
+            assert est.estimate == 0.0
 
 
 def ref_exact_mean(cloud, query, d, lam=None):
@@ -498,8 +500,8 @@ def test_decomposition_labels_match_scalar_oracle(alpha0, kind, d, seed):
 def test_concentration_membership_basics():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     # replacing either index by the base point kills both polar sines
-    assert not concentration_set_member(X, 1, 2, np.array([0.0, 0.0]), C=100.0)
-    assert concentration_set_member(X, 1, 2, np.array([0.5, 0.8]), C=1.0)
+    assert not concentration_test(X, 1, 2, C=100.0)([[0.0, 0.0]])[0]
+    assert concentration_test(X, 1, 2, C=1.0)([[0.5, 0.8]])[0]
 
 
 def test_concentration_fraction_exact_scan(circle):
@@ -575,7 +577,7 @@ def test_concentration_paths_agree_bitwise():
         for y in ys
     ]
     C = float(np.median(ratios))
-    mask = np.array([concentration_set_member(X, 1, 2, y, C) for y in ys])
+    mask = np.array([concentration_test(X, 1, 2, C)([y])[0] for y in ys])
     assert 0 < mask.sum() < len(ys)
     assert (concentration_test(X, 1, 2, C)(ys) == mask).all()
     w = cloud.weights
@@ -589,8 +591,6 @@ def test_concentration_paths_agree_bitwise():
         concentration_test(X, 0, 2, C)
     with pytest.raises(IndexError):
         concentration_test(X, 1, 4, C)
-    with pytest.raises(IndexError):
-        concentration_set_member(X, 0, 2, ys[0], C)
     with pytest.raises(IndexError):
         concentration_fraction(cloud, X, 0, 2, a0**level, C)
 

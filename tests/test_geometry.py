@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from menger import _batch, geometry
 from menger.geometry import InvariantError
-from menger.planes import AffinePlane
 
 RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -74,16 +73,6 @@ def test_polar_sine_planar_tuple_is_exactly_zero():
 def test_height_and_elevation_right_triangle():
     assert math.isclose(geometry.height(RIGHT, 0), math.sqrt(2.0) / 2.0, rel_tol=1e-12)
     assert math.isclose(geometry.elevation_sine(RIGHT, 1), 1.0, rel_tol=1e-12)
-
-
-def test_min_height_equilateral():
-    assert math.isclose(geometry.min_height(EQUILATERAL), math.sqrt(3.0) / 2.0, rel_tol=1e-12)
-
-
-def test_deviation_l2_against_plane():
-    plane = AffinePlane(np.zeros(2), np.array([[1.0, 0.0]]))
-    X = np.array([[0.0, 1.0], [2.0, -2.0], [5.0, 0.0]])
-    assert math.isclose(geometry.deviation_l2(X, plane), math.sqrt(5.0), rel_tol=1e-12)
 
 
 def test_gram_content_unit_cube_corner():
@@ -217,8 +206,8 @@ def test_curvature_identity_cross_check_runs(rng, monkeypatch):
     # the volume-form cross check is live: valid tuples pass through it
     for _ in range(50):
         X = rng.normal(size=(3, 2))
-        v = geometry.discrete_curvature_sq(X, cross_check=True)
-        assert v == geometry.discrete_curvature_sq(X, cross_check=False)
+        v = geometry.discrete_curvature_sq(X)
+        assert v == _batch.curvature_terms(X[None])["cd_sq"][0]
     # and a volume form off by 1e-6 relative trips it
     real = _batch.curvature_terms
 
@@ -230,7 +219,6 @@ def test_curvature_identity_cross_check_runs(rng, monkeypatch):
     monkeypatch.setattr(_batch, "curvature_terms", skewed)
     with pytest.raises(InvariantError):
         geometry.discrete_curvature_sq(RIGHT)
-    assert math.isclose(geometry.discrete_curvature_sq(RIGHT, cross_check=False), 1.0 / 3.0)
 
 
 def test_curvature_scaling_degrees():
@@ -251,12 +239,6 @@ def test_direct_menger_squares_each_unordered_pair():
     T = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     sides_sq = (2.0 * 2.0 * (2.0 * math.sqrt(2.0))) ** 2
     assert math.isclose(geometry.direct_menger(T), geometry.gram_content(T, 0) / sides_sq, rel_tol=1e-12)
-
-
-def test_is_nondegenerate():
-    assert geometry.is_nondegenerate(RIGHT)
-    assert not geometry.is_nondegenerate(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
-    assert not geometry.is_nondegenerate(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
 
 
 @given(coords(3))

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from menger.measure import (
     Ball,
     WeightedPointCloud,
-    ball_mass,
     gen_four_corner_cantor,
     gen_lipschitz_graph,
     gen_plane_patch,
     gen_sphere,
     regularity_constant,
-    sample_tuple,
 )
 
 
@@ -48,7 +46,7 @@ def test_ball_membership_is_closed():
     cloud = WeightedPointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), np.ones(3))
     ball = Ball(np.zeros(2), 1.0)
     assert cloud.in_ball(ball).tolist() == [0, 1]  # boundary point counts
-    assert ball_mass(cloud, ball) == 2.0
+    assert cloud.mass_in(ball) == 2.0
     # r**2 (libm pow) rounds one ulp below r*r here, which would drop a
     # point whose squared distance is exactly the rounded r*r
     r = 2 * 0.35**8
@@ -119,7 +117,7 @@ def test_cantor_geometry_oracles():
 def test_cantor_quadrant_mass():
     cloud = gen_four_corner_cantor(3)
     # one level-1 cell occupies the square of side 1/4 centred at (3/8, 3/8)
-    assert math.isclose(ball_mass(cloud, Ball(np.array([0.375, 0.375]), 0.25)), 0.25, rel_tol=1e-12)
+    assert math.isclose(cloud.mass_in(Ball(np.array([0.375, 0.375]), 0.25)), 0.25, rel_tol=1e-12)
 
 
 def test_plane_patch_is_flat_and_uniform():
@@ -243,20 +241,6 @@ def test_bounding_ball_contains_everything():
     cloud = gen_sphere(2, 100, seed=6)
     ball = cloud.bounding_ball()
     assert len(cloud.in_ball(ball)) == len(cloud)
-
-
-def test_sample_tuple_masses_and_restriction(rng):
-    cloud = WeightedPointCloud(
-        np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]), np.array([1.0, 1.0, 98.0])
-    )
-    T = sample_tuple(cloud, None, 500, rng)
-    assert T.shape == (500, 2)
-    # the heavy point dominates the draw
-    assert (T[:, 0] == 10.0).mean() > 0.9
-    near = sample_tuple(cloud, Ball(np.zeros(2), 2.0), 100, rng)
-    assert np.all(near[:, 0] <= 1.0)
-    with pytest.raises(ValueError):
-        sample_tuple(cloud, Ball(np.array([50.0, 0.0]), 1.0), 3, rng)
 
 
 def test_regularity_constant_circle_and_degenerate(circle):

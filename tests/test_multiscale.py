@@ -310,7 +310,6 @@ def test_flatness_vanishes_on_flat_cloud(patch12):
     fam = MultiresolutionFamily(patch12, 0.25, order_seed=0)
     rep = jones_flatness_discrete(patch12, patch12.bounding_ball(), fam, 1)
     assert rep.total <= 1e-12
-    assert rep.kind == "discrete"
     cont = jones_flatness_continuous(patch12, patch12.bounding_ball(), 1, x_cap=32)
     assert cont.total <= 1e-12
 
@@ -327,8 +326,6 @@ def test_flatness_positive_on_circle(circle):
 def test_family_rejects_bad_alpha0(circle):
     with pytest.raises(ValueError):
         MultiresolutionFamily(circle, 1.0)
-    with pytest.raises(ValueError):
-        jones_flatness_continuous(circle, circle.bounding_ball(), 1, rho=1.5)
 
 
 def test_continuous_flatness_rejects_bad_x_cap(circle):

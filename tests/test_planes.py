@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from menger.measure import Ball, WeightedPointCloud
-from menger.planes import AffinePlane, beta2, beta2_with_plane, fit_plane, fit_plane_points
+from menger.planes import AffinePlane, _beta2_value, beta2, fit_plane_points
 
 
 def line_cloud():
@@ -22,11 +22,10 @@ def test_affine_plane_validates_basis():
 def test_projection_and_distance_consistent():
     plane = AffinePlane(np.array([1.0, 1.0, 0.0]), np.array([[1.0, 0.0, 0.0]]))
     x = np.array([4.0, 3.0, 2.0])
-    p = plane.project(x)
-    assert math.isclose(plane.distance(x), float(np.linalg.norm(x - p)), rel_tol=1e-12)
-    assert np.allclose(plane.project(p), p)
+    p = np.array([4.0, 1.0, 0.0])  # the foot of x on the line, by hand
     many = plane.distance_many(np.stack([x, p]))
-    assert math.isclose(many[0], plane.distance(x), rel_tol=1e-12)
+    assert math.isclose(many[0], math.sqrt(8.0), rel_tol=1e-12)
+    assert math.isclose(many[0], float(np.linalg.norm(x - p)), rel_tol=1e-12)
     assert many[1] <= 1e-12
 
 
@@ -97,9 +96,11 @@ def test_beta2_fitted_plane_beats_any_other_plane():
     cloud = WeightedPointCloud(pts, np.full(40, 1.0 / 40))
     ball = Ball(np.zeros(2), 3.0)
     res = beta2(cloud, ball, 1)
+    idx = cloud.in_ball(ball)
     for theta in np.linspace(0.0, np.pi, 50, endpoint=False):
         other = AffinePlane(res.plane.point, np.array([[math.cos(theta), math.sin(theta)]]))
-        assert res.value <= beta2_with_plane(cloud, ball, other) * (1.0 + 1e-9)
+        value = _beta2_value(cloud.points[idx], cloud.weights[idx], other, ball.radius)
+        assert res.value <= value * (1.0 + 1e-9)
 
 
 def test_beta2_empty_ball():
@@ -115,12 +116,7 @@ def test_beta2_of_a_point_mass_is_zero():
     res = beta2(cloud, ball, 1)
     assert res.value == 0.0
     assert res.mass == 3.0
-    assert beta2_with_plane(cloud, ball, res.plane) == 0.0
-
-
-def test_fit_plane_empty_restriction_raises():
-    with pytest.raises(ValueError):
-        fit_plane(line_cloud(), Ball(np.array([50.0, 50.0]), 0.5), 1)
+    assert _beta2_value(cloud.points, cloud.weights, res.plane, ball.radius) == 0.0
 
 
 def test_beta2_uses_ball_diameter():

@@ -178,7 +178,6 @@ def test_planted_well_scaled_piece_passes_bounds(rng):
         assert cls.kind == "scaled" and cls.k == k
         Y = sq.plant_well_scaled_piece(X, k, a0, rng)
         seq = sq.well_scaled_sequence(X, Y, k, d)
-        assert sq.check_well_scaled_bounds(seq, X, k, d, a0)
         assert sq.well_scaled_bound_report(seq, X, k, d, a0) == []
 
 
@@ -190,7 +189,6 @@ def test_corrupted_well_scaled_piece_is_caught(rng):
     Y_bad[2] = X[0] + (Y[2] - X[0]) / a0**2
     report = sq.well_scaled_bound_report(sq.well_scaled_sequence(X, Y_bad, 3, 2), X, 3, 2, a0)
     assert report
-    assert not sq.check_well_scaled_bounds(sq.well_scaled_sequence(X, Y_bad, 3, 2), X, 3, 2, a0)
 
 
 def test_planted_rake_leaves_pass(rng):
@@ -253,9 +251,8 @@ def test_piece_sampling_error_carries_context():
     # two far singletons: every annulus between them is empty
     cloud = WeightedPointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.ones(3))
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    stats = {}
     with pytest.raises(sq.PieceSamplingError) as exc:
-        sq.sample_well_scaled_piece(cloud, X, 5, 1.0, 0.25, rng=np.random.default_rng(0), stats=stats)
+        sq.sample_well_scaled_piece(cloud, X, 5, 1.0, 0.25, rng=np.random.default_rng(0))
     assert exc.value.reason == "annulus holds no support points"
     assert exc.value.q == 1
     assert "q=1" in str(exc.value)
