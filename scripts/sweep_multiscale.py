@@ -1,5 +1,6 @@
-"""Scaling sweep of the multiscale layer: support diameter, level builds and
-flatness queries on a circle and a 2-sphere at N = 2k, 8k and 20k.
+"""Scaling sweep of the multiscale layer: support diameter, level builds,
+flatness queries and single beta_2 evaluations on a circle and a 2-sphere at
+N = 2k, 8k and 20k.
 
     python3 scripts/sweep_multiscale.py [--src DIR]
 
@@ -13,6 +14,9 @@ do not carry over; the median is reported.  Per cloud it times:
                 plus every level from n_top to n_floor
   discrete_s    8 jones_flatness_discrete queries (radius 0.5, centres 0-7)
   continuous_s  1 jones_flatness_continuous query (the first of those balls)
+  beta2_us      microseconds per planes.beta2 call, one timer per call: the
+                median over 64 balls of radius 0.05 centred on points 0-63,
+                on each of the REPEATS clouds
 
 with alpha0 = 0.25 and d = 1 on the circle, d = 2 on the sphere.  Prints
 one JSON object.  BLAS is held to one thread, as in bench/run.py.
@@ -41,6 +45,7 @@ def _cell(menger, D: int, n: int, d: int) -> dict:
     base = menger.measure.gen_sphere(D, n, seed=n + D)
     ms = menger.multiscale
     times: dict[str, list[float]] = {"diameter_s": [], "levels_s": [], "discrete_s": [], "continuous_s": []}
+    beta2_us = []
     for _ in range(REPEATS):
         cloud = menger.measure.WeightedPointCloud(base.points, base.weights)
         t0 = perf_counter()
@@ -58,7 +63,13 @@ def _cell(menger, D: int, n: int, d: int) -> dict:
         t4 = perf_counter()
         for key, dt in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             times[key].append(dt)
+        for c in range(64):
+            ball = menger.measure.Ball(cloud.points[c], 0.05)
+            t0 = perf_counter()
+            menger.planes.beta2(cloud, ball, d)
+            beta2_us.append(1e6 * (perf_counter() - t0))
     out = {key: statistics.median(v) for key, v in times.items()}
+    out["beta2_us"] = statistics.median(beta2_us)
     out["levels"] = fam.n_floor - fam.n_top + 1
     out["net_points"] = int(sum(len(fam.level(k).net) for k in range(fam.n_top, fam.n_floor + 1)))
     return out
@@ -71,6 +82,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import menger.measure
     import menger.multiscale
+    import menger.planes
     import numpy
     import scipy
 

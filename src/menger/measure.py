@@ -95,8 +95,10 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius < 0:
-            raise ValueError("ball radius must be nonnegative")
+        if self.center.ndim != 1 or len(self.center) == 0 or not np.isfinite(self.center).all():
+            raise ValueError("ball centre must be a finite, non-empty 1-D coordinate vector")
+        if not self.radius >= 0:  # also rejects NaN; +inf stays legal
+            raise ValueError(f"ball radius must be nonnegative, got {self.radius}")
 
     @property
     def diameter(self) -> float:
@@ -106,8 +108,36 @@ class Ball:
         return Ball(self.center, factor * self.radius)
 
     def contains(self, points) -> np.ndarray:
-        """Boolean mask for closed-ball membership."""
-        return _sq_norms(np.asarray(points, dtype=float) - self.center) <= self.radius * self.radius
+        """Boolean mask for closed-ball membership of the rows of an (N, D)
+        array: _sq_norms(points - center) <= r*r, bit for bit.
+
+        Row-wise numpy ops on an (N, D) array with small D run their inner
+        loop once per row, so the squared distances are first summed one
+        coordinate column at a time.  That sum can differ from the einsum's
+        in its last bit (at D = 3 numpy's einsum adds (p0 + p2) + p1), but
+        its terms are the einsum's products and all >= 0, so the two orders
+        differ by at most 2(D-1) eps relative, and subnormal sums are exact.
+        Rows whose column sum lies within a relative _PAD - 1 of r*r, or is
+        not finite, are decided again by the einsum itself.  An overflowing
+        square is +inf, without a warning, as in the einsum.
+        """
+        P = np.asarray(points, dtype=float)
+        c = self.center
+        if P.ndim != 2 or P.shape[1] != len(c):
+            raise ValueError(f"points must be (N, {len(c)}) to match the ball centre, got {P.shape}")
+        r2 = self.radius * self.radius
+        with np.errstate(over="ignore"):
+            d2 = np.square(P[:, 0] - c[0])
+            for j in range(1, len(c)):
+                term = P[:, j] - c[j]
+                d2 += np.square(term, out=term)
+            inside = d2 <= r2
+            near = (d2 >= r2 / _PAD) & (d2 <= r2 * _PAD)
+            near |= ~np.isfinite(d2)
+            if near.any():
+                rows = np.flatnonzero(near)
+                inside[rows] = _sq_norms(P[rows] - c) <= r2
+        return inside
 
 
 class WeightedPointCloud:

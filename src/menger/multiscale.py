@@ -284,9 +284,13 @@ def jones_flatness_continuous(
     """J_d(mu|_B) = int_0^{diam B} int_B beta_2^2(x, t) dmu(x) dt/t.
 
     Quadrature: geometric scale grid t_j = diam(B) SCALE_RATIO^j with log
-    weight ln(1/SCALE_RATIO), truncated at the resolution floor; the
-    x-integral is the weighted sum over support points in B, decimated to
-    at most x_cap points (stride subsample, mass rescaled).
+    weight ln(1/SCALE_RATIO), truncated at the resolution floor
+    max(median_nn, 1e-12 diam(B)); the x-integral is the weighted sum over
+    support points in B, decimated to at most x_cap points (stride
+    subsample, mass rescaled).  A ball so wide that 1e-12 diam(B) exceeds a
+    positive median_nn is rejected: its grid would stop above the support's
+    scales and return almost nothing.  At or below that width the grid has
+    at most 41 levels, so MAX_LEVELS_BELOW_TOP never cuts it short.
     """
     if x_cap < 1:
         raise ValueError("x_cap must be >= 1")
@@ -304,7 +308,14 @@ def jones_flatness_continuous(
     w_sub = cloud.weights[sub]
     w_sub = w_sub * (mass_b / w_sub.sum())
 
-    floor = max(cloud.median_nn_distance(), 1e-12 * max(query.diameter, 1e-300))
+    median_nn = cloud.median_nn_distance()
+    floor = max(median_nn, 1e-12 * max(query.diameter, 1e-300))
+    if median_nn > 0 and floor > median_nn:
+        raise ValueError(
+            f"ball too wide for the continuous functional: 1e-12 * diam(B) = {floor!r} exceeds "
+            f"the median nearest-neighbour distance {median_nn!r}, so the scale grid would stop "
+            "above the support's scales"
+        )
     log_w = math.log(1.0 / SCALE_RATIO)
     total = 0.0
     t = query.diameter

@@ -16,7 +16,12 @@ import numpy as np
 @dataclass(frozen=True)
 class AffinePlane:
     """An affine d-plane: a point on the plane plus an orthonormal basis
-    of its direction space, stored as rows of `basis` (d, D)."""
+    of its direction space, stored as rows of `basis` (d, D).
+
+    Orthonormal means every entry of basis @ basis.T is within
+    1e-8 + 1e-5 * I of the identity I: np.allclose(gram, I, atol=1e-8)
+    written out, which is cheaper; a NaN entry fails it.
+    """
 
     point: np.ndarray
     basis: np.ndarray
@@ -26,14 +31,18 @@ class AffinePlane:
         object.__setattr__(self, "basis", np.asarray(self.basis, dtype=float))
         if self.basis.ndim != 2 or self.basis.shape[1] != self.point.shape[0]:
             raise ValueError("basis must be (d, D) matching the point dimension")
-        gram = self.basis @ self.basis.T
-        if not np.allclose(gram, np.eye(len(self.basis)), atol=1e-8):
+        eye = np.eye(len(self.basis))
+        if not (np.abs(self.basis @ self.basis.T - eye) <= 1e-8 + 1e-5 * eye).all():
             raise ValueError("basis rows must be orthonormal")
 
     def distance_many(self, points) -> np.ndarray:
-        V = np.asarray(points, dtype=float) - self.point
-        W = V - V @ self.basis.T @ self.basis
-        return np.sqrt(np.einsum("ij,ij->i", W, W))
+        return _plane_dist(np.asarray(points, dtype=float) - self.point, self.basis)
+
+
+def _plane_dist(V: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Distances to a plane of the rows V, taken relative to a point on it."""
+    W = V - V @ basis.T @ basis
+    return np.sqrt(np.einsum("ij,ij->i", W, W))
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,29 @@ class Beta2Result:
 
 def _canonical_frame(d: int, D: int) -> np.ndarray:
     return np.eye(D)[:d]
+
+
+def _fit(points: np.ndarray, weights: np.ndarray, mass, d: int):
+    """Weighted PCA d-plane of (N, D) points with positive weights summing
+    to `mass`: returns (centroid, basis, V), V = points - centroid.
+
+    Eigenvectors are sign-fixed (largest-magnitude entry positive, first
+    maximum on ties) so the result is deterministic; zero scatter gets the
+    axis-aligned frame.
+    """
+    D = points.shape[1]
+    if not 1 <= d <= D:
+        raise ValueError(f"plane dimension must satisfy 1 <= d <= {D}")
+    centroid = (weights[:, None] * points).sum(axis=0) / mass
+    V = points - centroid
+    scatter = (weights[:, None] * V).T @ V
+    if not np.any(scatter):
+        return centroid, _canonical_frame(d, D), V
+    _, vec = np.linalg.eigh(scatter)
+    basis = vec[:, ::-1][:, :d].T.copy()
+    lead = np.abs(basis).argmax(axis=1)
+    basis[basis[np.arange(d), lead] < 0] *= -1.0
+    return centroid, basis, V
 
 
 def fit_plane_points(points, weights, d: int) -> AffinePlane:
@@ -66,33 +98,18 @@ def fit_plane_points(points, weights, d: int) -> AffinePlane:
         raise ValueError("weights must be one per point")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
-    D = P.shape[1]
-    if not 1 <= d <= D:
-        raise ValueError(f"plane dimension must satisfy 1 <= d <= {D}")
-
-    centroid = (w[:, None] * P).sum(axis=0) / w.sum()
-    V = P - centroid
-    scatter = (w[:, None] * V).T @ V
-    if not np.any(scatter):
-        return AffinePlane(centroid, _canonical_frame(d, D))
-
-    ev, vec = np.linalg.eigh(scatter)
-    basis = vec[:, ::-1][:, :d].T.copy()
-    for row in basis:
-        lead = np.argmax(np.abs(row))
-        if row[lead] < 0:
-            row *= -1.0
+    centroid, basis, _ = _fit(P, w, w.sum(), d)
     return AffinePlane(centroid, basis)
 
 
-def _beta2_value(points, weights, plane: AffinePlane, radius: float) -> float:
+def _beta2_value(dist: np.ndarray, weights: np.ndarray, mass, radius: float) -> float:
     """beta_2(B, L): sqrt( sum_{x in B} w(x) (dist(x,L)/diam B)^2 / mu(B) )
-    over the points of B, with diam B = 2 * radius."""
+    over the points of B, from their distances to L, with mu(B) = mass and
+    diam B = 2 * radius."""
     if radius == 0.0:  # a point mass is flat; dist/diam would be 0/0
         return 0.0
-    dist = plane.distance_many(points)
     diam = 2.0 * radius
-    return float(np.sqrt(np.sum(weights * (dist / diam) ** 2) / weights.sum()))
+    return float(np.sqrt(np.sum(weights * (dist / diam) ** 2) / mass))
 
 
 def beta2(cloud, ball, d: int) -> Beta2Result:
@@ -101,8 +118,10 @@ def beta2(cloud, ball, d: int) -> Beta2Result:
     plane through the ball center; a ball of radius 0 gives value 0."""
     idx = cloud.in_ball(ball)
     if len(idx) == 0:
-        plane = AffinePlane(np.asarray(ball.center, dtype=float), _canonical_frame(d, cloud.ambient_dim))
+        plane = AffinePlane(ball.center, _canonical_frame(d, cloud.ambient_dim))
         return Beta2Result(0.0, plane, 0.0)
-    points, weights = cloud.points[idx], cloud.weights[idx]
-    plane = fit_plane_points(points, weights, d)
-    return Beta2Result(_beta2_value(points, weights, plane, ball.radius), plane, float(weights.sum()))
+    weights = cloud.weights[idx]
+    mass = weights.sum()
+    centroid, basis, V = _fit(cloud.points[idx], weights, mass, d)
+    value = _beta2_value(_plane_dist(V, basis), weights, mass, ball.radius)
+    return Beta2Result(value, AffinePlane(centroid, basis), float(mass))

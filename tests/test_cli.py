@@ -157,6 +157,18 @@ def test_non_finite_ball_exits_2(plane_csv, capsys, command):
         assert "--ball" in err
 
 
+def test_continuous_flatness_on_a_too_wide_ball_exits_2(tmp_path, capsys):
+    path = tmp_path / "circle.csv"
+    gen_sphere(2, 50, seed=0).to_csv(path)
+    argv = ["flatness", "--input", str(path), "--d", "1", "--mode", "continuous", "--ball"]
+    code, stdout, _ = run(capsys, [*argv, "0,0:1.5"])
+    assert code == 0 and json.loads(stdout)["total"] > 1e-3
+    code, stdout, err = run(capsys, [*argv, "0,0:1e30"])
+    assert code == 2
+    assert stdout == ""
+    assert "median nearest-neighbour distance" in err
+
+
 def test_bad_sample_counts_exit_2(tmp_path, capsys):
     path = tmp_path / "circle.csv"
     gen_sphere(2, 500, seed=1).to_csv(path)

@@ -55,6 +55,51 @@ def test_ball_membership_is_closed():
         Ball(np.zeros(2), -1.0)
 
 
+def _contains_oracle(ball, points):
+    """Closed-ball membership as the row einsum, the definition that
+    Ball.contains must reproduce bit for bit."""
+    V = np.asarray(points, dtype=float) - ball.center
+    return np.einsum("ij,ij->i", V, V) <= ball.radius * ball.radius
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("D", range(1, 7))
+def test_contains_matches_the_einsum_on_the_boundary(D, scale):
+    # radii whose r*r lands on, or a few ulps from, a row's einsum value:
+    # there a column-order sum one ulp off the einsum flips the decision
+    rng = np.random.default_rng(D)
+    center = rng.normal(size=D) * scale
+    points = rng.normal(size=(300, D)) * scale
+    points[1] = center
+    V = points - center
+    e = np.einsum("ij,ij->i", V, V)
+    radii = [0.0, math.inf]
+    for v in e[:64]:
+        r = math.sqrt(v)
+        radii += [r, np.nextafter(r, 0.0), np.nextafter(r, math.inf)]
+        radii += [math.sqrt(np.nextafter(v, 0.0)), math.sqrt(np.nextafter(v, math.inf))]
+    for r in radii:
+        ball = Ball(center, r)
+        assert np.array_equal(ball.contains(points), _contains_oracle(ball, points)), (D, scale, r)
+
+
+def test_ball_validates_centre_radius_and_dimension():
+    for center in ([np.nan, 0.0], [0.0, np.inf], [[0.0, 0.0]], [], 0.0):
+        with pytest.raises(ValueError, match="centre"):
+            Ball(center, 1.0)
+    with pytest.raises(ValueError, match="radius"):
+        Ball(np.zeros(2), np.nan)
+    with pytest.raises(ValueError, match="radius"):
+        Ball(np.zeros(2), 1.0).blow(np.nan)
+    cloud = WeightedPointCloud(np.array([[0.0, 0.0], [1.0, 3.0]]), np.ones(2))
+    assert cloud.in_ball(Ball(np.zeros(2), math.inf)).tolist() == [0, 1]  # +inf stays legal
+    # a 1-D centre would broadcast over both axes of a 2-D cloud
+    with pytest.raises(ValueError, match="match the ball centre"):
+        cloud.in_ball(Ball([0.0], 1.5))
+    with pytest.raises(ValueError, match="match the ball centre"):
+        Ball(np.zeros(2), 1.0).contains(np.zeros(2))
+
+
 def test_csv_roundtrip_is_exact(tmp_path):
     cloud = gen_four_corner_cantor(2)
     path = tmp_path / "c.csv"

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from menger.geometry import InvariantError
-from menger.measure import Ball, WeightedPointCloud, gen_plane_patch
+from menger.measure import Ball, WeightedPointCloud, gen_plane_patch, gen_sphere
 from menger.multiscale import (
     MultiresolutionFamily,
     _first_within,
@@ -332,6 +332,15 @@ def test_continuous_flatness_rejects_bad_x_cap(circle):
     for x_cap in (0, -1):
         with pytest.raises(ValueError, match="x_cap"):
             jones_flatness_continuous(circle, circle.bounding_ball(), 1, x_cap=x_cap)
+
+
+def test_continuous_flatness_rejects_a_ball_wider_than_its_scale_grid():
+    # 1e-12 * diam(B) above the median nearest-neighbour distance: the grid
+    # would stop far above the support's scales and return almost nothing
+    circle = gen_sphere(2, 50, seed=0)
+    assert jones_flatness_continuous(circle, Ball(np.zeros(2), 1.5), 1).total > 1e-3
+    with pytest.raises(ValueError, match="median nearest-neighbour distance"):
+        jones_flatness_continuous(circle, Ball(np.zeros(2), 1e30), 1)
 
 
 def test_beta2_scans_once_and_repeated_query_scans_nothing(circle, monkeypatch):
