@@ -7,6 +7,7 @@ point.  Weights must be strictly positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,21 @@ def _leaves(points: np.ndarray) -> list[np.ndarray]:
 def _max_sq_dist(points: np.ndarray) -> float:
     """Largest squared pairwise distance, as the einsum of _sq_dist_blocks.
 
-    The farthest-point sweep and the box bounds only prune: a leaf pair is
-    skipped when the squared max-distance between the two bounding boxes,
-    times _PAD, is below both the sweep's bound and the best scanned pair.
-    The result is the maximum over _sq_dist_blocks scans alone; the pad
-    covers a numpy whose row-norm and table einsums round differently.
+    The farthest-point sweep, the box bounds and a Gram block per leaf pair
+    only prune; the result is the maximum over _sq_dist_blocks scans alone.
+    A leaf pair is skipped when the squared max-distance between the two
+    bounding boxes, times _PAD, is below both the sweep's bound and the best
+    scanned pair; the pad covers a numpy whose row-norm and table einsums
+    round differently.  A pair that survives gets one BLAS product of
+    centred coordinates, g = |x'|^2 + |y'|^2 - 2 x'.y' with x' = fl(x - c)
+    for the bounding-box centre c, and only its point pairs with g at or
+    above the running threshold minus _gram_margin are scanned, in one
+    _sq_dist_blocks table over their rows and columns.  The threshold is
+    the best scanned pair, or the sweep's bound over _PAD before any scan;
+    neither exceeds the largest einsum, so the pair that attains it is
+    always scanned.  Where the margin is not a normal float (subnormal
+    squares) or a Gram block could hold an overflow, a surviving pair is
+    scanned whole, as without the Gram blocks.
     """
     far = points[np.argmax(_sq_norms(points - points[0]))]
     lb = float(_sq_norms(points - far).max())
@@ -79,12 +90,62 @@ def _max_sq_dist(points: np.ndarray) -> float:
     a, b = np.triu_indices(len(leaves))
     span = np.maximum(hi[a] - lo[b], hi[b] - lo[a])
     ub = _sq_norms(span)
+    with np.errstate(over="ignore"):
+        cen = points - (lo.min(axis=0) / 2 + hi.max(axis=0) / 2)
+        norms = _sq_norms(cen)
+    r2 = float(norms.max())
+    margin = _gram_margin(points.shape[1], r2)
+    # Each Gram value sums terms of absolute sum <= 4 r2, so none overflows
+    # below 8 r2 < inf.  Outside that range, or where the margin is not a
+    # normal float, every surviving leaf pair is scanned whole.
+    gram = np.finfo(float).tiny <= margin and 8.0 * r2 < math.inf
+    if gram:
+        # rows [x', |x'|^2, 1] and columns [-2 y', 1, |y'|^2]: one product is g
+        ones = np.ones(len(points))
+        left, right = np.c_[cen, norms, ones], np.r_[-2.0 * cen.T, [ones, norms]]
+        left, right = [left[i] for i in leaves], [right[:, i] for i in leaves]
     for k in np.argsort(ub, kind="stable")[::-1]:
         if ub[k] * _PAD < max(lb, best):
             break
-        for _, d2 in _sq_dist_blocks(points[leaves[a[k]]], points[leaves[b[k]]]):
+        rows, cols = leaves[a[k]], leaves[b[k]]
+        if gram:
+            g = left[a[k]] @ right[b[k]]
+            floor = max(lb / _PAD, best) - margin
+            if g.max() < floor:
+                continue
+            i, j = np.nonzero(g >= floor)
+            rows, cols = rows[np.unique(i)], cols[np.unique(j)]
+        for _, d2 in _sq_dist_blocks(points[rows], points[cols]):
             best = max(best, float(d2.max()))
     return best
+
+
+def _gram_margin(dim: int, r2: float) -> float:
+    """Bound on |g - e| for one pair, where g is _max_sq_dist's Gram value
+    and e the _sq_dist_blocks einsum, given r2 >= every |x'|^2 as computed.
+
+    With eps = 2^-52, rho^2 the largest exact |x - c|^2 (within (1 + D eps)
+    of r2) and D = dim, three roundings separate g from the exact |x - y|^2
+    and e from it:
+      translation  x' = fl(x - c) moves each coordinate by at most
+                   eps/2 |x - c|, so |x' - y'| is within eps rho of |x - y|
+                   <= 2 rho, and the squares within 4 eps rho^2 (plus
+                   eps^2 rho^2);
+      Gram         the stored |x'|^2 carry a relative D eps/2 each, and the
+                   (D + 2)-term product adds (D + 2) eps/2 of its absolute
+                   terms' sum, at most 4 rho^2 in any summation order and
+                   with or without FMA: (3 D + 4) eps rho^2 together;
+      einsum       each difference, square and addition of e rounds once, a
+                   relative (D + 2) eps/2 of |x - y|^2 <= 4 rho^2:
+                   2 (D + 2) eps rho^2.
+    Their sum is (5 D + 12) eps rho^2; the margin (8 D + 32) eps r2 leaves
+    room for the second-order terms, for rho^2 against r2, for the rounding
+    of the threshold minus the margin, and for underflow, which adds at
+    most a few 2^-1074 per value, far below a margin that is a normal float.
+    So every pair whose einsum reaches the threshold has g within the margin
+    of it.  A margin that is not a normal float is not trusted at all.
+    """
+    return (8 * dim + 32) * np.finfo(float).eps * r2
 
 
 @dataclass(frozen=True)
@@ -183,12 +244,15 @@ class WeightedPointCloud:
     def support_diameter(self) -> float:
         """Exact diameter of the support: the largest pairwise distance.
 
-        Branch and bound over leaf pairs: the points are bisected into
-        leaves of at most LEAF_SIZE, a double farthest-point sweep gives a
-        lower bound, and leaf pairs are scanned from the largest bounding-box
-        max-distance down until that bound falls below the best pair found.
-        Every candidate distance is the blocked scan's einsum, so the value
-        is the all-pairs maximum bit for bit.
+        Branch and bound over leaf pairs (_max_sq_dist): the points are
+        bisected into leaves of at most LEAF_SIZE, a double farthest-point
+        sweep gives a lower bound, and leaf pairs are visited from the
+        largest bounding-box max-distance down until that bound falls below
+        the best pair found.  In each visited pair one BLAS Gram block of
+        centred coordinates picks the point pairs within a proven rounding
+        margin of the running best, and only those are scanned.  Every
+        candidate distance is the blocked scan's einsum, so the value is the
+        all-pairs maximum bit for bit.
         """
         if self._diameter is None:
             self._diameter = float(np.sqrt(_max_sq_dist(self.points)))

@@ -16,6 +16,7 @@ Per scale n the construction is:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,21 +33,34 @@ MAX_LEVELS_BELOW_TOP = 64
 # Ratio of consecutive scales t_{j+1} / t_j of the continuous functional's
 # quadrature.
 SCALE_RATIO = 0.5
+# Most k-d-tree candidates one block of a net or first-centre walk fetches
+# and re-tests at once, which bounds the walk's memory.
+BLOCK_CANDIDATES = 2**16
 
 
 def scale_index(diam: float, alpha0: float) -> int:
     """m(Q) = ceil(ln diam / ln alpha0), patched so that the defining
-    sandwich alpha0^m <= diam < alpha0^{m-1} holds under floating point."""
+    sandwich alpha0^m <= diam < alpha0^{m-1} holds under floating point,
+    with a power that overflows taken as +inf."""
     if not 0.0 < diam < math.inf:
         raise ValueError("scale index needs a positive finite diameter")
     if not 0.0 < alpha0 < 1.0:
         raise ValueError("alpha0 must lie in (0, 1)")
     m = math.ceil(math.log(diam) / math.log(alpha0))
-    while alpha0**m > diam:
+    while _power(alpha0, m) > diam:
         m += 1
-    while alpha0 ** (m - 1) <= diam:
+    while _power(alpha0, m - 1) <= diam:
         m -= 1
     return m
+
+
+def _power(alpha0: float, m: int) -> float:
+    """alpha0**m, or +inf where the power overflows (alpha0 below about
+    5.6e-309 and m = -1): every finite diameter lies below it."""
+    try:
+        return alpha0**m
+    except OverflowError:
+        return math.inf
 
 
 def m_of_Q(query: Ball, alpha0: float) -> int:
@@ -59,20 +73,58 @@ def build_net(points: np.ndarray, order: np.ndarray, r: float) -> np.ndarray:
 
     Returns the selected indices (in admission order).  Admitted points are
     pairwise more than r apart and every point is within r of one of them.
-    A point is admitted iff no earlier admitted point lies within r of it;
-    each admission marks its r-ball covered, from k-d-tree candidates
-    re-tested with the exact closed comparison.
+    A point is admitted iff no earlier admitted point lies within r of it,
+    by the exact closed comparison |x - y|^2 <= r*r, which is symmetric.
+
+    The scan walks the points of `order` not yet covered in blocks.  A
+    block is the longest run of them whose k-d-tree candidate counts
+    (return_length=True, fetched once per point) sum to at most the number
+    of uncovered points left and BLOCK_CANDIDATES, and at least one point:
+    a larger block would mostly query ground that its own first admissions
+    cover.  One query_ball_point call fetches the block's candidates and
+    one vectorised comparison re-tests them.  The admissions are then
+    resolved in scan order, each marking its hits covered, so a block
+    member covered by an earlier one is skipped as in a one-at-a-time scan.
+    The walk ends once every point of `order` is covered.
     """
     tree = cKDTree(points)
+    radius = r * _PAD
     covered = np.zeros(len(points), dtype=bool)
+    count = np.full(len(points), -1)
     selected = []
-    for idx in order:
-        if covered[idx]:
-            continue
-        selected.append(idx)
-        near = np.asarray(tree.query_ball_point(points[idx], r * _PAD), dtype=int)
-        covered[near[_sq_norms(points[near] - points[idx]) <= r * r]] = True
-    return np.asarray(selected, dtype=int)
+    rest = np.asarray(order, dtype=int)
+    width = 1
+    while True:
+        rest = rest[~covered[rest]]
+        if len(rest) == 0:
+            return np.asarray(selected, dtype=int)
+        window = rest[:width]
+        new = window[count[window] < 0]
+        count[new] = tree.query_ball_point(points[new], radius, return_length=True)
+        counts = count[window]
+        cap = min(BLOCK_CANDIDATES, len(rest))
+        k = max(1, int(np.searchsorted(np.cumsum(counts), cap, side="right")))
+        block, rest = window[:k], rest[k:]
+        cand, owner = _candidates(tree, points[block], radius)
+        hit = _sq_norms(points[cand] - points[block[owner]]) <= r * r
+        ends = np.cumsum(np.bincount(owner[hit], minlength=k)).tolist()
+        cand = cand[hit]
+        for idx, lo, hi in zip(block.tolist(), [0] + ends, ends):
+            if not covered[idx]:
+                selected.append(idx)
+                covered[cand[lo:hi]] = True
+        # the next window holds about twice the points that fill a block here
+        width = int(2 * min(BLOCK_CANDIDATES, len(rest)) / max(counts.mean(), 1.0)) + 1
+
+
+def _candidates(tree: cKDTree, centers: np.ndarray, radius: float):
+    """The k-d-tree candidates within `radius` of each centre, from one
+    query_ball_point call, as one flat index array and the position of each
+    candidate's centre."""
+    lists = tree.query_ball_point(centers, radius, return_sorted=False)
+    lengths = np.fromiter(map(len, lists), dtype=int, count=len(lists))
+    cand = np.fromiter(itertools.chain.from_iterable(lists), dtype=int, count=int(lengths.sum()))
+    return cand, np.repeat(np.arange(len(centers)), lengths)
 
 
 def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> np.ndarray:
@@ -128,22 +180,33 @@ def _first_within(points: np.ndarray, centers: np.ndarray, r2: float) -> np.ndar
     """Index of the first centre within squared distance r2 of each point,
     -1 where there is none.
 
-    Centres claim, in index order, the still unclaimed k-d-tree candidates
-    that pass the exact closed comparison; the walk stops once every point
-    is claimed.
+    The centres are walked in index order, in blocks whose k-d-tree
+    candidate counts (return_length=True) sum to at most BLOCK_CANDIDATES,
+    and at least one centre.  Each block makes one query_ball_point call;
+    the candidates not yet claimed are re-tested with the exact closed
+    comparison, vectorised, and each point they hit is claimed by the
+    smallest hitting centre.  The walk stops once every point is claimed.
     """
     first = np.full(len(points), -1, dtype=int)
     tree = cKDTree(points)
     radius = math.sqrt(r2) * _PAD
-    left = len(points)
-    for j, c in enumerate(centers):
-        near = np.asarray(tree.query_ball_point(c, radius), dtype=int)
-        near = near[first[near] < 0]
-        hit = near[_sq_norms(points[near] - c) <= r2]
-        first[hit] = j
-        left -= len(hit)
-        if left == 0:
-            break
+    counts = tree.query_ball_point(centers, radius, return_length=True)
+    csum = np.cumsum(counts)
+    left, lo = len(points), 0
+    while lo < len(centers) and left:
+        done = csum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(csum, done + BLOCK_CANDIDATES, side="right")))
+        cand, owner = _candidates(tree, centers[lo:hi], radius)
+        owner += lo
+        free = first[cand] < 0
+        cand, owner = cand[free], owner[free]
+        hit = _sq_norms(points[cand] - centers[owner]) <= r2
+        cand, owner = cand[hit], owner[hit]
+        # a point hit by several centres of the block keeps the smallest
+        first[cand] = len(centers)
+        np.minimum.at(first, cand, owner)
+        left = np.count_nonzero(first < 0)
+        lo = hi
     return first
 
 

@@ -169,6 +169,16 @@ def test_continuous_flatness_on_a_too_wide_ball_exits_2(tmp_path, capsys):
     assert "median nearest-neighbour distance" in err
 
 
+def test_flatness_with_an_alpha0_whose_powers_overflow(tmp_path, capsys):
+    # 1e-320 ** -1 overflows a float inside the scale index
+    path = tmp_path / "c.csv"
+    gen_sphere(2, 50, seed=0).to_csv(path)
+    code, stdout, err = run(capsys, ["flatness", "--input", str(path), "--d", "1", "--alpha0", "1e-320"])
+    assert code == 0
+    assert "Traceback" not in err
+    assert json.loads(stdout)["alpha0"] == 1e-320
+
+
 def test_bad_sample_counts_exit_2(tmp_path, capsys):
     path = tmp_path / "circle.csv"
     gen_sphere(2, 500, seed=1).to_csv(path)

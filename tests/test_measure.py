@@ -276,6 +276,40 @@ def test_support_diameter_scans_a_pair_whose_bound_is_tight():
     assert cloud.support_diameter() == np.sqrt(pq2) == reference_diameter(pts)
 
 
+@pytest.mark.parametrize("offset", [1e3, 1e8])
+@pytest.mark.parametrize("kind", ["circle", "sphere", "tied"])
+def test_support_diameter_far_from_the_origin(kind, offset):
+    # uncentred, |x|^2 + |y|^2 - 2 x.y would cancel every digit of |x - y|^2
+    pts = offset + _diameter_cloud(kind, 3000, np.random.default_rng(11))
+    cloud = WeightedPointCloud(pts, np.ones(len(pts)))
+    assert cloud.support_diameter() == reference_diameter(pts)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-146, 1e154])
+@pytest.mark.parametrize("kind", ["circle", "sphere", "blob", "tied"])
+def test_support_diameter_at_extreme_scales(kind, scale):
+    # 1e-160: subnormal squares, so the Gram margin is not a normal float;
+    # 1e-146: the smallest decade whose margin is a normal float, so the
+    # Gram blocks prune next to the subnormal range; 1e154: the Gram
+    # products overflow while coordinates stay finite
+    pts = scale * _diameter_cloud(kind, 2000, np.random.default_rng(12))
+    cloud = WeightedPointCloud(pts, np.ones(len(pts)))
+    assert cloud.support_diameter() == reference_diameter(pts)
+
+
+@pytest.mark.parametrize("m", [1024, 2048, 4096])
+def test_support_diameter_regular_polygon_ties(m):
+    # every vertex has an antipode at the diameter up to the last bits, so
+    # thousands of pairs sit within rounding of the maximum; without the
+    # Gram margin the largest einsum is lost at seed 4 for 2048 and 4096
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        t = 2.0 * np.pi * np.arange(m) / m + rng.uniform(0.0, 2.0 * np.pi)
+        pts = np.c_[np.cos(t), np.sin(t)][rng.permutation(m)]
+        cloud = WeightedPointCloud(pts, np.ones(m))
+        assert cloud.support_diameter() == reference_diameter(pts), seed
+
+
 def test_median_nn_distance_grid():
     pts = np.array([[0.0], [1.0], [2.0], [3.0]])
     cloud = WeightedPointCloud(pts, np.ones(4))

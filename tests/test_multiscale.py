@@ -43,6 +43,18 @@ def test_scale_index_sandwich(diam, alpha0):
     assert alpha0**m <= diam < alpha0 ** (m - 1)
 
 
+def test_scale_index_with_an_overflowing_power():
+    # 1e-320 ** -1 overflows a float; it counts as +inf, above every diameter
+    for alpha0 in (1e-320, 5e-324, 1e-310):
+        m = scale_index(2.0, alpha0)
+        assert m == 0
+        assert alpha0**m <= 2.0
+        with pytest.raises(OverflowError):
+            alpha0 ** (m - 1)
+    assert scale_index(1e300, 1e-200) == -1  # 1e-200 ** -2 overflows
+    assert scale_index(0.5, 1e-320) == 1
+
+
 def test_m_of_q_uses_ball_diameter():
     assert m_of_Q(Ball(np.zeros(2), 0.5), 0.25) == 0  # diam 1.0
     assert m_of_Q(Ball(np.zeros(2), 0.125), 0.25) == 1  # diam 0.25
@@ -245,6 +257,25 @@ def test_partition_leftover_routing_runs_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert (part == 0).all()
+    assert peak < 200 * 2**20
+
+
+def test_net_and_ball_family_run_in_bounded_memory():
+    # every point is within r of every other: each point's candidate list
+    # holds all 6000, so a walk that fetched the lists of many points at
+    # once, or a full point-to-point table (288 MB), would exceed the bound
+    n = 6000
+    pts = as_pts(np.linspace(0.0, 1.0, n))
+    order = np.random.default_rng(0).permutation(n)
+    tracemalloc.start()
+    try:
+        net = build_net(pts, order, 1.0)
+        kept = build_ball_family(pts, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.tolist() == [order[0]]
+    assert kept.tolist() == [0]
     assert peak < 200 * 2**20
 
 
