@@ -154,7 +154,9 @@ def _content(G: np.ndarray) -> np.ndarray:
     (~ k eps trace^k) are re-evaluated through eigenvalues with the
     matrix_rank cut (k eps ev_max): exactly rank-deficient tuples, e.g.
     d+2 points inside a d-plane, come out 0 rather than noise on the order
-    of eps * edge scale^2k.
+    of eps * edge scale^2k.  On a thin simplex the content keeps a relative
+    error of order eps / tau^2 (tau = content / diam^k);
+    geometry._error_model_rtol is the one tolerance built on that model.
     """
     # An LU pivot that underflows to 0 (subnormal edges) makes det warn; its
     # determinant comes out 0, below the floor, so eigvalsh settles it.

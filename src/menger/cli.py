@@ -28,10 +28,6 @@ from .measure import (
 from .planes import beta2
 
 
-class InputError(Exception):
-    pass
-
-
 def _parse_ball(text: str, ambient: int) -> Ball:
     """Parse 'cx,cy,...:r' into a Ball, validating the dimension."""
     try:
@@ -39,23 +35,23 @@ def _parse_ball(text: str, ambient: int) -> Ball:
         center = np.array([float(c) for c in coords.split(",")], dtype=float)
         r = float(radius)
     except ValueError as exc:
-        raise InputError(f"bad --ball {text!r}, expected 'cx,cy,...:r'") from exc
+        raise ValueError(f"bad --ball {text!r}, expected 'cx,cy,...:r'") from exc
     if len(center) != ambient:
-        raise InputError(f"--ball center has {len(center)} coordinates, cloud is {ambient}-dim")
+        raise ValueError(f"--ball center has {len(center)} coordinates, cloud is {ambient}-dim")
     if not (np.isfinite(center).all() and 0 < r < np.inf):
-        raise InputError("--ball needs a finite center and a positive finite radius")
+        raise ValueError("--ball needs a finite center and a positive finite radius")
     return Ball(center, r)
 
 
 def _load_cloud(path: str) -> WeightedPointCloud:
     if not path:
-        raise InputError("--input is required for this command")
+        raise ValueError("--input is required for this command")
     try:
         return WeightedPointCloud.from_csv(path)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise InputError(f"bad cloud file {path}: {exc}") from exc
+        raise ValueError(f"bad cloud file {path}: {exc}") from exc
 
 
 def _query(args, cloud: WeightedPointCloud) -> Ball:
@@ -115,12 +111,10 @@ def cmd_generate(args) -> int:
         cloud = gen_sphere(args.D, args.n, seed=args.seed)
     elif args.kind == "graph":
         cloud = gen_lipschitz_graph(args.d, args.D, args.lip, args.n, seed=args.seed)
-    elif args.kind == "cantor":
+    else:  # "cantor"; argparse restricts the choices
         cloud = gen_four_corner_cantor(args.level)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown kind {args.kind}")
     if not args.out:
-        raise InputError("generate needs --out")
+        raise ValueError("generate needs --out")
     cloud.to_csv(args.out)
     sys.stdout.write(f"wrote {len(cloud)} points to {args.out}\n")
     return 0
@@ -271,15 +265,13 @@ def cmd_ratio(args) -> int:
                         ratio * lam**power if ratio is not None else "",
                     ]
                 )
-    elif args.experiment == "prop43":
+    else:  # "prop43"; argparse restricts the choices
         fam = multiscale.MultiresolutionFamily(cloud, args.alpha0, order_seed=args.seed)
         header = ["ball", "radius", "lhs_discrete", "rhs_continuous_6Q", "ratio"]
         for b, ball in _ratio_balls(cloud, rng, 10, lo=0.1, hi=0.15):
             lhs = multiscale.jones_flatness_discrete(cloud, ball, fam, d).total
             rhs = multiscale.jones_flatness_continuous(cloud, ball.blow(6.0), d, x_cap=64).total
             rows.append([b, ball.radius, lhs, rhs, lhs / rhs if rhs > 0 else ""])
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown experiment {args.experiment}")
     _write_table(rows, header, args.out)
     return 0
 
@@ -303,11 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=False)
     g.set_defaults(func=cmd_generate)
 
-    def io_flags(sp, with_ball=True):
+    def io_flags(sp):
         sp.add_argument("--input", required=True)
         sp.add_argument("--d", type=int, default=1)
-        if with_ball:
-            sp.add_argument("--ball", help="cx,cy,...:r (default: bounding ball)")
+        sp.add_argument("--ball", help="cx,cy,...:r (default: bounding ball)")
         sp.add_argument("--out")
         sp.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -354,16 +345,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except InvariantError as exc:
         sys.stderr.write(f"invariant failure: {exc}\n")
         return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

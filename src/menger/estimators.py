@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch, geometry
-from .measure import Ball, WeightedPointCloud
+from .measure import Ball, WeightedPointCloud, _power
 from .planes import beta2
 
 EXACT_TUPLE_LIMIT = 10_000_000
@@ -85,15 +85,6 @@ def _tuple_values(points: np.ndarray, floor2: float | None) -> np.ndarray:
     return vals
 
 
-def _floor_sq(sep_floor: float) -> float:
-    """sep_floor**2, or +inf where the square overflows: no tuple of finite
-    points is that far apart, so the separated region is empty."""
-    try:
-        return sep_floor**2
-    except OverflowError:
-        return math.inf
-
-
 def _tuple_stream(weights: np.ndarray, arity: int, n_samples: int, seed: int):
     """n_samples index tuples drawn i.i.d. from the normalised weights, in
     chunks of at most _CHUNK rows, from one generator seeded with seed."""
@@ -101,6 +92,15 @@ def _tuple_stream(weights: np.ndarray, arity: int, n_samples: int, seed: int):
     p = weights / weights.sum()
     for lo in range(0, n_samples, _CHUNK):
         yield rng.choice(len(p), size=(min(_CHUNK, n_samples - lo), arity), p=p)
+
+
+def _mass_factor(w: np.ndarray, arity: int) -> float:
+    """mu(Q)^{d+2} of the restricted weights; a factor that overflows is
+    refused rather than carried as +inf into every estimate."""
+    factor = _power(float(w.sum()), arity)
+    if factor == math.inf:
+        raise ValueError(f"the mass factor mu(Q)^{arity} overflows a float; rescale the weights")
+    return factor
 
 
 def continuous_curvature_sq(
@@ -134,15 +134,16 @@ def continuous_curvature_sq(
     arity = d + 2
     pts = cloud.points[idx]
     w = cloud.weights[idx]
-    floor2 = None if lam is None else _floor_sq(lam * query.radius)
+    # a floor whose square overflows is +inf: no tuple of finite points is
+    # that far apart, so the separated region is empty
+    floor2 = None if lam is None else _power(lam * query.radius, 2)
 
     total_tuples = m**arity
     use_exact = mode == "exact" or (mode == "auto" and total_tuples <= EXACT_TUPLE_LIMIT)
     if mode not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    mass = float(w.sum())
-    factor = mass**arity
+    factor = _mass_factor(w, arity)
 
     if use_exact:
         if 8 * total_tuples > EXACT_TABLE_BYTES:
@@ -178,18 +179,13 @@ class ScaleClass:
 
     kind: str  # "well_scaled" | "scaled"
     k: int
-    p: int
-    scale: float
     handle_indices: tuple
-
-    @property
-    def n_handles(self) -> int:
-        return len(self.handle_indices)
 
 
 def _powers(alpha0: float, exps: np.ndarray) -> np.ndarray:
-    """alpha0**j for every entry j of exps, each one Python's float power."""
-    return np.array([alpha0**j for j in exps.tolist()], dtype=float)
+    """alpha0**j for every entry j of exps, each one Python's float power
+    (+inf where it overflows)."""
+    return np.array([_power(alpha0, j) for j in exps.tolist()], dtype=float)
 
 
 def scale_classes(T, alpha0: float, level=None):
@@ -235,15 +231,10 @@ def handle_indices(X, k: int, alpha0: float) -> tuple:
     return tuple(int(i) + 1 for i in np.nonzero(handles)[0])
 
 
-def classify_scale(X, alpha0: float, p: int = 1) -> ScaleClass:
-    """Classify X at x_0: well-scaled (scale > alpha0^3) or the S_{k,p} cell.
-
-    For p = 1 the cell index k is unique and the cells partition the
-    poorly-scaled simplices; for p = 2 the smallest admissible k is
-    returned (cells overlap by construction).
-    """
-    if p not in (1, 2):
-        raise ValueError("tolerance p must be 1 or 2")
+def classify_scale(X, alpha0: float) -> ScaleClass:
+    """Classify X at x_0: well-scaled (scale > alpha0^3) or the S_{k,1}
+    cell, whose index k is unique: the cells partition the poorly-scaled
+    simplices."""
     X = np.asarray(X, dtype=float)
     norms, scale, level, handles = scale_classes(X[None], alpha0)
     if norms.max() == 0.0:
@@ -252,11 +243,8 @@ def classify_scale(X, alpha0: float, p: int = 1) -> ScaleClass:
     if s == 0.0:
         raise ValueError("degenerate simplex: a coordinate coincides with the base vertex")
     if s > alpha0**3:
-        return ScaleClass(kind="well_scaled", k=0, p=3, scale=s, handle_indices=())
-    k = int(level[0])
-    if p == 2 and k >= 1:
-        return ScaleClass(kind="scaled", k=k - 1, p=2, scale=s, handle_indices=handle_indices(X, k - 1, alpha0))
-    return ScaleClass(kind="scaled", k=k, p=p, scale=s, handle_indices=tuple(int(i) + 1 for i in np.nonzero(handles[0])[0]))
+        return ScaleClass(kind="well_scaled", k=0, handle_indices=())
+    return ScaleClass(kind="scaled", k=int(level[0]), handle_indices=tuple(int(i) + 1 for i in np.nonzero(handles[0])[0]))
 
 
 def concentration_test(X, i: int, j: int, C: float):
@@ -328,8 +316,8 @@ def decomposition_check(
     idx = _restricted(cloud, query)
     pts = cloud.points[idx]
     w = cloud.weights[idx]
-    mass = float(w.sum())
     arity = d + 2
+    mass_factor = _mass_factor(w, arity)
 
     vals = []
     codes = []
@@ -349,7 +337,7 @@ def decomposition_check(
 
     total = math.fsum(vals.tolist())
     recombined = math.fsum(np.concatenate(list(groups.values())).tolist())
-    factor = mass**arity / n_samples
+    factor = mass_factor / n_samples
     cells = {}
     for c, group in groups.items():
         ssum = math.fsum(group.tolist())

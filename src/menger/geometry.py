@@ -28,6 +28,15 @@ IDENTITY_RTOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
+def _error_model_rtol(tau):
+    """Relative tolerance of an identity between Gram-determinant values of
+    a simplex of thinness tau (tau = content / diam^{d+1}, or a polar sine):
+    IDENTITY_RTOL, widened to the error model 200 eps / tau^2, since Gram
+    determinants of thin simplices lose relative accuracy like eps / tau^2.
+    Takes a float or an array; tau is clamped below at 1e-300."""
+    return np.maximum(IDENTITY_RTOL, 200.0 * np.finfo(float).eps / np.maximum(tau, 1e-300) ** 2)
+
+
 class InvariantError(ArithmeticError):
     """An identity the library guarantees failed to hold on valid input."""
 
@@ -41,11 +50,8 @@ def as_tuple_array(X) -> np.ndarray:
 
 
 def remove_coordinate(X, i: int):
-    """X(i): the tuple with coordinate i removed, 0 <= i <= m-1.
-
-    Works on arrays and on plain sequences (the sequence constructors use
-    it on symbolic labels).
-    """
+    """X(i): the tuple with coordinate i removed, 0 <= i <= m-1, as an
+    array for an array and as a tuple for any other sequence."""
     m = len(X)
     if not 0 <= i < m:
         raise IndexError(f"coordinate index {i} out of range for tuple of length {m}")
@@ -70,14 +76,6 @@ def replace_coordinate(X, y, i: int):
     out = list(X)
     out[i] = y
     return tuple(out)
-
-
-def pairwise_distances(X) -> np.ndarray:
-    return np.sqrt(_batch.pairwise_sq(as_tuple_array(X)[None])[0])
-
-
-def diameter(X) -> float:
-    return float(pairwise_distances(X).max())
 
 
 def max_at0(X) -> float:
@@ -192,8 +190,7 @@ def discrete_curvature_sq(X) -> float:
     placements, divided by diam(X)^{d(d+1)}.  The volume form (content at
     x_0 squared times the sum of inverse edge products) is evaluated as a
     cross check whenever the tuple is comfortably non-degenerate; the two
-    must agree to IDENTITY_RTOL, widened to the eps / tau^2 error model on
-    thin simplices, or InvariantError is raised.
+    must agree to _error_model_rtol(tau), or InvariantError is raised.
     """
     X = as_tuple_array(X)
     d = len(X) - 2
@@ -206,12 +203,7 @@ def discrete_curvature_sq(X) -> float:
     vol = math.sqrt(terms["content0_sq"][0])
     if vol > DEGENERACY_EPS * diam ** (d + 1):
         vol_form = float(terms["cd_sq_vol"][0])
-        # Gram determinants of thin simplices lose relative accuracy like
-        # eps / tau^2 (tau = content / diam^{d+1}), so the identity
-        # tolerance must widen in that regime or valid inputs would trip
-        # the check.
-        tau = vol / diam ** (d + 1)
-        tol = max(IDENTITY_RTOL, 200.0 * np.finfo(float).eps / tau**2)
+        tol = _error_model_rtol(vol / diam ** (d + 1))
         if abs(value - vol_form) > tol * max(value, vol_form):
             raise InvariantError(
                 f"curvature forms disagree: psin form {value!r}, volume form {vol_form!r}"

@@ -40,6 +40,16 @@ def _sq_norms(v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", v, v)
 
 
+def _power(base: float, exp: int) -> float:
+    """base**exp for base >= 0, Python's float power, or +inf where it
+    overflows (a scale alpha0 below about 5.6e-309 at exp = -1, a mass
+    factor mu(Q)^{d+2}, a squared separation floor)."""
+    try:
+        return base**exp
+    except OverflowError:
+        return math.inf
+
+
 # Largest leaf of the diameter's branch and bound; a cloud this small is
 # one leaf, scanned against itself.
 LEAF_SIZE = 256
@@ -375,11 +385,9 @@ def gen_four_corner_cantor(level: int) -> WeightedPointCloud:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Empirical d-regularity constant with its probe table."""
+    """Empirical d-regularity constant."""
 
     estimated_Cmu: float
-    d: int
-    samples: np.ndarray  # rows (center_index, radius, mass / r^d)
     degenerate: bool = False
 
 
@@ -395,17 +403,15 @@ def regularity_constant(
     """
     rng = np.random.default_rng(seed)
     if len(cloud) < 2:
-        return RegularityReport(1.0, d, np.zeros((0, 3)), degenerate=True)
+        return RegularityReport(1.0, degenerate=True)
     w = cloud.weights / cloud.total_mass()
     centers = rng.choice(len(cloud), size=min(n_centers, len(cloud)), replace=False, p=w)
     r_lo = max(cloud.median_nn_distance(), 1e-12)
     r_hi = max(cloud.support_diameter(), 2 * r_lo)
     radii = np.geomspace(r_lo, r_hi, n_radii)
-    samples = []
     best = 1.0
     for ci in centers:
         for r in radii:
             mass = cloud.mass_in(Ball(cloud.points[ci], r))
             best = max(best, mass / r**d, r**d / mass)
-            samples.append((ci, r, mass / r**d))
-    return RegularityReport(float(best), d, np.asarray(samples))
+    return RegularityReport(float(best))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import InvariantError
-from .measure import _PAD, Ball, WeightedPointCloud, _sq_norms
+from .measure import _PAD, Ball, WeightedPointCloud, _power, _sq_norms
 from .planes import beta2
 
 # Hard cap on how far below the nearest-neighbour floor level building may
@@ -41,7 +41,8 @@ BLOCK_CANDIDATES = 2**16
 def scale_index(diam: float, alpha0: float) -> int:
     """m(Q) = ceil(ln diam / ln alpha0), patched so that the defining
     sandwich alpha0^m <= diam < alpha0^{m-1} holds under floating point,
-    with a power that overflows taken as +inf."""
+    with a power that overflows taken as +inf, above every finite diameter.
+    The scale m(Q) of a ball Q is scale_index(Q.diameter, alpha0)."""
     if not 0.0 < diam < math.inf:
         raise ValueError("scale index needs a positive finite diameter")
     if not 0.0 < alpha0 < 1.0:
@@ -52,20 +53,6 @@ def scale_index(diam: float, alpha0: float) -> int:
     while _power(alpha0, m - 1) <= diam:
         m -= 1
     return m
-
-
-def _power(alpha0: float, m: int) -> float:
-    """alpha0**m, or +inf where the power overflows (alpha0 below about
-    5.6e-309 and m = -1): every finite diameter lies below it."""
-    try:
-        return alpha0**m
-    except OverflowError:
-        return math.inf
-
-
-def m_of_Q(query: Ball, alpha0: float) -> int:
-    """Scale of a ball: the m with alpha0^m <= diam(Q) < alpha0^{m-1}."""
-    return scale_index(query.diameter, alpha0)
 
 
 def build_net(points: np.ndarray, order: np.ndarray, r: float) -> np.ndarray:
@@ -254,9 +241,6 @@ class FlatnessReport:
     total: float
     terms: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"total": self.total, "terms": self.terms}
-
 
 class MultiresolutionFamily:
     """Scales of nets/balls/partitions for one cloud, built on demand.
@@ -351,9 +335,10 @@ def jones_flatness_continuous(
     max(median_nn, 1e-12 diam(B)); the x-integral is the weighted sum over
     support points in B, decimated to at most x_cap points (stride
     subsample, mass rescaled).  A ball so wide that 1e-12 diam(B) exceeds a
-    positive median_nn is rejected: its grid would stop above the support's
-    scales and return almost nothing.  At or below that width the grid has
-    at most 41 levels, so MAX_LEVELS_BELOW_TOP never cuts it short.
+    positive median_nn, or of infinite diameter, is rejected: its grid
+    would stop above the support's scales and return almost nothing, or
+    never end.  Any other ball has a finite floor of at least 1e-12 diam(B),
+    so the grid has at most 41 levels and needs no cap of its own.
     """
     if x_cap < 1:
         raise ValueError("x_cap must be >= 1")
@@ -373,7 +358,7 @@ def jones_flatness_continuous(
 
     median_nn = cloud.median_nn_distance()
     floor = max(median_nn, 1e-12 * max(query.diameter, 1e-300))
-    if median_nn > 0 and floor > median_nn:
+    if 0 < median_nn < floor or floor == math.inf:
         raise ValueError(
             f"ball too wide for the continuous functional: 1e-12 * diam(B) = {floor!r} exceeds "
             f"the median nearest-neighbour distance {median_nn!r}, so the scale grid would stop "
@@ -382,8 +367,7 @@ def jones_flatness_continuous(
     log_w = math.log(1.0 / SCALE_RATIO)
     total = 0.0
     t = query.diameter
-    level = 0
-    while t >= floor and level < MAX_LEVELS_BELOW_TOP:
+    while t >= floor:
         layer = 0.0
         for pi, wx in zip(sub, w_sub):
             b2 = beta2(cloud, Ball(cloud.points[pi], t), d).value ** 2
@@ -391,5 +375,4 @@ def jones_flatness_continuous(
             terms.append({"t": t, "x": int(pi), "beta2sq": b2, "weight": float(wx)})
         total += log_w * layer
         t *= SCALE_RATIO
-        level += 1
     return FlatnessReport(total=total, terms=terms)

@@ -62,9 +62,11 @@ def _fit(points: np.ndarray, weights: np.ndarray, mass, d: int):
     """Weighted PCA d-plane of (N, D) points with positive weights summing
     to `mass`: returns (centroid, basis, V), V = points - centroid.
 
-    Eigenvectors are sign-fixed (largest-magnitude entry positive, first
-    maximum on ties) so the result is deterministic; zero scatter gets the
-    axis-aligned frame.
+    The plane through the weighted centroid spanned by the top d
+    eigenvectors of the weighted scatter matrix minimises
+    sum_i w_i dist(x_i, L)^2 over all affine d-planes.  Eigenvectors are
+    sign-fixed (largest-magnitude entry positive, first maximum on ties) so
+    the result is deterministic; zero scatter gets the axis-aligned frame.
     """
     D = points.shape[1]
     if not 1 <= d <= D:
@@ -79,27 +81,6 @@ def _fit(points: np.ndarray, weights: np.ndarray, mass, d: int):
     lead = np.abs(basis).argmax(axis=1)
     basis[basis[np.arange(d), lead] < 0] *= -1.0
     return centroid, basis, V
-
-
-def fit_plane_points(points, weights, d: int) -> AffinePlane:
-    """Weighted least-squares affine d-plane.
-
-    The plane through the weighted centroid spanned by the top d
-    eigenvectors of the weighted scatter matrix minimises
-    sum_i w_i dist(x_i, L)^2 over all affine d-planes.  Eigenvectors are
-    sign-fixed (largest-magnitude entry positive) so the result is
-    deterministic; a cloud with zero spread gets the axis-aligned frame.
-    """
-    P = np.asarray(points, dtype=float)
-    if P.ndim == 1:
-        P = P[None, :]
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(P),):
-        raise ValueError("weights must be one per point")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    centroid, basis, _ = _fit(P, w, w.sum(), d)
-    return AffinePlane(centroid, basis)
 
 
 def _beta2_value(dist: np.ndarray, weights: np.ndarray, mass, radius: float) -> float:

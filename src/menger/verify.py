@@ -108,7 +108,6 @@ def suite_geometry(seed: int = 7) -> dict:
     n_strict = 0
     n_soft = 0
     soft_bad = 0
-    eps64 = float(np.finfo(float).eps)
     for d in (1, 2, 3):
         rng = _rng(seed, 10 + d)
         T = rng.normal(size=(3000, d + 2, d + 1))
@@ -127,8 +126,7 @@ def suite_geometry(seed: int = 7) -> dict:
             if strict.any():
                 worst_rel = max(worst_rel, float(rel[strict].max()))
             soft = ~strict
-            floor = np.minimum(np.minimum(psin0, psin_red), np.maximum(elev, 1e-300))
-            tol = np.maximum(RTOL, 200.0 * eps64 / np.maximum(floor, 1e-300) ** 2)
+            tol = geometry._error_model_rtol(np.minimum(np.minimum(psin0, psin_red), elev))
             n_soft += int(soft.sum())
             soft_bad += int(np.sum(rel[soft] > tol[soft]))
     checks.append(
@@ -158,7 +156,7 @@ def suite_geometry(seed: int = 7) -> dict:
         rel = np.abs(terms["cd_sq"] - terms["cd_sq_vol"]) / np.where(
             both, terms["cd_sq"], 1.0
         )
-        tol = np.maximum(RTOL, 200.0 * eps64 / np.maximum(tau, 1e-300) ** 2)
+        tol = geometry._error_model_rtol(tau)
         id_bad += int(np.sum(both & (rel > tol)))
         thick = both & (tau >= 1e-3)
         n_thick += int(thick.sum())
@@ -318,7 +316,7 @@ def suite_multiscale(seed: int = 7, corrupt_net: bool = False) -> dict:
         m = multiscale.scale_index(diam, alpha0)
         if not (alpha0**m <= diam < alpha0 ** (m - 1)):
             m_bad.append(diam)
-    if multiscale.m_of_Q(Ball(np.zeros(2), 0.25**3 / 2.0), 0.25) != 3:
+    if multiscale.scale_index(Ball(np.zeros(2), 0.25**3 / 2.0).diameter, 0.25) != 3:
         m_bad.append("pinned_ball")
     checks.append(_check("scale_index_sandwich", not m_bad, failures=m_bad))
 

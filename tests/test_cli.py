@@ -179,6 +179,16 @@ def test_flatness_with_an_alpha0_whose_powers_overflow(tmp_path, capsys):
     assert json.loads(stdout)["alpha0"] == 1e-320
 
 
+def test_a_mass_factor_that_overflows_exits_2(tmp_path, capsys):
+    # mu(Q)^3 = (4e200)^3 overflows a float
+    path = tmp_path / "heavy.csv"
+    WeightedPointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.full(4, 1e200)).to_csv(path)
+    for argv in (["curvature"], ["ratio", "thm12"], ["ratio", "thm13"], ["ratio", "prop11"]):
+        code, stdout, err = run(capsys, [*argv, "--input", str(path), "--d", "1", "--samples", "200"])
+        assert (code, stdout) == (2, ""), argv
+        assert "mass factor" in err and "Traceback" not in err
+
+
 def test_bad_sample_counts_exit_2(tmp_path, capsys):
     path = tmp_path / "circle.csv"
     gen_sphere(2, 500, seed=1).to_csv(path)

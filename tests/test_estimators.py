@@ -18,7 +18,7 @@ from menger.estimators import (
     handle_indices,
     prop11_ratio,
 )
-from menger.measure import Ball, WeightedPointCloud, gen_plane_patch, gen_sphere
+from menger.measure import Ball, WeightedPointCloud, gen_sphere
 from menger.sequences import annulus_conditional_mass, constants
 
 
@@ -303,7 +303,6 @@ def test_classify_well_scaled():
     cls = classify_scale(X, 0.25)
     assert cls.kind == "well_scaled"
     assert cls.handle_indices == ()
-    assert cls.n_handles == 0
 
 
 def test_classify_scaled_cell_and_handles():
@@ -311,12 +310,8 @@ def test_classify_scaled_cell_and_handles():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, a0**4 * 2.0]])
     cls = classify_scale(X, a0)
     assert cls.kind == "scaled"
-    assert a0 ** (cls.k + 1) < cls.scale <= a0**cls.k
+    assert a0 ** (cls.k + 1) < geometry.scale_at0(X) <= a0**cls.k
     assert cls.handle_indices == (1,)
-    # p=2 backs off one level and keeps the handle set of that level
-    cls2 = classify_scale(X, a0, p=2)
-    assert cls2.k == cls.k - 1
-    assert cls2.p == 2
 
 
 def test_classify_degenerate_rejected():
@@ -324,11 +319,33 @@ def test_classify_degenerate_rejected():
         classify_scale(np.zeros((3, 2)), 0.25)
     with pytest.raises(ValueError):
         classify_scale(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 0.25)
-    with pytest.raises(ValueError):
-        classify_scale(np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 0.0]]), 0.25, p=3)
     for alpha0 in (0.0, 1.0, 1.5):  # the levels need 0 < alpha0 < 1
         with pytest.raises(ValueError):
             classify_scale(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.1]]), alpha0)
+
+
+def test_scale_classes_at_an_alpha0_whose_inverse_overflows():
+    # 1e-320 ** -1 overflows a float; the level -1 of a tuple with a
+    # coinciding point then has no handles, as at alpha0 = 0.25
+    T = np.array([[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]])
+    for alpha0 in (1e-320, 0.25):
+        _, scale, level, handles = estimators.scale_classes(T, alpha0)
+        assert scale.tolist() == [0.0] and level.tolist() == [-1]
+        assert not handles.any()
+    assert handle_indices(T[0], -1, 1e-320) == ()
+    with pytest.raises(ValueError, match="coincides"):
+        classify_scale(T[0], 1e-320)
+    cloud = WeightedPointCloud(T[0][[0, 2]], np.ones(2))
+    assert decomposition_check(cloud, None, 1, 1e-320, n_samples=200)["exact_partition"]
+
+
+def test_a_mass_factor_that_overflows_is_refused():
+    cloud = WeightedPointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.full(3, 1e200))
+    for mode in ("exact", "mc"):
+        with pytest.raises(ValueError, match="mass factor"):
+            continuous_curvature_sq(cloud, None, 1, n_samples=100, mode=mode)
+    with pytest.raises(ValueError, match="mass factor"):
+        decomposition_check(cloud, None, 1, 0.25, n_samples=100)
 
 
 def test_handle_indices_k0_takes_the_argmax():
@@ -378,15 +395,13 @@ def oracle_handles(X, k, alpha0):
     )
 
 
-def oracle_classify(X, alpha0, p):
+def oracle_classify(X, alpha0):
     norms = np.linalg.norm(X[1:] - X[0], axis=1)
     s = float(norms.min() / norms.max())
     if s > alpha0**3:
-        return ("well_scaled", 0, 3, s, ())
+        return ("well_scaled", 0, ())
     k = oracle_level(s, alpha0)
-    if p == 2 and k >= 1:
-        k -= 1
-    return ("scaled", k, p, s, oracle_handles(X, k, alpha0))
+    return ("scaled", k, oracle_handles(X, k, alpha0))
 
 
 def oracle_label(T, min_sep2, alpha0):
@@ -437,9 +452,8 @@ def test_scale_classes_match_scalar_oracle(alpha0, planted, seed):
             with pytest.raises(ValueError):
                 classify_scale(X, alpha0)
             continue
-        for p in (1, 2):
-            cls = classify_scale(X, alpha0, p)
-            assert (cls.kind, cls.k, cls.p, cls.scale, cls.handle_indices) == oracle_classify(X, alpha0, p)
+        cls = classify_scale(X, alpha0)
+        assert (cls.kind, cls.k, cls.handle_indices) == oracle_classify(X, alpha0)
         k = oracle_level(float(norms.min() / norms.max()), alpha0)
         for kk in {0, max(k - 1, 0), k, k + 1}:
             assert handle_indices(X, kk, alpha0) == oracle_handles(X, kk, alpha0)

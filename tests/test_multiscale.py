@@ -16,7 +16,6 @@ from menger.multiscale import (
     jones_flatness_continuous,
     jones_flatness_discrete,
     local_family,
-    m_of_Q,
     scale_index,
 )
 from menger.planes import beta2
@@ -56,8 +55,8 @@ def test_scale_index_with_an_overflowing_power():
 
 
 def test_m_of_q_uses_ball_diameter():
-    assert m_of_Q(Ball(np.zeros(2), 0.5), 0.25) == 0  # diam 1.0
-    assert m_of_Q(Ball(np.zeros(2), 0.125), 0.25) == 1  # diam 0.25
+    assert scale_index(Ball(np.zeros(2), 0.5).diameter, 0.25) == 0  # diam 1.0
+    assert scale_index(Ball(np.zeros(2), 0.125).diameter, 0.25) == 1  # diam 0.25
 
 
 def test_build_net_on_a_line():
@@ -326,7 +325,7 @@ def test_local_family_center_distance_rule(circle):
     fam_balls = local_family(fam, query)
     assert fam_balls
     for n, j, ball in fam_balls:
-        assert n >= m_of_Q(query, 0.25)
+        assert n >= scale_index(query.diameter, 0.25)
         gap = float(np.linalg.norm(ball.center - query.center))
         assert gap <= ball.radius + query.radius
 
@@ -349,9 +348,7 @@ def test_flatness_positive_on_circle(circle):
     fam = MultiresolutionFamily(circle, 0.25, order_seed=0)
     rep = jones_flatness_discrete(circle, circle.bounding_ball(), fam, 1)
     assert rep.total > 1e-4
-    d = rep.to_dict()
-    assert set(d) == {"total", "terms"}
-    assert set(d["terms"][0]) == {"level", "j", "beta2sq", "mass"}
+    assert set(rep.terms[0]) == {"level", "j", "beta2sq", "mass"}
 
 
 def test_family_rejects_bad_alpha0(circle):
@@ -372,6 +369,13 @@ def test_continuous_flatness_rejects_a_ball_wider_than_its_scale_grid():
     assert jones_flatness_continuous(circle, Ball(np.zeros(2), 1.5), 1).total > 1e-3
     with pytest.raises(ValueError, match="median nearest-neighbour distance"):
         jones_flatness_continuous(circle, Ball(np.zeros(2), 1e30), 1)
+    # at median nearest-neighbour distance 0 only an infinite width is too
+    # wide: its scales t = inf never fall below the floor
+    dup = WeightedPointCloud(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), np.ones(4))
+    assert dup.median_nn_distance() == 0.0
+    assert jones_flatness_continuous(dup, Ball(np.zeros(2), 2.0), 1).total == 0.0
+    with pytest.raises(ValueError, match="median nearest-neighbour distance"):
+        jones_flatness_continuous(dup, Ball(np.zeros(2), np.inf), 1)
 
 
 def test_beta2_scans_once_and_repeated_query_scans_nothing(circle, monkeypatch):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from menger.measure import Ball, WeightedPointCloud, gen_lipschitz_graph, gen_sphere
-from menger.planes import AffinePlane, _beta2_value, beta2, fit_plane_points
+from menger.planes import AffinePlane, _beta2_value, beta2
 
 
 def _fit_oracle(points, weights, d):
     """Weighted PCA plane, one statement per step with a per-row sign loop:
-    the reference `beta2` and `fit_plane_points` must match bit for bit."""
+    the reference `beta2` must match bit for bit."""
     P = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
     D = P.shape[1]
@@ -68,20 +68,25 @@ def test_projection_and_distance_consistent():
     assert many[1] <= 1e-12
 
 
-def test_fit_plane_points_recovers_exact_line():
+def _plane_of_all(pts, w, d):
+    """The plane of beta_2 over a ball that holds every point."""
+    return beta2(WeightedPointCloud(pts, w), Ball(np.zeros(pts.shape[1]), 1e3), d).plane
+
+
+def test_beta2_plane_recovers_exact_line():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]])
-    plane = fit_plane_points(pts, np.ones(4), 1)
+    plane = _plane_of_all(pts, np.ones(4), 1)
     assert plane.distance_many(pts).max() <= 1e-12
 
 
-def test_fit_plane_points_optimal_against_angle_scan():
+def test_beta2_plane_optimal_against_angle_scan():
     # independent oracle: best line through the weighted centroid, scanned
     # over a fine angle grid; the fitted plane may not do worse
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(20, 2)) * np.array([2.0, 0.5])
     w = rng.uniform(0.5, 2.0, size=20)
 
-    plane = fit_plane_points(pts, w, 1)
+    plane = _plane_of_all(pts, w, 1)
     obj = float(np.sum(w * plane.distance_many(pts) ** 2))
 
     centroid = (w[:, None] * pts).sum(axis=0) / w.sum()
@@ -93,22 +98,19 @@ def test_fit_plane_points_optimal_against_angle_scan():
     assert obj <= best * (1.0 + 1e-9)
 
 
-def test_fit_plane_points_rejects_bad_weights():
-    pts = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        fit_plane_points(pts, np.array([1.0, -1.0, 1.0]), 1)
-    with pytest.raises(ValueError):
-        fit_plane_points(pts, np.ones(2), 1)
-    with pytest.raises(ValueError):
-        fit_plane_points(pts, np.ones(3), 3)
+def test_beta2_rejects_plane_dimension_out_of_range():
+    cloud = WeightedPointCloud(np.zeros((3, 2)), np.ones(3))
+    for d in (0, 3):
+        with pytest.raises(ValueError):
+            beta2(cloud, Ball(np.zeros(2), 1.0), d)
 
 
 def test_fit_is_deterministic():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(30, 3))
     w = rng.uniform(0.1, 1.0, size=30)
-    a = fit_plane_points(pts, w, 2)
-    b = fit_plane_points(pts, w, 2)
+    a = _plane_of_all(pts, w, 2)
+    b = _plane_of_all(pts, w, 2)
     assert np.array_equal(a.point, b.point)
     assert np.array_equal(a.basis, b.basis)
 
@@ -191,10 +193,6 @@ def test_beta2_matches_the_oracle_bit_for_bit(case):
         assert _bits(res.value) == _bits(value) and _bits(res.mass) == _bits(mass)
         assert np.array_equal(_bits(res.plane.point), _bits(point))
         assert np.array_equal(_bits(res.plane.basis), _bits(basis))
-        if len(idx):
-            plane = fit_plane_points(cloud.points[idx], cloud.weights[idx], d)
-            assert np.array_equal(_bits(plane.point), _bits(point))
-            assert np.array_equal(_bits(plane.basis), _bits(basis))
 
 
 @pytest.mark.parametrize(
