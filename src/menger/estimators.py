@@ -95,11 +95,16 @@ def _tuple_stream(weights: np.ndarray, arity: int, n_samples: int, seed: int):
 
 
 def _mass_factor(w: np.ndarray, arity: int) -> float:
-    """mu(Q)^{d+2} of the restricted weights; a factor that overflows is
-    refused rather than carried as +inf into every estimate."""
+    """mu(Q)^{d+2} of the restricted weights; a factor that overflows or
+    falls below the smallest normal float is refused rather than carried
+    as +inf, 0 or a subnormal into every estimate."""
     factor = _power(float(w.sum()), arity)
     if factor == math.inf:
         raise ValueError(f"the mass factor mu(Q)^{arity} overflows a float; rescale the weights")
+    if factor < np.finfo(float).tiny:
+        raise ValueError(
+            f"the mass factor mu(Q)^{arity} underflows the smallest normal float; rescale the weights"
+        )
     return factor
 
 

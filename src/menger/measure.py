@@ -8,6 +8,7 @@ point.  Weights must be strictly positive.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,18 +303,13 @@ class WeightedPointCloud:
                 dim = int(header[4:])
             except ValueError as exc:
                 raise ValueError(f"malformed dimension header {header!r}") from exc
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                fields = line.split(",")
-                if len(fields) != dim + 1:
-                    raise ValueError(f"line {lineno}: expected {dim + 1} fields, got {len(fields)}")
-                rows.append([float(f) for f in fields])
-        if not rows:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        if arr.size == 0:
             raise ValueError("cloud CSV holds no points")
-        arr = np.asarray(rows, dtype=float)
+        if arr.shape[1] != dim + 1:
+            raise ValueError(f"expected {dim + 1} fields per row, got {arr.shape[1]}")
         return cls(arr[:, :dim], arr[:, dim])
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import classify_scale, concentration_test, handle_indices, scale_classes
-from .geometry import max_at0, min_at0, polar_sine, replace_coordinate, scale_at0
-from .measure import WeightedPointCloud
+from .geometry import as_tuple_array, max_at0, min_at0, polar_sine, replace_coordinate, scale_at0
+from .measure import Ball, WeightedPointCloud
 
 
 # Draws per step before a piece sampler gives up, and fresh bases before
@@ -96,19 +96,6 @@ def bar_index(a: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tuple plumbing (generic over numeric and symbolic coordinates)
-
-
-def _as_array(tup) -> np.ndarray:
-    """Stack a tuple of coordinates into a (len, D) float array."""
-    return np.stack([np.asarray(p, dtype=float) for p in tup])
-
-
-def _psin0(tup) -> float:
-    return polar_sine(_as_array(tup), 0)
-
-
-# ---------------------------------------------------------------------------
 # well-scaled sequences
 
 
@@ -169,7 +156,7 @@ def well_scaled_bound_report(seq, X, k: int, d: int, alpha0: float) -> list:
         raise ValueError(f"sequence must hold kd+1 = {kd + 1} elements")
     failures = []
     for q in range(1, kd + 1):
-        Xq = _as_array(seq[q - 1])
+        Xq = as_tuple_array(seq[q - 1])
         mq = max_at0(Xq)
         c = math.ceil(q / d)
         lo = alpha0 ** (k + 1 - c) * mx
@@ -180,7 +167,7 @@ def well_scaled_bound_report(seq, X, k: int, d: int, alpha0: float) -> list:
             failures.append((q, f"max_at0 {mq} exceeds {hi}"))
         if not (scale_at0(Xq) > alpha0**3 * (1.0 - BOUND_RTOL)):
             failures.append((q, "element not well-scaled"))
-    last = _as_array(seq[-1])
+    last = as_tuple_array(seq[-1])
     if not (min_at0(last) > alpha0 * mx * (1.0 - BOUND_RTOL)):
         failures.append((kd + 1, f"min_at0 {min_at0(last)} not above {alpha0 * mx}"))
     if abs(max_at0(last) - mx) > BOUND_RTOL * mx:
@@ -208,9 +195,9 @@ def multiscale_inequality_check(X, Y, Cp: float, k: int, d: int):
     Holds whenever is_in_augmented_set does; returns (ok, lhs, rhs).
     """
     kd = k * d
-    lhs = _psin0(tuple(X)) ** 2
+    lhs = polar_sine(X) ** 2
     pieces = well_scaled_sequence(X, Y, k, d)
-    rhs = (kd + 1) * Cp ** (2 * kd) * sum(_psin0(p) ** 2 for p in pieces)
+    rhs = (kd + 1) * Cp ** (2 * kd) * sum(polar_sine(p) ** 2 for p in pieces)
     return lhs <= rhs * (1.0 + CHAIN_RTOL), lhs, rhs
 
 
@@ -269,23 +256,23 @@ def is_in_overline_set(X, Z, Cp: float) -> bool:
         raise ValueError("piece size must be 2^(n-1)-1")
     nodes = [node for level in rake_tree(X, Z, n) for node in level]  # 1-based: i has children 2i, 2i+1
     return all(
-        _psin0(nodes[i - 1]) <= Cp * (_psin0(nodes[2 * i - 1]) + _psin0(nodes[2 * i]))
+        polar_sine(nodes[i - 1]) <= Cp * (polar_sine(nodes[2 * i - 1]) + polar_sine(nodes[2 * i]))
         for i in range(1, len(Z) + 1)
     )
 
 
 def rake_inequality_check(X, Z, Cp: float, n: int):
     """psin^2(X) <= 2^{n-1} Cp^{2(n-1)} sum_s psin^2(X^s); (ok, lhs, rhs)."""
-    lhs = _psin0(tuple(X)) ** 2
+    lhs = polar_sine(X) ** 2
     leaves = rake_sequence(X, Z, n)
-    rhs = 2 ** (n - 1) * Cp ** (2 * (n - 1)) * sum(_psin0(leaf) ** 2 for leaf in leaves)
+    rhs = 2 ** (n - 1) * Cp ** (2 * (n - 1)) * sum(polar_sine(leaf) ** 2 for leaf in leaves)
     return lhs <= rhs * (1.0 + CHAIN_RTOL), lhs, rhs
 
 
 def rake_property_level(Xs, k: int, alpha0: float) -> int | None:
     """Smallest k' in [0, k-1] certifying the leaf as a single-handled
     simplex with tolerance p=2, or None."""
-    Xs = _as_array(Xs)
+    Xs = as_tuple_array(Xs)
     _, scale, level, _ = scale_classes(Xs[None], alpha0)
     # alpha0^{k'+2} < scale <= alpha0^{k'} holds for k' = level - 1 and
     # k' = level only, and the handle count never falls from k' to k' + 1.
@@ -298,8 +285,8 @@ def rake_property_level(Xs, k: int, alpha0: float) -> int | None:
 def check_rake_property(Xs, X, k: int, alpha0: float) -> bool:
     """Leaf lemma: the leaf never outgrows the parent's top edge and sits
     in a single-handled class at some level k' <= k-1."""
-    Xs_arr = _as_array(Xs)
-    X_arr = _as_array(X)
+    Xs_arr = as_tuple_array(Xs)
+    X_arr = as_tuple_array(X)
     if max_at0(Xs_arr) > max_at0(X_arr) * (1.0 + BOUND_RTOL):
         return False
     return rake_property_level(Xs_arr, k, alpha0) is not None
@@ -311,11 +298,9 @@ def check_rake_property(Xs, X, k: int, alpha0: float) -> bool:
 
 def annulus_indices(cloud: WeightedPointCloud, center, r: float, level: int, alpha0: float) -> np.ndarray:
     """Support indices in A_level(center, r): alpha0^{level+1} r < dist <= alpha0^level r."""
-    v = cloud.points - np.asarray(center, dtype=float)
-    dist2 = np.einsum("ij,ij->i", v, v)
-    lo = alpha0 ** (level + 1) * r
-    hi = alpha0**level * r
-    return np.nonzero((dist2 > lo * lo) & (dist2 <= hi * hi))[0]
+    P = cloud.points
+    outer = Ball(center, alpha0**level * r).contains(P)
+    return np.nonzero(outer & ~Ball(center, alpha0 ** (level + 1) * r).contains(P))[0]
 
 
 def annulus_conditional_mass(
@@ -329,7 +314,7 @@ def annulus_conditional_mass(
     radius.  The claimed lower bound is half that ball mass; the harness
     compares against it.
     """
-    Xp = _as_array(X_tilde_prev)
+    Xp = as_tuple_array(X_tilde_prev)
     member = concentration_test(Xp, 1, bar_index(q + 1, d), Cp)
     idx = annulus_indices(cloud, Xp[0], max_at0(Xp), k - math.ceil(q / d), alpha0)
     if len(idx) == 0:
@@ -410,11 +395,11 @@ def sample_short_scale_piece(
     for i in range(1, short_scale_size(n) + 1):
         parent = nodes[i - 1]
         j = i.bit_length() - 1
-        lhs = _psin0(parent)
+        lhs = polar_sine(parent)
         for _ in range(PIECE_ATTEMPTS):
             z = cloud.points[_draw(rng, idx, cloud.weights)]
             left, right = _rake_children(parent, z, n, j)
-            if lhs <= Cp * (_psin0(left) + _psin0(right)):
+            if lhs <= Cp * (polar_sine(left) + polar_sine(right)):
                 break
         else:
             raise PieceSamplingError("two-child inequality kept rejecting", i)

@@ -1,14 +1,17 @@
 """Seeded verification suites for every statement the library can test.
 
 Four suites (geometry, multiscale, sequences, inequalities) run moderate
-sample counts so `verify all` stays interactive; the pytest acceptance
-suite re-runs the heavy versions.  Reports are plain dicts of Python
-scalars, deterministic for a fixed seed, safe to serialise with
-json.dumps(..., sort_keys=True) and compare byte for byte.
+sample counts so `verify all` stays interactive.  The checks that take
+their samples as arguments (comparability_violations, deviation_violations,
+level_axioms) are the one implementation of their statements: the
+acceptance tests call them on their own, heavier samples.  Reports are
+plain dicts of Python scalars, deterministic for a fixed seed, safe to
+serialise with json.dumps(..., sort_keys=True) and compare byte for byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -61,7 +64,9 @@ def _suite(name: str, checks: list) -> dict:
     return {"suite": name, "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def _random_plane(rng, d: int, D: int) -> AffinePlane:
+def random_plane(rng, d: int, D: int) -> AffinePlane:
+    """A d-plane in R^D: the QR basis of a normal (D, d) draw, then a
+    normal offset, both from rng in that order."""
     q, _ = np.linalg.qr(rng.normal(size=(D, d)))
     return AffinePlane(rng.normal(size=D), q.T[:d])
 
@@ -70,18 +75,59 @@ def _random_plane(rng, d: int, D: int) -> AffinePlane:
 # geometry
 
 
+def comparability_violations(T: np.ndarray) -> tuple:
+    """Menger comparability c_M^2/12 <= c_1^2 <= c_M^2/4 on a (B, 3, D)
+    stack of triangles, each side with slack RTOL * c_M^2.
+
+    Returns (lower, upper, c1_sq, cm_sq): the number of triangles that
+    break each side, a NaN counting as a break, and the two squared
+    curvatures per triangle."""
+    c1_sq = _batch.curvature_terms(T)["cd_sq"]
+    d2, area2 = _batch.pair_and_content_sq(T, 0)  # area2: squared parallelogram content
+    cm_sq = 4.0 * area2 / (d2[:, 0] * d2[:, 1] * d2[:, 2])
+    slack = RTOL * cm_sq
+    lower = int(np.sum(~(cm_sq / 12.0 - slack <= c1_sq)))
+    upper = int(np.sum(~(c1_sq <= cm_sq / 4.0 + slack)))
+    return lower, upper, c1_sq, cm_sq
+
+
+def deviation_violations(T: np.ndarray, plane: AffinePlane) -> tuple:
+    """Height and plane-deviation bounds on the polar sine at x_0 of a
+    (B, d+2, D) stack, each with relative slack RTOL:
+
+        psin_{x_0} <= 2(d+1)/scale_0 * h / diam            (h: least height)
+        h <= sqrt(2) ceil((d+1)/2) * dev                   (dev: l2 distance
+        psin_{x_0} <= sqrt(2)(d+1)(d+2)/scale_0 * dev / diam   to `plane`)
+
+    Returns (max psin at x_0, chain violations, bound violations): the
+    first two lines count as the chain, the last as the bound, and a NaN
+    on either side counts as a violation."""
+    B, m, D = T.shape
+    d = m - 2
+    psin0 = np.sqrt(_batch.psin_sq_at(T, 0))
+    diam = np.sqrt(_batch.pairwise_sq(T).max(axis=(1, 2)))
+    norms = np.linalg.norm(T[:, 1:, :] - T[:, :1, :], axis=2)
+    scale0 = norms.min(axis=1) / norms.max(axis=1)
+    heights = np.stack(
+        [np.sqrt(_batch.affine_span_dist_sq(np.delete(T, i, axis=1), T[:, i, :])) for i in range(m)],
+        axis=1,
+    ).min(axis=1)
+    dist = plane.distance_many(T.reshape(-1, D)).reshape(B, m)
+    dev = np.sqrt((dist**2).sum(axis=1))
+    slack = 1.0 + RTOL
+    chain = int(np.sum(~(psin0 <= slack * 2 * (d + 1) / scale0 * heights / diam)))
+    chain += int(np.sum(~(heights <= slack * math.sqrt(2.0) * math.ceil((d + 1) / 2) * dev)))
+    bound = int(np.sum(~(psin0 <= slack * math.sqrt(2.0) * (d + 1) * (d + 2) / scale0 * dev / diam)))
+    return float(psin0.max()), chain, bound
+
+
 def suite_geometry(seed: int = 7) -> dict:
     checks = []
 
     # Menger comparability on random triangles; equilateral attains the cap.
     rng = _rng(seed, 1)
     T = rng.normal(size=(10_000, 3, 2))
-    c1_sq = _batch.curvature_terms(T)["cd_sq"]
-    d2, area2 = _batch.pair_and_content_sq(T, 0)  # area2: squared parallelogram content
-    cm_sq = 4.0 * area2 / (d2[:, 0] * d2[:, 1] * d2[:, 2])
-    eps = RTOL * cm_sq
-    lo_bad = int(np.sum(c1_sq < cm_sq / 12.0 - eps))
-    hi_bad = int(np.sum(c1_sq > cm_sq / 4.0 + eps))
+    lo_bad, hi_bad, _, _ = comparability_violations(T)
     eq = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
     c1_eq = geometry.discrete_curvature(eq)
     cm_eq = geometry.menger_curvature(eq)
@@ -176,29 +222,10 @@ def suite_geometry(seed: int = 7) -> dict:
     chain_bad = 0
     prop_bad = 0
     for d in (1, 2, 3):
-        rng = _rng(seed, 30 + d)
-        D = d + 1
-        T = rng.normal(size=(2000, d + 2, D))
-        psin0 = np.sqrt(_batch.psin_sq_at(T, 0))
-        diam = np.sqrt(_batch.pairwise_sq(T).max(axis=(1, 2)))
-        norms = np.linalg.norm(T[:, 1:, :] - T[:, :1, :], axis=2)
-        scale0 = norms.min(axis=1) / norms.max(axis=1)
-        heights = np.stack(
-            [
-                np.sqrt(_batch.affine_span_dist_sq(np.delete(T, i, axis=1), T[:, i, :]))
-                for i in range(d + 2)
-            ],
-            axis=1,
-        )
-        h = heights.min(axis=1)
-        slack = 1.0 + RTOL
-        chain_bad += int(np.sum(psin0 > slack * 2 * (d + 1) / scale0 * h / diam))
-        plane = _random_plane(_rng(seed, 40 + d), d, D)
-        dist = plane.distance_many(T.reshape(-1, D)).reshape(len(T), d + 2)
-        dev = np.sqrt((dist**2).sum(axis=1))
-        chain_bad += int(np.sum(h > slack * math.sqrt(2.0) * math.ceil((d + 1) / 2) * dev))
-        bound = math.sqrt(2.0) * (d + 1) * (d + 2) / scale0 * dev / diam
-        prop_bad += int(np.sum(psin0 > slack * bound))
+        T = _rng(seed, 30 + d).normal(size=(2000, d + 2, d + 1))
+        _, chain, bound = deviation_violations(T, random_plane(_rng(seed, 40 + d), d, d + 1))
+        chain_bad += chain
+        prop_bad += bound
     checks.append(_check("height_deviation_chain", chain_bad == 0, violations=chain_bad))
     checks.append(_check("plane_deviation_bound", prop_bad == 0, violations=prop_bad))
 
@@ -223,45 +250,43 @@ def suite_geometry(seed: int = 7) -> dict:
 # multiscale
 
 
-def _net_separation_ok(points: np.ndarray, level) -> bool:
-    net = points[np.asarray(level.net)]
-    if len(net) < 2:
-        return True
-    diff = net[:, None, :] - net[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(dist2, np.inf)
-    return bool(dist2.min() > level.quarter_radius**2)
+def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All distances between the rows of a and of b, shape (len(a), len(b))."""
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 
 
-def _level_axioms(cloud, level) -> dict:
+def level_axioms(cloud, level) -> dict:
+    """The axioms of one multiresolution level, each True when it holds
+    exactly, with q = level.quarter_radius:
+
+    separation        net points pairwise more than q apart
+    covering          every point within q of the net
+    quarter_disjoint  kept centres pairwise more than 2q apart
+    partition_total   one kept index per point
+    sandwich_upper    every point within 3q of its cell's centre
+    sandwich_lower    a point within q of a kept centre belongs to its cell
+
+    A partition that is not total leaves both sandwich axioms False."""
     pts = cloud.points
     q = level.quarter_radius
     net = pts[np.asarray(level.net)]
-
-    d_to_net = np.sqrt(((pts[:, None, :] - net[None, :, :]) ** 2).sum(axis=2))
-    covering = bool((d_to_net.min(axis=1) <= q).all())
-
     centers = net[np.asarray(level.kept)]
-    if len(centers) > 1:
-        dk = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
-        np.fill_diagonal(dk, np.inf)
-        quarter_disjoint = bool(dk.min() > 2 * q)
-    else:
-        quarter_disjoint = True
-
+    gaps = _dist(net, net)
+    np.fill_diagonal(gaps, np.inf)
+    dk = _dist(centers, centers)
+    np.fill_diagonal(dk, np.inf)
     part = np.asarray(level.partition)
-    total = bool((part >= 0).all() and (part < len(centers)).all()) and len(part) == len(pts)
-
-    dist_c = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
-    own = dist_c[np.arange(len(pts)), part]
-    upper = bool((own <= 3 * q * (1 + 1e-12)).all())  # cell inside (3/4) B_j
-    quarter_pt, quarter_j = np.nonzero(dist_c <= q)  # quarter balls are disjoint
-    lower = bool((part[quarter_pt] == quarter_j).all())
-
+    total = len(part) == len(pts) and bool(((part >= 0) & (part < len(centers))).all())
+    upper = lower = False
+    if total:
+        dist_c = _dist(pts, centers)
+        upper = bool((dist_c[np.arange(len(pts)), part] <= 3 * q).all())  # cell inside (3/4) B_j
+        quarter_pt, quarter_j = np.nonzero(dist_c <= q)  # quarter balls are disjoint
+        lower = np.array_equal(part[quarter_pt], quarter_j)
     return {
-        "separation": _net_separation_ok(cloud.points, level),
-        "covering": covering,
-        "quarter_disjoint": quarter_disjoint,
+        "separation": bool(gaps.min(initial=np.inf) > q),
+        "covering": bool((_dist(pts, net).min(axis=1) <= q).all()),
+        "quarter_disjoint": bool(dk.min(initial=np.inf) > 2 * q),
         "partition_total": total,
         "sandwich_upper": upper,
         "sandwich_lower": lower,
@@ -282,7 +307,7 @@ def suite_multiscale(seed: int = 7, corrupt_net: bool = False) -> dict:
     for name, cloud in clouds.items():
         fam = multiscale.MultiresolutionFamily(cloud, alpha0, order_seed=seed)
         for n in range(fam.n_top, min(fam.n_top + 3, fam.n_floor + 1)):
-            ax = _level_axioms(cloud, fam.level(n))
+            ax = level_axioms(cloud, fam.level(n))
             n_levels += 1
             for key, ok in ax.items():
                 if not ok:
@@ -291,14 +316,8 @@ def suite_multiscale(seed: int = 7, corrupt_net: bool = False) -> dict:
         cloud = clouds["circle"]
         fam = multiscale.MultiresolutionFamily(cloud, alpha0, order_seed=seed)
         level = fam.level(fam.n_top + 1)
-        corrupt = multiscale.NetLevel(
-            n=level.n,
-            alpha0=level.alpha0,
-            net=np.append(level.net, level.net[0]),
-            kept=level.kept,
-            partition=level.partition,
-        )
-        if not _net_separation_ok(cloud.points, corrupt):
+        corrupt = dataclasses.replace(level, net=np.append(level.net, level.net[0]))
+        if not level_axioms(cloud, corrupt)["separation"]:
             axiom_fail.append("injected/net_separation")
     checks.append(
         _check(
@@ -358,16 +377,14 @@ def suite_multiscale(seed: int = 7, corrupt_net: bool = False) -> dict:
     )
 
     # Continuous functional on the blown ball stays comparable (one-sided).
-    fam_c = multiscale.MultiresolutionFamily(circle, alpha0, order_seed=seed)
-    rd = multiscale.jones_flatness_discrete(circle, q, fam_c, 1)
     rc = multiscale.jones_flatness_continuous(circle, q.blow(6.0), 1, x_cap=64)
     checks.append(
         _check(
             "discrete_vs_continuous_flatness",
-            rc.total > 0 or rd.total == 0,
-            discrete=rd.total,
+            rc.total > 0 or r1.total == 0,
+            discrete=r1.total,
             continuous_6Q=rc.total,
-            ratio=(rd.total / rc.total) if rc.total > 0 else None,
+            ratio=(r1.total / rc.total) if rc.total > 0 else None,
         )
     )
 

@@ -2,7 +2,10 @@
 
 Each test pins its own seeds and clouds so a failure reproduces in
 isolation.  Tolerances are the contractual ones, not what happens to
-pass today.
+pass today.  Where `menger verify` has a check that takes its samples as
+arguments (Menger comparability, the plane-deviation bounds, the level
+axioms), the test calls that check on its own samples, so each statement
+has one implementation.
 """
 
 import json
@@ -11,9 +14,8 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
-from menger import _batch, estimators, geometry, multiscale, sequences
+from menger import estimators, geometry, multiscale, sequences, verify
 from menger.measure import (
     Ball,
     WeightedPointCloud,
@@ -23,25 +25,16 @@ from menger.measure import (
     gen_sphere,
     regularity_constant,
 )
-from menger.planes import AffinePlane
 
 RTOL = 1e-9
-
-
-def _random_plane(rng, d, D):
-    q, _ = np.linalg.qr(rng.normal(size=(D, d)))
-    return AffinePlane(rng.normal(size=D), q.T[:d])
 
 
 def test_menger_comparability_over_random_triangles():
     rng = np.random.default_rng((101, 1))
     T = rng.normal(size=(10_000, 3, 2))
-    c1_sq = _batch.curvature_terms(T)["cd_sq"]
-    d2 = _batch.pairwise_sq(T)
-    cm_sq = 4.0 * _batch.content_sq(T, 0) / (d2[:, 0, 1] * d2[:, 0, 2] * d2[:, 1, 2])
-    slack = RTOL * cm_sq
-    assert int(np.sum(c1_sq < cm_sq / 12.0 - slack)) == 0
-    assert int(np.sum(c1_sq > cm_sq / 4.0 + slack)) == 0
+    lower, upper, c1_sq, cm_sq = verify.comparability_violations(T)
+    assert lower == 0
+    assert upper == 0
 
     # tie the vectorised sweep to the public scalar API on a subsample
     for i in rng.choice(len(T), size=40, replace=False):
@@ -76,35 +69,18 @@ def test_elevation_product_formula_on_random_simplices():
 
 
 def test_polar_sine_range_and_plane_deviation_bounds():
-    slack = 1.0 + RTOL
     pairs = 0
     for d in (1, 2, 3):
         D = d + 1
         rng = np.random.default_rng((103, d))
         for _ in range(25):
             T = rng.normal(size=(140, d + 2, D))
-            psin0 = np.sqrt(_batch.psin_sq_at(T, 0))
-            assert psin0.max() <= 1.0 + 1e-12
-            diam = np.sqrt(_batch.pairwise_sq(T).max(axis=(1, 2)))
-            norms = np.linalg.norm(T[:, 1:, :] - T[:, :1, :], axis=2)
-            scale0 = norms.min(axis=1) / norms.max(axis=1)
-            heights = np.stack(
-                [
-                    np.sqrt(_batch.affine_span_dist_sq(np.delete(T, i, axis=1), T[:, i, :]))
-                    for i in range(d + 2)
-                ],
-                axis=1,
-            ).min(axis=1)
-
-            plane = _random_plane(rng, d, D)
-            dist = plane.distance_many(T.reshape(-1, D)).reshape(len(T), d + 2)
-            dev = np.sqrt((dist**2).sum(axis=1))
-
+            max_psin, chain, bound = verify.deviation_violations(T, verify.random_plane(rng, d, D))
+            assert max_psin <= 1.0 + 1e-12
             # polar sine against the smallest height, height against the
             # l2 deviation from any plane, then the combined bound
-            assert np.all(psin0 <= slack * 2 * (d + 1) / scale0 * heights / diam)
-            assert np.all(heights <= slack * math.sqrt(2.0) * math.ceil((d + 1) / 2) * dev)
-            assert np.all(psin0 <= slack * math.sqrt(2.0) * (d + 1) * (d + 2) / scale0 * dev / diam)
+            assert chain == 0
+            assert bound == 0
             pairs += len(T)
     assert pairs >= 10_000
 
@@ -178,37 +154,12 @@ def test_net_and_partition_axioms_hold_exactly():
         gen_four_corner_cantor(4),
     ]
     for cloud in clouds:
-        pts = cloud.points
         fam = multiscale.MultiresolutionFamily(cloud, 0.25, order_seed=106)
         levels = list(fam.levels_for(cloud.bounding_ball()))[:4]
         assert len(levels) == 4
         for n in levels:
-            level = fam.level(n)
-            q = level.quarter_radius
-            net = pts[np.asarray(level.net)]
-
-            gaps = np.sqrt(((net[:, None, :] - net[None, :, :]) ** 2).sum(axis=2))
-            np.fill_diagonal(gaps, np.inf)
-            assert gaps.min() > q  # separation
-
-            d_to_net = np.sqrt(((pts[:, None, :] - net[None, :, :]) ** 2).sum(axis=2))
-            assert np.all(d_to_net.min(axis=1) <= q)  # covering
-
-            centers = net[np.asarray(level.kept)]
-            if len(centers) > 1:
-                dk = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
-                np.fill_diagonal(dk, np.inf)
-                assert dk.min() > 2 * q  # quarter blowups disjoint
-
-            part = np.asarray(level.partition)
-            assert len(part) == len(pts)
-            assert part.min() >= 0 and part.max() < len(centers)
-
-            dist_c = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
-            own = dist_c[np.arange(len(pts)), part]
-            assert np.all(own <= 3 * q)  # cell sits inside the 3/4 ball
-            qi, qj = np.nonzero(dist_c <= q)
-            assert np.array_equal(part[qi], qj)  # quarter ball is owned outright
+            failed = [key for key, ok in verify.level_axioms(cloud, fam.level(n)).items() if not ok]
+            assert failed == []
 
 
 def test_sequence_constructors_reproduce_worked_lists():

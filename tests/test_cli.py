@@ -189,6 +189,15 @@ def test_a_mass_factor_that_overflows_exits_2(tmp_path, capsys):
         assert "mass factor" in err and "Traceback" not in err
 
 
+def test_a_mass_factor_that_underflows_exits_2(tmp_path, capsys):
+    # mu(Q)^3 = (4e-120)^3 underflows to 0; 4^3 tuples take the exact path
+    path = tmp_path / "light.csv"
+    WeightedPointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.full(4, 1e-120)).to_csv(path)
+    code, stdout, err = run(capsys, ["curvature", "--input", str(path), "--d", "1"])
+    assert (code, stdout) == (2, "")
+    assert "mass factor" in err and "Traceback" not in err
+
+
 def test_bad_sample_counts_exit_2(tmp_path, capsys):
     path = tmp_path / "circle.csv"
     gen_sphere(2, 500, seed=1).to_csv(path)

@@ -348,6 +348,17 @@ def test_a_mass_factor_that_overflows_is_refused():
         decomposition_check(cloud, None, 1, 0.25, n_samples=100)
 
 
+def test_a_mass_factor_that_underflows_is_refused():
+    # mu(Q)^3 = (3e-120)^3 underflows to 0: the exact path divided by it,
+    # the Monte Carlo path returned 0 silently
+    cloud = WeightedPointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.full(3, 1e-120))
+    for mode in ("exact", "mc"):
+        with pytest.raises(ValueError, match="mass factor"):
+            continuous_curvature_sq(cloud, None, 1, n_samples=100, mode=mode)
+    with pytest.raises(ValueError, match="mass factor"):
+        decomposition_check(cloud, None, 1, 0.25, n_samples=100)
+
+
 def test_handle_indices_k0_takes_the_argmax():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.4], [0.3, 0.0]])
     assert handle_indices(X, 0, 0.25) == (1,)

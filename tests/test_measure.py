@@ -133,6 +133,10 @@ def test_csv_reader_rejects_malformed(tmp_path):
     p.write_text("dim=2\n")
     with pytest.raises(ValueError):
         WeightedPointCloud.from_csv(p)  # no points
+    for numeral in ("1_0", "\u0661"):  # float() reads both, a CSV numeral neither
+        p.write_text(f"dim=2\n{numeral},2.0,1.0\n")
+        with pytest.raises(ValueError):
+            WeightedPointCloud.from_csv(p)
 
 
 # ---------------------------------------------------------------------------

@@ -63,47 +63,6 @@ X5 = tuple(f"x{i}" for i in range(5))
 Y6 = tuple(f"y{q}" for q in range(1, 7))
 
 
-def test_auxiliary_sequence_worked_example_d3_k2():
-    aux = sq.auxiliary_sequence(X5, Y6, k=2, d=3)
-    assert aux[0] == X5
-    assert aux[1] == ("x0", "x1", "y1", "x3", "x4")
-    assert aux[2] == ("x0", "x1", "y1", "y2", "x4")
-    assert aux[3] == ("x0", "x1", "y1", "y2", "y3")
-    assert aux[4] == ("x0", "x1", "y4", "y2", "y3")
-    assert aux[5] == ("x0", "x1", "y4", "y5", "y3")
-    assert aux[6] == ("x0", "x1", "y4", "y5", "y6")
-
-
-def test_well_scaled_sequence_worked_example_d3_k2():
-    main = sq.well_scaled_sequence(X5, Y6, k=2, d=3)
-    assert main == [
-        ("x0", "y1", "x2", "x3", "x4"),
-        ("x0", "y2", "y1", "x3", "x4"),
-        ("x0", "y3", "y1", "y2", "x4"),
-        ("x0", "y4", "y1", "y2", "y3"),
-        ("x0", "y5", "y4", "y2", "y3"),
-        ("x0", "y6", "y4", "y5", "y3"),
-        ("x0", "x1", "y4", "y5", "y6"),
-    ]
-
-
-def test_sequences_worked_example_d1_k3():
-    aux = sq.auxiliary_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"), k=3, d=1)
-    main = sq.well_scaled_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"), k=3, d=1)
-    assert aux == [
-        ("x0", "x1", "x2"),
-        ("x0", "x1", "y1"),
-        ("x0", "x1", "y2"),
-        ("x0", "x1", "y3"),
-    ]
-    assert main == [
-        ("x0", "y1", "x2"),
-        ("x0", "y2", "y1"),
-        ("x0", "y3", "y2"),
-        ("x0", "x1", "y3"),
-    ]
-
-
 def test_sequences_match_independent_recurrence():
     # re-derive both sequences from the one-line recurrence and diff
     def brute(X, Y, k, d):
@@ -141,20 +100,6 @@ def test_rake_tree_worked_example_n2():
     assert tree[0] == [("x0", "x1", "x2", "x3")]
     assert tree[1] == [("x0", "x1", "z1", "x3"), ("x0", "x2", "z1", "x3")]
     assert sq.rake_sequence(("x0", "x1", "x2", "x3"), ("z1",), 2, 2) == tree[1]
-
-
-def test_rake_tree_worked_example_n3():
-    tree = sq.rake_tree(X5, ("z1", "z2", "z3"), n=3, d=3)
-    assert tree[1] == [
-        ("x0", "x1", "x2", "z1", "x4"),
-        ("x0", "x1", "x3", "z1", "x4"),
-    ]
-    assert tree[2] == [
-        ("x0", "x1", "z2", "z1", "x4"),
-        ("x0", "x2", "z2", "z1", "x4"),
-        ("x0", "x1", "z3", "z1", "x4"),
-        ("x0", "x3", "z3", "z1", "x4"),
-    ]
 
 
 def test_rake_tree_validation():
