@@ -73,8 +73,8 @@ class _Plan(NamedTuple):
     m: int
     ia: np.ndarray  # (P,)
     ic: np.ndarray  # (P,)
-    left: np.ndarray | None  # (P + Q,); None when Q = 0: then the pair
-    right: np.ndarray | None  # (P + Q,)   rows themselves are both factors
+    left: np.ndarray  # (P + Q,)
+    right: np.ndarray  # (P + Q,)
     neg: np.ndarray | None  # (P + Q,) bool; None when no column is negated
     gram: np.ndarray  # (len(bases) * k * k,)
     edges: np.ndarray  # (m, m-1): the pairs {i, j}, j != i ascending, at vertex i
@@ -115,8 +115,8 @@ def _plan(m: int, D: int, bases: tuple) -> _Plan:
         m,
         ia,
         ic,
-        np.array(left, dtype=np.intp) if column else None,
-        np.array(right, dtype=np.intp) if column else None,
+        np.array(left, dtype=np.intp),
+        np.array(right, dtype=np.intp),
         np.array(neg) if any(neg) else None,
         np.array(gram, dtype=np.intp),
         np.array([[pair[i, j] for j in range(m) if j != i] for i in range(m)], dtype=np.intp),
@@ -132,10 +132,7 @@ def _blocks(T: np.ndarray, bases: tuple):
         rows = slice(lo, lo + plan.rows)
         block = T[rows]
         diff = np.subtract(block.take(plan.ia, axis=1), block.take(plan.ic, axis=1))
-        if plan.left is None:
-            dots = np.einsum("bjk,bjk->bj", diff, diff)
-        else:
-            dots = np.einsum("bjk,bjk->bj", diff.take(plan.left, axis=1), diff.take(plan.right, axis=1))
+        dots = np.einsum("bjk,bjk->bj", diff.take(plan.left, axis=1), diff.take(plan.right, axis=1))
         if plan.neg is not None:
             np.subtract(0.0, dots, out=dots, where=plan.neg)
         yield plan, rows, dots

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _batch, geometry
-from .measure import Ball, WeightedPointCloud, _power
+from .measure import Ball, WeightedPointCloud, _level, _power, _powers
 from .planes import beta2
 
 EXACT_TUPLE_LIMIT = 10_000_000
@@ -187,22 +187,16 @@ class ScaleClass:
     handle_indices: tuple
 
 
-def _powers(alpha0: float, exps: np.ndarray) -> np.ndarray:
-    """alpha0**j for every entry j of exps, each one Python's float power
-    (+inf where it overflows)."""
-    return np.array([_power(alpha0, j) for j in exps.tolist()], dtype=float)
-
-
 def scale_classes(T, alpha0: float, level=None):
     """Scale class at x_0 of every tuple of a (B, m, D) stack: the edge
     lengths |x_i - x_0| (B, m-1), the scale min/max of them (0 if an edge
     vanishes), the level k with alpha0^{k+1} < scale <= alpha0^k (-1 at
     scale 0) and the handle mask (B, m-1) of handle_indices at level k.
 
-    Every alpha0^k is Python's float power, so levels match the scalar
-    definition bit for bit; the log estimate only has to land near k.  A
-    given level ((B,) ints) sets the k of the handles and is returned as
-    the level.
+    The level is measure._level of the scale, and every alpha0^k is
+    measure._power, so levels and handles match the scalar definition bit
+    for bit.  A given level ((B,) ints) sets the k of the handles and is
+    returned as the level.
     """
     if not 0.0 < alpha0 < 1.0:
         raise ValueError("alpha0 must lie in (0, 1)")
@@ -214,14 +208,7 @@ def scale_classes(T, alpha0: float, level=None):
     ok = scale > 0.0
     if level is None:
         level = np.full(len(T), -1)
-        s = scale[ok]
-        k = np.floor(np.log(s) / math.log(alpha0)).astype(np.int64)
-        while len(k):
-            step = (_powers(alpha0, k + 1) >= s).astype(np.int64) - (_powers(alpha0, k) < s)
-            if not step.any():
-                break
-            k += step
-        level[ok] = k
+        level[ok] = _level(scale[ok], alpha0)
     level = np.asarray(level)
     ratios = norms / mx[:, None]
     handles = np.where(level[:, None] == 0, ratios >= 1.0, ratios > _powers(alpha0, level)[:, None])

@@ -51,6 +51,26 @@ def _power(base: float, exp: int) -> float:
         return math.inf
 
 
+def _powers(alpha0: float, exps: np.ndarray) -> np.ndarray:
+    """alpha0**j for every entry j of exps, each one _power."""
+    return np.array([_power(alpha0, j) for j in exps.tolist()], dtype=float)
+
+
+def _level(x, alpha0: float) -> np.ndarray:
+    """The k with alpha0^{k+1} < x <= alpha0^k of each entry of a 1-D array
+    of positive finite values, 0 < alpha0 < 1: a log estimate, then steps in
+    which every power is _power, so k matches the scalar definition bit for
+    bit."""
+    x = np.asarray(x, dtype=float)
+    k = np.floor(np.log(x) / math.log(alpha0)).astype(np.int64)
+    while len(k):
+        step = (_powers(alpha0, k + 1) >= x).astype(np.int64) - (_powers(alpha0, k) < x)
+        if not step.any():
+            break
+        k += step
+    return k
+
+
 # Largest leaf of the diameter's branch and bound; a cloud this small is
 # one leaf, scanned against itself.
 LEAF_SIZE = 256

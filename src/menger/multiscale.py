@@ -24,11 +24,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import InvariantError
-from .measure import _PAD, Ball, WeightedPointCloud, _power, _sq_norms
-from .planes import beta2
+from .measure import _PAD, Ball, WeightedPointCloud, _level, _power, _sq_norms
+from .planes import _check_dim, beta2
 
-# Hard cap on how far below the nearest-neighbour floor level building may
-# run; guards degenerate clouds with duplicated points.
+# Most levels a family spans below n_top.  A floor's level grows like
+# ln(diam / floor) / ln(1/alpha0), so only an alpha0 near 1 reaches it: a
+# cloud with duplicated points has the floor 1e-9 diam, 15 levels at
+# alpha0 = 0.25, and needs alpha0 above about 0.72 to reach 64.
 MAX_LEVELS_BELOW_TOP = 64
 # Ratio of consecutive scales t_{j+1} / t_j of the continuous functional's
 # quadrature.
@@ -39,20 +41,16 @@ BLOCK_CANDIDATES = 2**16
 
 
 def scale_index(diam: float, alpha0: float) -> int:
-    """m(Q) = ceil(ln diam / ln alpha0), patched so that the defining
-    sandwich alpha0^m <= diam < alpha0^{m-1} holds under floating point,
-    with a power that overflows taken as +inf, above every finite diameter.
-    The scale m(Q) of a ball Q is scale_index(Q.diameter, alpha0)."""
+    """m(Q), the m with alpha0^m <= diam < alpha0^{m-1} under floating
+    point, with a power that overflows taken as +inf, above every finite
+    diameter: the measure._level k of diam where alpha0^k equals it, else
+    k + 1.  The scale m(Q) of a ball Q is scale_index(Q.diameter, alpha0)."""
     if not 0.0 < diam < math.inf:
         raise ValueError("scale index needs a positive finite diameter")
     if not 0.0 < alpha0 < 1.0:
         raise ValueError("alpha0 must lie in (0, 1)")
-    m = math.ceil(math.log(diam) / math.log(alpha0))
-    while _power(alpha0, m) > diam:
-        m += 1
-    while _power(alpha0, m - 1) <= diam:
-        m -= 1
-    return m
+    k = int(_level([diam], alpha0)[0])
+    return k if _power(alpha0, k) == diam else k + 1
 
 
 def build_net(points: np.ndarray, order: np.ndarray, r: float) -> np.ndarray:
@@ -249,7 +247,9 @@ class MultiresolutionFamily:
     level (and everything derived from it) is deterministic.  Levels finer
     than the resolution floor (alpha0^n below the median nearest-neighbour
     distance) are not built: their balls hold too few points to carry
-    geometry and contribute 0 to the flatness sums.
+    geometry and contribute 0 to the flatness sums.  A floor
+    MAX_LEVELS_BELOW_TOP or more levels below n_top is refused with a
+    ValueError.
     """
 
     def __init__(self, cloud: WeightedPointCloud, alpha0: float, order_seed: int = 0):
@@ -267,10 +267,13 @@ class MultiresolutionFamily:
         floor = cloud.median_nn_distance()
         if floor <= 0:
             floor = 1e-9 * diam
-        n = self.n_top
-        while self.alpha0**n >= floor and n - self.n_top < MAX_LEVELS_BELOW_TOP:
-            n += 1
-        self.n_floor = n - 1  # deepest level built: alpha0^n >= resolution floor
+        # deepest level built: alpha0^n >= resolution floor
+        self.n_floor = max(int(_level([floor], alpha0)[0]), self.n_top - 1)
+        if self.n_floor - self.n_top >= MAX_LEVELS_BELOW_TOP:
+            raise ValueError(
+                f"resolution floor {floor!r} lies {self.n_floor - self.n_top} levels below the top level "
+                f"{self.n_top}, at or past the cap of {MAX_LEVELS_BELOW_TOP}; use a smaller alpha0"
+            )
 
     def level(self, n: int) -> NetLevel:
         if n not in self._levels:
@@ -312,6 +315,7 @@ def jones_flatness_discrete(
     """J_d^D(mu|_Q) = sum over B in D(Q) of beta_2^2(B) mu(B)."""
     if family.cloud is not cloud:
         raise ValueError("family was built over a different cloud")
+    _check_dim(d, cloud.ambient_dim)
     terms = []
     total = 0.0
     for n, j, _ in local_family(family, query):
@@ -342,6 +346,7 @@ def jones_flatness_continuous(
     """
     if x_cap < 1:
         raise ValueError("x_cap must be >= 1")
+    _check_dim(d, cloud.ambient_dim)
 
     idx = cloud.in_ball(query)
     terms: list = []

@@ -58,6 +58,12 @@ def _canonical_frame(d: int, D: int) -> np.ndarray:
     return np.eye(D)[:d]
 
 
+def _check_dim(d: int, D: int) -> None:
+    """Refuse a plane dimension outside 1 <= d <= D."""
+    if not 1 <= d <= D:
+        raise ValueError(f"plane dimension must satisfy 1 <= d <= {D}")
+
+
 def _fit(points: np.ndarray, weights: np.ndarray, mass, d: int):
     """Weighted PCA d-plane of (N, D) points with positive weights summing
     to `mass`: returns (centroid, basis, V), V = points - centroid.
@@ -69,8 +75,6 @@ def _fit(points: np.ndarray, weights: np.ndarray, mass, d: int):
     the result is deterministic; zero scatter gets the axis-aligned frame.
     """
     D = points.shape[1]
-    if not 1 <= d <= D:
-        raise ValueError(f"plane dimension must satisfy 1 <= d <= {D}")
     centroid = (weights[:, None] * points).sum(axis=0) / mass
     V = points - centroid
     scatter = (weights[:, None] * V).T @ V
@@ -96,7 +100,9 @@ def _beta2_value(dist: np.ndarray, weights: np.ndarray, mass, radius: float) -> 
 def beta2(cloud, ball, d: int) -> Beta2Result:
     """beta_2(B) = inf over affine d-planes, attained by the weighted PCA
     plane.  An empty restriction gives value 0 (mass 0) with a canonical
-    plane through the ball center; a ball of radius 0 gives value 0."""
+    plane through the ball center; a ball of radius 0 gives value 0.  A d
+    outside 1 <= d <= D is refused, whatever the ball holds."""
+    _check_dim(d, cloud.ambient_dim)
     idx = cloud.in_ball(ball)
     if len(idx) == 0:
         plane = AffinePlane(ball.center, _canonical_frame(d, cloud.ambient_dim))

@@ -9,7 +9,10 @@ sets (two-term polar sine inequalities along the construction) forces the
 multiscale inequalities, which is what the verification harness checks.
 
 Constructors are generic over coordinate type: rows of an array, or any
-opaque labels (symbols), which the golden tests use.
+opaque labels (symbols), which the golden tests use.  Sizes come from the
+tuples, checked where they enter (ValueError): a simplex X = (x_0, ...,
+x_{d+1}) sets d = len(X) - 2, a well-scaled piece Y of k*d points sets k,
+and a short-scale piece Z of 2^{n-1} - 1 points sets the handle count n.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ class PieceSamplingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constants:
-    d: int
-    Cmu: float
     Cp: float
     alpha0: float
 
@@ -70,14 +71,9 @@ def constants(d: int, Cmu: float = 1.0) -> Constants:
     if Cmu < 1:
         raise ValueError("Cmu must be >= 1")
     if d == 1:
-        return Constants(1, float(Cmu), 1.0, 1.0 / (4.0 * Cmu * Cmu))
+        return Constants(1.0, 1.0 / (4.0 * Cmu * Cmu))
     cp = math.sqrt(5.0) * math.pi**2 / (4.0 * math.asin(2.0 ** -(5.0 * d / 2.0 + 1.0) / Cmu**2))
-    return Constants(d, float(Cmu), cp, 1.0 / (2.0 * cp * cp))
-
-
-def augmented_size(k: int, d: int) -> int:
-    """Point count of a simplex plus its well-scaled piece: (k+1)d + 2."""
-    return (k + 1) * d + 2
+    return Constants(cp, 1.0 / (2.0 * cp * cp))
 
 
 def short_scale_size(n: int) -> int:
@@ -85,41 +81,41 @@ def short_scale_size(n: int) -> int:
     return 2 ** (n - 1) - 1
 
 
-def rake_point_count(d: int, n: int) -> int:
-    """Distinct points touched by a full rake construction: d+1+2^{n-1}."""
-    return d + 1 + 2 ** (n - 1)
-
-
 def bar_index(a: int, d: int) -> int:
     """The unique element of {2, ..., d+1} congruent to a mod d."""
     return 2 + (a - 2) % d
+
+
+def _dim(X) -> int:
+    """d of a simplex X = (x_0, ..., x_{d+1}): len(X) - 2, at least 1."""
+    if len(X) < 3:
+        raise ValueError(f"simplex needs d+2 >= 3 coordinates, got {len(X)}")
+    return len(X) - 2
+
+
+def _check_handles(n: int, d: int) -> None:
+    if not 1 < n <= d:
+        raise ValueError(f"handle count must satisfy 1 < n <= d = {d}, got n = {n}")
 
 
 # ---------------------------------------------------------------------------
 # well-scaled sequences
 
 
-def auxiliary_sequence(X, Y, k: int | None = None, d: int | None = None) -> list:
+def auxiliary_sequence(X, Y) -> list:
     """The auxiliary sequence: X_tilde_0 = X, then each step replaces the
     cyclically-chosen coordinate bar(q+1) in {2,...,d+1} with y_q.
 
-    Returns [X_tilde_0, ..., X_tilde_{kd}] as tuples.
+    d = len(X) - 2 and k = len(Y) / d.  Returns [X_tilde_0, ..., X_tilde_{kd}]
+    as tuples.
     """
-    X = tuple(X)
-    Y = tuple(Y)
-    if d is None:
-        d = len(X) - 2
-    if len(X) != d + 2:
-        raise ValueError(f"simplex needs d+2 = {d + 2} coordinates, got {len(X)}")
-    if k is None:
-        if len(Y) % d != 0 or len(Y) == 0:
-            raise ValueError("piece size must be a positive multiple of d")
-        k = len(Y) // d
-    if len(Y) != k * d:
-        raise ValueError(f"piece must hold k*d = {k * d} points, got {len(Y)}")
+    X, Y = tuple(X), tuple(Y)
+    d = _dim(X)
+    if len(Y) == 0 or len(Y) % d != 0:
+        raise ValueError(f"piece must hold a positive multiple of d = {d} points, got {len(Y)}")
     seq = [X]
-    for q in range(1, k * d + 1):
-        seq.append(_well_scaled_step(seq[-1], Y[q - 1], q, d))
+    for q, y in enumerate(Y, 1):
+        seq.append(_well_scaled_step(seq[-1], y, q, d))
     return seq
 
 
@@ -128,21 +124,18 @@ def _well_scaled_step(prev, y, q: int, d: int):
     return replace_coordinate(prev, y, bar_index(q + 1, d))
 
 
-def well_scaled_sequence(X, Y, k: int | None = None, d: int | None = None) -> list:
-    """The well-scaled sequence X_1, ..., X_{kd+1}.
-
-    X_q replaces coordinate 1 of the previous auxiliary element by y_q; the
-    closing element X_{kd+1} is the last auxiliary element itself.
+def well_scaled_sequence(X, Y) -> list:
+    """The well-scaled sequence X_1, ..., X_{kd+1}, kd = len(Y): X_q replaces
+    coordinate 1 of the previous auxiliary element by y_q; the closing
+    element X_{kd+1} is the last auxiliary element itself.
     """
-    aux = auxiliary_sequence(X, Y, k, d)
-    kd = len(aux) - 1
-    out = [replace_coordinate(aux[q - 1], tuple(Y)[q - 1], 1) for q in range(1, kd + 1)]
-    out.append(aux[kd])
-    return out
+    aux = auxiliary_sequence(X, Y)
+    return [replace_coordinate(prev, y, 1) for prev, y in zip(aux, tuple(Y))] + [aux[-1]]
 
 
-def well_scaled_bound_report(seq, X, k: int, d: int, alpha0: float) -> list:
-    """Scale-lemma violations of a well-scaled sequence; empty when clean.
+def well_scaled_bound_report(seq, X, k: int, alpha0: float) -> list:
+    """Scale-lemma violations of a well-scaled sequence at class level k;
+    empty when clean.  d = len(X) - 2, and seq must hold kd+1 elements.
 
     For q <= kd:  alpha0^{k+1-ceil(q/d)} max_at0(X) < max_at0(X_q)
                   <= alpha0^{k-ceil(q/d)} max_at0(X);
@@ -150,6 +143,7 @@ def well_scaled_bound_report(seq, X, k: int, d: int, alpha0: float) -> list:
     min_at0 > alpha0 max_at0(X); and every element is well-scaled at x_0.
     """
     X = np.asarray(X, dtype=float)
+    d = _dim(X)
     mx = max_at0(X)
     kd = k * d
     if len(seq) != kd + 1:
@@ -182,22 +176,22 @@ def is_in_augmented_set(X, Y, Cp: float) -> bool:
     satisfies psin(X_tilde_{q-1}) <= Cp (psin(X_q) + psin(X_tilde_q)), i.e.
     y_q lies in U_Cp(X_tilde_{q-1}, 1, bar(q+1))."""
     aux = auxiliary_sequence(X, Y)
-    d = len(aux[0]) - 2
+    d = _dim(aux[0])
     return all(
         concentration_test(aux[q - 1], 1, bar_index(q + 1, d), Cp)([Y[q - 1]])[0]
         for q in range(1, len(aux))
     )
 
 
-def multiscale_inequality_check(X, Y, Cp: float, k: int, d: int):
-    """The chained inequality psin^2(X) <= (kd+1) Cp^{2kd} sum_q psin^2(X_q).
+def multiscale_inequality_check(X, Y, Cp: float):
+    """The chained inequality psin^2(X) <= (kd+1) Cp^{2kd} sum_q psin^2(X_q),
+    with kd = len(Y).
 
     Holds whenever is_in_augmented_set does; returns (ok, lhs, rhs).
     """
-    kd = k * d
     lhs = polar_sine(X) ** 2
-    pieces = well_scaled_sequence(X, Y, k, d)
-    rhs = (kd + 1) * Cp ** (2 * kd) * sum(polar_sine(p) ** 2 for p in pieces)
+    pieces = well_scaled_sequence(X, Y)
+    rhs = len(pieces) * Cp ** (2 * len(Y)) * sum(polar_sine(p) ** 2 for p in pieces)
     return lhs <= rhs * (1.0 + CHAIN_RTOL), lhs, rhs
 
 
@@ -215,57 +209,47 @@ def _rake_children(parent, z, n: int, j: int):
     return left, tuple(right)
 
 
-def rake_tree(X, Z, n: int, d: int | None = None) -> list:
-    """The depth-(n-1) binary tree splitting an n-handled simplex.
-
-    Level j+1 replaces coordinate n-j of each level-j node by the next
-    auxiliary point for the left child; the right child replaces
-    coordinate n-j-1 instead and then swaps coordinates n-j-1 and n-j, so
-    surviving handles stay in the leading positions.
+def rake_tree(X, Z) -> list:
+    """The depth-(n-1) binary tree splitting an n-handled simplex, as its n
+    levels; len(Z) = 2^{n-1} - 1 sets n.  Nodes are breadth first, 1-based:
+    node i at level j takes z_i, and its children are nodes 2i and 2i+1.
+    The left child has z_i in coordinate n-j; the right child has it in
+    coordinate n-j-1, then swaps coordinates n-j-1 and n-j, so surviving
+    handles stay in the leading positions.
     """
-    X = tuple(X)
-    Z = tuple(Z)
-    if d is None:
-        d = len(X) - 2
-    if len(X) != d + 2:
-        raise ValueError(f"simplex needs d+2 = {d + 2} coordinates")
-    if not 1 < n <= d:
-        raise ValueError("handle count must satisfy 1 < n <= d")
+    X, Z = tuple(X), tuple(Z)
+    n = (len(Z) + 1).bit_length()
     if len(Z) != short_scale_size(n):
-        raise ValueError(f"piece must hold 2^(n-1)-1 = {short_scale_size(n)} points")
-    levels = [[X]]
-    for j in range(n - 1):
-        nxt = []
-        for m, parent in enumerate(levels[j]):
-            nxt.extend(_rake_children(parent, Z[2**j - 1 + m], n, j))
-        levels.append(nxt)
-    return levels
+        raise ValueError(f"piece must hold 2^(n-1)-1 points, got {len(Z)}")
+    _check_handles(n, _dim(X))
+    nodes = [X]
+    for i, z in enumerate(Z, 1):
+        nodes += _rake_children(nodes[i - 1], z, n, i.bit_length() - 1)
+    return [nodes[2**j - 1 : 2 ** (j + 1) - 1] for j in range(n)]
 
 
-def rake_sequence(X, Z, n: int, d: int | None = None) -> list:
+def rake_sequence(X, Z) -> list:
     """The 2^{n-1} leaves of the rake tree, each a single-handled simplex."""
-    return rake_tree(X, Z, n, d)[-1]
+    return rake_tree(X, Z)[-1]
 
 
 def is_in_overline_set(X, Z, Cp: float) -> bool:
     """Membership for the rake construction: each tree node has
     psin(parent) <= Cp (psin(left child) + psin(right child))."""
-    Z = tuple(Z)
-    n = int(math.log2(len(Z) + 1)) + 1
-    if short_scale_size(n) != len(Z):
-        raise ValueError("piece size must be 2^(n-1)-1")
-    nodes = [node for level in rake_tree(X, Z, n) for node in level]  # 1-based: i has children 2i, 2i+1
+    nodes = [node for level in rake_tree(X, Z) for node in level]  # 1-based: i has children 2i, 2i+1
     return all(
         polar_sine(nodes[i - 1]) <= Cp * (polar_sine(nodes[2 * i - 1]) + polar_sine(nodes[2 * i]))
         for i in range(1, len(Z) + 1)
     )
 
 
-def rake_inequality_check(X, Z, Cp: float, n: int):
-    """psin^2(X) <= 2^{n-1} Cp^{2(n-1)} sum_s psin^2(X^s); (ok, lhs, rhs)."""
+def rake_inequality_check(X, Z, Cp: float):
+    """psin^2(X) <= 2^{n-1} Cp^{2(n-1)} sum_s psin^2(X^s), with
+    len(Z) = 2^{n-1} - 1; (ok, lhs, rhs)."""
     lhs = polar_sine(X) ** 2
-    leaves = rake_sequence(X, Z, n)
-    rhs = 2 ** (n - 1) * Cp ** (2 * (n - 1)) * sum(polar_sine(leaf) ** 2 for leaf in leaves)
+    tree = rake_tree(X, Z)
+    n = len(tree)
+    rhs = 2 ** (n - 1) * Cp ** (2 * (n - 1)) * sum(polar_sine(leaf) ** 2 for leaf in tree[-1])
     return lhs <= rhs * (1.0 + CHAIN_RTOL), lhs, rhs
 
 
@@ -304,17 +288,18 @@ def annulus_indices(cloud: WeightedPointCloud, center, r: float, level: int, alp
 
 
 def annulus_conditional_mass(
-    cloud: WeightedPointCloud, X_tilde_prev, q: int, k: int, d: int, Cp: float, alpha0: float
+    cloud: WeightedPointCloud, X_tilde_prev, q: int, k: int, Cp: float, alpha0: float
 ) -> float:
     """Mass of U_Cp(X_tilde_{q-1}, 1, bar(q+1)) inside the step-q annulus.
 
-    The step-q annulus is A_{k-ceil(q/d)}(x_0, max_at0), with max_at0 taken
-    from the truncation itself (the handle never moves, so it matches the
-    original simplex).  Upper bound: the ball mass at the annulus' outer
-    radius.  The claimed lower bound is half that ball mass; the harness
-    compares against it.
+    The step-q annulus is A_{k-ceil(q/d)}(x_0, max_at0), with
+    d = len(X_tilde_prev) - 2 and max_at0 taken from the truncation itself
+    (the handle never moves, so it matches the original simplex).  Upper
+    bound: the ball mass at the annulus' outer radius.  The claimed lower
+    bound is half that ball mass; the harness compares against it.
     """
     Xp = as_tuple_array(X_tilde_prev)
+    d = _dim(Xp)
     member = concentration_test(Xp, 1, bar_index(q + 1, d), Cp)
     idx = annulus_indices(cloud, Xp[0], max_at0(Xp), k - math.ceil(q / d), alpha0)
     if len(idx) == 0:
@@ -349,7 +334,7 @@ def sample_well_scaled_piece(
     """
     rng = np.random.default_rng(rng)
     cur = np.asarray(X, dtype=float)
-    d = len(cur) - 2
+    d = _dim(cur)
     x0 = cur[0]
     mx = max_at0(cur)
     out = []
@@ -384,9 +369,7 @@ def sample_short_scale_piece(
     accepted iff its node's two-child inequality holds, breadth first."""
     rng = np.random.default_rng(rng)
     X_arr = np.asarray(X, dtype=float)
-    d = len(X_arr) - 2
-    if not 1 < n <= d:
-        raise ValueError("handle count must satisfy 1 < n <= d")
+    _check_handles(n, _dim(X_arr))
     idx = annulus_indices(cloud, X_arr[0], max_at0(X_arr), k, alpha0)
     if len(idx) == 0:
         raise PieceSamplingError("annulus holds no support points")
@@ -440,7 +423,7 @@ def plant_well_scaled_piece(X, k: int, alpha0: float, rng) -> np.ndarray:
     its step annulus A_{k-ceil(q/d)}(x_0, max_at0(X))."""
     rng = np.random.default_rng(rng)
     X = np.asarray(X, dtype=float)
-    d = len(X) - 2
+    d = _dim(X)
     mx = max_at0(X)
     ys = []
     for q in range(1, k * d + 1):

@@ -400,8 +400,8 @@ def suite_sequences(seed: int = 7) -> dict:
 
     x = tuple(f"x{i}" for i in range(5))
     y = tuple(f"y{q}" for q in range(1, 7))
-    aux = sequences.auxiliary_sequence(x, y, k=2, d=3)
-    main = sequences.well_scaled_sequence(x, y, k=2, d=3)
+    aux = sequences.auxiliary_sequence(x, y)
+    main = sequences.well_scaled_sequence(x, y)
     golden_aux = {
         1: ("x0", "x1", "y1", "x3", "x4"),
         3: ("x0", "x1", "y1", "y2", "y3"),
@@ -418,8 +418,8 @@ def suite_sequences(seed: int = 7) -> dict:
         main[q - 1] == v for q, v in golden_main.items()
     )
 
-    aux1 = sequences.auxiliary_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"), k=3, d=1)
-    main1 = sequences.well_scaled_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"), k=3, d=1)
+    aux1 = sequences.auxiliary_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"))
+    main1 = sequences.well_scaled_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"))
     ok1 = (
         all(aux1[q] == ("x0", "x1", f"y{q}") for q in (1, 2, 3))
         and main1[0] == ("x0", "y1", "x2")
@@ -427,7 +427,7 @@ def suite_sequences(seed: int = 7) -> dict:
         and main1[3] == ("x0", "x1", "y3")
     )
 
-    tree = sequences.rake_tree(x, ("z1", "z2", "z3"), n=3, d=3)
+    tree = sequences.rake_tree(x, ("z1", "z2", "z3"))
     ok8 = tree[1] == [
         ("x0", "x1", "x2", "z1", "x4"),
         ("x0", "x1", "x3", "z1", "x4"),
@@ -452,14 +452,12 @@ def suite_sequences(seed: int = 7) -> dict:
     size_ok = True
     for d in (1, 2, 3):
         for k in (3, 4, 5):
-            size_ok &= sequences.augmented_size(k, d) == (k + 1) * d + 2
             Y = tuple(range(100, 100 + k * d))
-            size_ok &= len(sequences.well_scaled_sequence(tuple(range(d + 2)), Y, k, d)) == k * d + 1
+            size_ok &= len(sequences.well_scaled_sequence(tuple(range(d + 2)), Y)) == k * d + 1
         for n in range(2, d + 1):
             Z = tuple(range(100, 100 + sequences.short_scale_size(n)))
-            leaves = sequences.rake_sequence(tuple(range(d + 2)), Z, n, d)
+            leaves = sequences.rake_sequence(tuple(range(d + 2)), Z)
             size_ok &= len(leaves) == 2 ** (n - 1)
-            size_ok &= sequences.rake_point_count(d, n) == d + 1 + 2 ** (n - 1)
     checks.append(_check("piece_sizes", size_ok))
 
     # Planted scale lemma at the canonical constants, all d and k.
@@ -472,8 +470,8 @@ def suite_sequences(seed: int = 7) -> dict:
             for rep in range(18):
                 X = sequences.plant_scaled_simplex(d, d + 1, k, 1, a0, rng)
                 Y = sequences.plant_well_scaled_piece(X, k, a0, rng)
-                seq = sequences.well_scaled_sequence(X, Y, k, d)
-                bad = sequences.well_scaled_bound_report(seq, X, k, d, a0)
+                seq = sequences.well_scaled_sequence(X, Y)
+                bad = sequences.well_scaled_bound_report(seq, X, k, a0)
                 count += 1
                 if bad:
                     lemma_fail.append([d, k, rep, bad[0][0], bad[0][1]])
@@ -492,7 +490,7 @@ def suite_sequences(seed: int = 7) -> dict:
                     X = sequences.plant_scaled_simplex(d, d + 1, k, n, a0, rng)
                     Z = sequences.plant_short_scale_piece(X, n, k, a0, rng)
                     count += 1
-                    for s, leaf in enumerate(sequences.rake_sequence(X, Z, n, d)):
+                    for s, leaf in enumerate(sequences.rake_sequence(X, Z)):
                         if not sequences.check_rake_property(leaf, X, k, a0):
                             rake_fail.append([d, n, k, rep, s])
     checks.append(
@@ -506,14 +504,14 @@ def suite_sequences(seed: int = 7) -> dict:
     Y = sequences.plant_well_scaled_piece(X, 3, a0, rng)
     Y_bad = Y.copy()
     Y_bad[2] = X[0] + (Y[2] - X[0]) / a0**2  # kicked far above its annulus
-    seq_bad = sequences.well_scaled_sequence(X, Y_bad, 3, 2)
-    caught_y = bool(sequences.well_scaled_bound_report(seq_bad, X, 3, 2, a0))
+    seq_bad = sequences.well_scaled_sequence(X, Y_bad)
+    caught_y = bool(sequences.well_scaled_bound_report(seq_bad, X, 3, a0))
     Z = sequences.plant_short_scale_piece(X, 2, 3, a0, rng)
     Z_bad = Z.copy()
     Z_bad[0] = X[0] + (Z[0] - X[0]) / a0**2
     caught_z = not all(
         sequences.check_rake_property(lf, X, 3, a0)
-        for lf in sequences.rake_sequence(X, Z_bad, 2, 2)
+        for lf in sequences.rake_sequence(X, Z_bad)
     )
     checks.append(_check("corruption_detected", caught_y and caught_z))
 
@@ -537,13 +535,13 @@ def _membership_run(cloud, d, k, n, alpha0, Cp, n_elements, rng, rake=False):
                 if not sequences.is_in_overline_set(X, Z, Cp):
                     violations += 1
                     continue
-                ok, lhs, rhs = sequences.rake_inequality_check(X, Z, Cp, n)
+                ok, lhs, rhs = sequences.rake_inequality_check(X, Z, Cp)
             else:
                 Y = sequences.sample_well_scaled_piece(cloud, X, k, Cp, alpha0, rng=rng)
                 if not sequences.is_in_augmented_set(X, Y, Cp):
                     violations += 1
                     continue
-                ok, lhs, rhs = sequences.multiscale_inequality_check(X, Y, Cp, k, d)
+                ok, lhs, rhs = sequences.multiscale_inequality_check(X, Y, Cp)
         except sequences.PieceSamplingError:
             continue
         produced += 1
@@ -646,10 +644,10 @@ def suite_inequalities(seed: int = 7) -> dict:
             Y = sequences.sample_well_scaled_piece(sphere, X, 3, cp2, 0.35, rng=rng)
         except sequences.PieceSamplingError:
             continue
-        aux = sequences.auxiliary_sequence(X, Y, 3, 2)
+        aux = sequences.auxiliary_sequence(X, Y)
         q = int(rng.integers(1, 7))
         trunc = np.asarray(aux[q - 1])
-        g = sequences.annulus_conditional_mass(sphere, trunc, q, 3, 2, cp2, 0.35)
+        g = sequences.annulus_conditional_mass(sphere, trunc, q, 3, cp2, 0.35)
         level = 3 - math.ceil(q / 2)
         bm = sphere.mass_in(Ball(trunc[0], 0.35**level * geometry.max_at0(trunc)))
         g_count += 1

@@ -165,7 +165,7 @@ def test_net_and_partition_axioms_hold_exactly():
 def test_sequence_constructors_reproduce_worked_lists():
     x = tuple(f"x{i}" for i in range(5))
     y = tuple(f"y{q}" for q in range(1, 7))
-    aux = sequences.auxiliary_sequence(x, y, k=2, d=3)
+    aux = sequences.auxiliary_sequence(x, y)
     assert aux == [
         ("x0", "x1", "x2", "x3", "x4"),
         ("x0", "x1", "y1", "x3", "x4"),
@@ -175,7 +175,7 @@ def test_sequence_constructors_reproduce_worked_lists():
         ("x0", "x1", "y4", "y5", "y3"),
         ("x0", "x1", "y4", "y5", "y6"),
     ]
-    main = sequences.well_scaled_sequence(x, y, k=2, d=3)
+    main = sequences.well_scaled_sequence(x, y)
     assert main == [
         ("x0", "y1", "x2", "x3", "x4"),
         ("x0", "y2", "y1", "x3", "x4"),
@@ -185,8 +185,8 @@ def test_sequence_constructors_reproduce_worked_lists():
         ("x0", "y6", "y4", "y5", "y3"),
         ("x0", "x1", "y4", "y5", "y6"),
     ]
-    aux1 = sequences.auxiliary_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"), k=3, d=1)
-    main1 = sequences.well_scaled_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"), k=3, d=1)
+    aux1 = sequences.auxiliary_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"))
+    main1 = sequences.well_scaled_sequence(("x0", "x1", "x2"), ("y1", "y2", "y3"))
     assert aux1 == [
         ("x0", "x1", "x2"),
         ("x0", "x1", "y1"),
@@ -199,7 +199,7 @@ def test_sequence_constructors_reproduce_worked_lists():
         ("x0", "y3", "y2"),
         ("x0", "x1", "y3"),
     ]
-    tree = sequences.rake_tree(x, ("z1", "z2", "z3"), n=3, d=3)
+    tree = sequences.rake_tree(x, ("z1", "z2", "z3"))
     assert tree[0] == [x]
     assert tree[1] == [
         ("x0", "x1", "x2", "z1", "x4"),
@@ -222,8 +222,8 @@ def test_planted_pieces_always_pass_scale_bounds():
             for _ in range(67):
                 X = sequences.plant_scaled_simplex(d, d + 1, k, 1, a0, rng)
                 Y = sequences.plant_well_scaled_piece(X, k, a0, rng)
-                seq = sequences.well_scaled_sequence(X, Y, k, d)
-                assert sequences.well_scaled_bound_report(seq, X, k, d, a0) == []
+                seq = sequences.well_scaled_sequence(X, Y)
+                assert sequences.well_scaled_bound_report(seq, X, k, a0) == []
                 configs += 1
     for d, n in ((2, 2), (3, 2), (3, 3)):
         a0 = sequences.constants(d).alpha0
@@ -232,7 +232,7 @@ def test_planted_pieces_always_pass_scale_bounds():
             for _ in range(45):
                 X = sequences.plant_scaled_simplex(d, d + 1, k, n, a0, rng)
                 Z = sequences.plant_short_scale_piece(X, n, k, a0, rng)
-                for leaf in sequences.rake_sequence(X, Z, n, d):
+                for leaf in sequences.rake_sequence(X, Z):
                     assert sequences.check_rake_property(leaf, X, k, a0)
                 configs += 1
     assert configs >= 1000
@@ -254,7 +254,7 @@ def test_membership_implies_long_sequence_inequality():
             if not sequences.is_in_augmented_set(X, Y, cp):
                 continue
             made += 1
-            ok, _, _ = sequences.multiscale_inequality_check(X, Y, cp, k, d)
+            ok, _, _ = sequences.multiscale_inequality_check(X, Y, cp)
             if not ok:
                 violations += 1
         produced += made
@@ -276,7 +276,7 @@ def test_membership_implies_long_sequence_inequality():
         if not sequences.is_in_overline_set(X, Z, cp2):
             continue
         made += 1
-        ok, _, _ = sequences.rake_inequality_check(X, Z, cp2, 2)
+        ok, _, _ = sequences.rake_inequality_check(X, Z, cp2)
         if not ok:
             violations += 1
     produced += made

@@ -169,6 +169,26 @@ def test_continuous_flatness_on_a_too_wide_ball_exits_2(tmp_path, capsys):
     assert "median nearest-neighbour distance" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["beta"], ["flatness", "--mode", "discrete"], ["flatness", "--mode", "continuous"]]
+)
+def test_plane_dimension_out_of_range_on_an_empty_ball_exits_2(plane_csv, capsys, argv):
+    for d in ("0", "3"):  # D = 2
+        code, stdout, err = run(capsys, [*argv, "--input", plane_csv, "--d", d, "--ball", "50,50:0.1"])
+        assert code == 2
+        assert stdout == ""
+        assert "plane dimension" in err
+
+
+def test_flatness_with_a_floor_past_the_level_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    gen_sphere(2, 300, seed=1).to_csv(path)
+    code, stdout, err = run(capsys, ["flatness", "--input", str(path), "--d", "1", "--alpha0", "0.95"])
+    assert code == 2
+    assert stdout == ""
+    assert "cap of 64" in err
+
+
 def test_flatness_with_an_alpha0_whose_powers_overflow(tmp_path, capsys):
     # 1e-320 ** -1 overflows a float inside the scale index
     path = tmp_path / "c.csv"

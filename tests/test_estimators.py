@@ -609,7 +609,7 @@ def test_concentration_paths_agree_bitwise():
     res = concentration_fraction(cloud, X, 1, 2, a0**level, C)
     assert res["n_candidates"] == len(ys)
     assert res["fraction"] == float(w[mask].sum() / w.sum())
-    assert annulus_conditional_mass(cloud, X, q, k, d, C, a0) == float(w[mask].sum())
+    assert annulus_conditional_mass(cloud, X, q, k, C, a0) == float(w[mask].sum())
 
     # The base vertex is never replaced; i = 0 (or j past the end) raises.
     with pytest.raises(IndexError):

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from menger.geometry import InvariantError
-from menger.measure import Ball, WeightedPointCloud, gen_plane_patch, gen_sphere
+from menger.measure import Ball, WeightedPointCloud, gen_four_corner_cantor, gen_plane_patch, gen_sphere
 from menger.multiscale import (
+    MAX_LEVELS_BELOW_TOP,
     MultiresolutionFamily,
     _first_within,
     build_ball_family,
@@ -36,10 +37,13 @@ def test_scale_index_known_values():
         scale_index(1.0, 1.5)
 
 
-@given(st.floats(1e-6, 1e6), st.floats(0.05, 0.9))
-def test_scale_index_sandwich(diam, alpha0):
-    m = scale_index(diam, alpha0)
-    assert alpha0**m <= diam < alpha0 ** (m - 1)
+@given(st.floats(1e-6, 1e6), st.floats(0.05, 0.9), st.integers(-8, 40))
+def test_scale_index_sandwich(diam, alpha0, j):
+    # An exact power alpha0**j is where m = j and m = j + 1 part ways.
+    for x in (diam, alpha0**j):
+        m = scale_index(x, alpha0)
+        assert alpha0**m <= x < alpha0 ** (m - 1)
+    assert scale_index(alpha0**j, alpha0) == j
 
 
 def test_scale_index_with_an_overflowing_power():
@@ -349,6 +353,26 @@ def test_flatness_positive_on_circle(circle):
     rep = jones_flatness_discrete(circle, circle.bounding_ball(), fam, 1)
     assert rep.total > 1e-4
     assert set(rep.terms[0]) == {"level", "j", "beta2sq", "mass"}
+
+
+def test_family_floor_sandwich(circle, patch12):
+    dup = WeightedPointCloud(np.zeros((10, 2)), np.ones(10))
+    for cloud in (circle, patch12, gen_four_corner_cantor(3), dup):
+        for alpha0 in (0.1, 0.25, 0.5, 0.7):
+            fam = MultiresolutionFamily(cloud, alpha0)
+            floor = cloud.median_nn_distance() or 1e-9 * max(cloud.support_diameter(), 1e-300)
+            assert alpha0**fam.n_floor >= floor > alpha0 ** (fam.n_floor + 1)
+            assert fam.n_top <= fam.n_floor < fam.n_top + MAX_LEVELS_BELOW_TOP
+    fam = MultiresolutionFamily(dup, 0.25)  # floor 1e-9 diam, 14 levels down
+    assert (fam.n_top, fam.n_floor) == (499, 513)
+
+
+def test_family_refuses_a_floor_past_the_level_cap():
+    cloud = gen_sphere(2, 300, seed=1)
+    fam = MultiresolutionFamily(cloud, 0.9)  # 52 levels below n_top
+    assert fam.n_floor - fam.n_top == 52
+    with pytest.raises(ValueError, match="109 levels below the top level -13.*cap of 64"):
+        MultiresolutionFamily(cloud, 0.95)
 
 
 def test_family_rejects_bad_alpha0(circle):

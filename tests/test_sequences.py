@@ -49,10 +49,8 @@ def test_bar_index_cycles_through_middle_slots():
 
 
 def test_sizes():
-    assert sq.augmented_size(3, 2) == 10
     assert sq.short_scale_size(2) == 1
     assert sq.short_scale_size(3) == 3
-    assert sq.rake_point_count(3, 3) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -84,31 +82,55 @@ def test_sequences_match_independent_recurrence():
             X = tuple(f"x{i}" for i in range(d + 2))
             Y = tuple(f"y{q}" for q in range(1, k * d + 1))
             aux_b, main_b = brute(X, Y, k, d)
-            assert sq.auxiliary_sequence(X, Y, k, d) == aux_b
-            assert sq.well_scaled_sequence(X, Y, k, d) == main_b
+            assert sq.auxiliary_sequence(X, Y) == aux_b
+            assert sq.well_scaled_sequence(X, Y) == main_b
 
 
 def test_sequence_size_validation():
+    # d = len(X) - 2 = 3, so Y must hold a positive multiple of 3 points.
+    for Y in (Y6[:5], Y6[:1], ()):
+        with pytest.raises(ValueError):
+            sq.well_scaled_sequence(X5, Y)
+        with pytest.raises(ValueError):
+            sq.auxiliary_sequence(X5, Y)
     with pytest.raises(ValueError):
-        sq.well_scaled_sequence(X5, Y6[:5], k=2, d=3)
+        sq.auxiliary_sequence(X5[:4], Y6[:5])  # d = 2 does not divide 5
     with pytest.raises(ValueError):
-        sq.auxiliary_sequence(X5[:4], Y6, k=2, d=3)
+        sq.multiscale_inequality_check(np.eye(5, 4), np.ones((5, 4)), 1.0)
+
+
+def test_two_coordinate_simplex_is_refused():
+    # d = len(X) - 2 = 0 would divide by zero when it sizes Y.
+    for build in (sq.auxiliary_sequence, sq.well_scaled_sequence):
+        with pytest.raises(ValueError):
+            build(("x0", "x1"), ("y1",))
+    with pytest.raises(ValueError):
+        sq.rake_tree(("x0", "x1"), ("z1",))
 
 
 def test_rake_tree_worked_example_n2():
-    tree = sq.rake_tree(("x0", "x1", "x2", "x3"), ("z1",), n=2, d=2)
+    tree = sq.rake_tree(("x0", "x1", "x2", "x3"), ("z1",))
     assert tree[0] == [("x0", "x1", "x2", "x3")]
     assert tree[1] == [("x0", "x1", "z1", "x3"), ("x0", "x2", "z1", "x3")]
-    assert sq.rake_sequence(("x0", "x1", "x2", "x3"), ("z1",), 2, 2) == tree[1]
+    assert sq.rake_sequence(("x0", "x1", "x2", "x3"), ("z1",)) == tree[1]
 
 
 def test_rake_tree_validation():
-    with pytest.raises(ValueError):
-        sq.rake_tree(("x0", "x1", "x2"), (), n=2, d=1)  # needs 1 < n <= d
-    with pytest.raises(ValueError):
-        sq.rake_tree(X5, ("z1", "z2", "z3"), n=4, d=3)
-    with pytest.raises(ValueError):
-        sq.rake_tree(X5, ("z1", "z2"), n=3, d=3)  # wrong piece size
+    # len(Z) = 2^{n-1} - 1 sets n, which must satisfy 1 < n <= d = len(X) - 2.
+    Z7 = tuple(f"z{i}" for i in range(1, 8))
+    for X, Z in (
+        (("x0", "x1", "x2"), ("z1",)),  # n = 2 > d = 1
+        (X5, ()),  # n = 1
+        (X5, Z7),  # n = 4 > d = 3
+        (X5, Z7[:2]),  # 2 is no 2^{n-1} - 1
+        (X5, Z7[:4]),
+    ):
+        for build in (sq.rake_tree, sq.rake_sequence):
+            with pytest.raises(ValueError):
+                build(X, Z)
+        with pytest.raises(ValueError):
+            sq.is_in_overline_set(X, Z, 1.0)
+    assert len(sq.rake_sequence(X5, Z7[:3])) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +144,8 @@ def test_planted_well_scaled_piece_passes_bounds(rng):
         cls = classify_scale(X, a0)
         assert cls.kind == "scaled" and cls.k == k
         Y = sq.plant_well_scaled_piece(X, k, a0, rng)
-        seq = sq.well_scaled_sequence(X, Y, k, d)
-        assert sq.well_scaled_bound_report(seq, X, k, d, a0) == []
+        seq = sq.well_scaled_sequence(X, Y)
+        assert sq.well_scaled_bound_report(seq, X, k, a0) == []
 
 
 def test_corrupted_well_scaled_piece_is_caught(rng):
@@ -132,7 +154,7 @@ def test_corrupted_well_scaled_piece_is_caught(rng):
     Y = sq.plant_well_scaled_piece(X, 3, a0, rng)
     Y_bad = Y.copy()
     Y_bad[2] = X[0] + (Y[2] - X[0]) / a0**2
-    report = sq.well_scaled_bound_report(sq.well_scaled_sequence(X, Y_bad, 3, 2), X, 3, 2, a0)
+    report = sq.well_scaled_bound_report(sq.well_scaled_sequence(X, Y_bad), X, 3, a0)
     assert report
 
 
@@ -141,7 +163,7 @@ def test_planted_rake_leaves_pass(rng):
         a0 = sq.constants(d).alpha0
         X = sq.plant_scaled_simplex(d, d + 1, 4, n, a0, rng)
         Z = sq.plant_short_scale_piece(X, n, 4, a0, rng)
-        leaves = sq.rake_sequence(X, Z, n, d)
+        leaves = sq.rake_sequence(X, Z)
         assert len(leaves) == 2 ** (n - 1)
         for leaf in leaves:
             assert sq.check_rake_property(leaf, X, 4, a0)
@@ -155,7 +177,7 @@ def test_corrupted_rake_piece_is_caught(rng):
     Z_bad = Z.copy()
     Z_bad[0] = X[0] + (Z[0] - X[0]) / a0**2
     assert not all(
-        sq.check_rake_property(leaf, X, 3, a0) for leaf in sq.rake_sequence(X, Z_bad, 2, 2)
+        sq.check_rake_property(leaf, X, 3, a0) for leaf in sq.rake_sequence(X, Z_bad)
     )
 
 
@@ -170,7 +192,7 @@ def test_membership_forces_inequality_on_sampled_cloud():
         except sq.PieceSamplingError:
             continue
         assert sq.is_in_augmented_set(X, Y, 1.0)
-        ok, lhs, rhs = sq.multiscale_inequality_check(X, Y, 1.0, 3, 1)
+        ok, lhs, rhs = sq.multiscale_inequality_check(X, Y, 1.0)
         assert ok
         assert lhs <= rhs * (1 + 1e-12)
         produced += 1
