@@ -12,6 +12,7 @@ do not carry over; the median is reported.  Per cloud it times:
   diameter_s    WeightedPointCloud.support_diameter
   levels_s      MultiresolutionFamily init (which reads the cached diameter)
                 plus every level from n_top to n_floor
+  level_s       the build time of each level n alone, keyed by n
   discrete_s    8 jones_flatness_discrete queries (radius 0.5, centres 0-7)
   continuous_s  1 jones_flatness_continuous query (the first of those balls)
   beta2_us      microseconds per planes.beta2 call, one timer per call: the
@@ -46,6 +47,7 @@ def _cell(menger, D: int, n: int, d: int) -> dict:
     ms = menger.multiscale
     times: dict[str, list[float]] = {"diameter_s": [], "levels_s": [], "discrete_s": [], "continuous_s": []}
     beta2_us = []
+    level_s: dict[int, list[float]] = {}
     for _ in range(REPEATS):
         cloud = menger.measure.WeightedPointCloud(base.points, base.weights)
         t0 = perf_counter()
@@ -53,7 +55,9 @@ def _cell(menger, D: int, n: int, d: int) -> dict:
         t1 = perf_counter()
         fam = ms.MultiresolutionFamily(cloud, 0.25)
         for level in range(fam.n_top, fam.n_floor + 1):
+            tl = perf_counter()
             fam.level(level)
+            level_s.setdefault(level, []).append(perf_counter() - tl)
         t2 = perf_counter()
         balls = [menger.measure.Ball(cloud.points[c], 0.5) for c in range(8)]
         for ball in balls:
@@ -70,6 +74,7 @@ def _cell(menger, D: int, n: int, d: int) -> dict:
             beta2_us.append(1e6 * (perf_counter() - t0))
     out = {key: statistics.median(v) for key, v in times.items()}
     out["beta2_us"] = statistics.median(beta2_us)
+    out["level_s"] = {str(n): statistics.median(v) for n, v in level_s.items()}
     out["levels"] = fam.n_floor - fam.n_top + 1
     out["net_points"] = int(sum(len(fam.level(k).net) for k in range(fam.n_top, fam.n_floor + 1)))
     return out

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,14 +45,28 @@ def _parse_ball(text: str, ambient: int) -> Ball:
 
 
 def _load_cloud(path: str) -> WeightedPointCloud:
+    """Read a cloud, refusing one whose squared support diameter overflows,
+    or underflows below the smallest normal float while its points are not
+    all equal: the library forms squared distances, so such a cloud would
+    give an infinite, NaN or zero answer.  The diameter stays cached on the
+    cloud for the command that runs next."""
     if not path:
         raise ValueError("--input is required for this command")
     try:
-        return WeightedPointCloud.from_csv(path)
+        cloud = WeightedPointCloud.from_csv(path)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"bad cloud file {path}: {exc}") from exc
+    diam = cloud.support_diameter()
+    sq, fin = diam * diam, np.finfo(float)
+    if sq == math.inf or (sq < fin.tiny and (cloud.points != cloud.points[0]).any()):
+        raise ValueError(
+            f"bad cloud file {path}: squared distances between its points leave the normal float "
+            f"range (the diameter computes as {diam!r}); rescale the coordinates so that it lies in "
+            f"[{math.sqrt(fin.tiny):.3g}, {math.sqrt(fin.max):.3g}]"
+        )
+    return cloud
 
 
 def _query(args, cloud: WeightedPointCloud) -> Ball:

@@ -201,7 +201,7 @@ def scale_classes(T, alpha0: float, level=None):
     if not 0.0 < alpha0 < 1.0:
         raise ValueError("alpha0 must lie in (0, 1)")
     T = np.asarray(T, dtype=float)
-    norms = np.linalg.norm(T[:, 1:, :] - T[:, :1, :], axis=2)
+    norms = geometry._edge_lengths_at0(T)
     mx = norms.max(axis=1)
     mx[mx == 0.0] = 1.0  # every norm is 0 there, so scale and ratios come out 0
     scale = norms.min(axis=1) / mx

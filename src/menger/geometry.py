@@ -78,25 +78,33 @@ def replace_coordinate(X, y, i: int):
     return tuple(out)
 
 
-def max_at0(X) -> float:
-    """max_{x_0}(X): longest edge at the base vertex."""
-    X = as_tuple_array(X)
-    norms = np.linalg.norm(X[1:] - X[0], axis=1)
+def _edge_lengths_at0(T) -> np.ndarray:
+    """|x_i - x_0| for i >= 1, of one (m, D) tuple or of each tuple of an
+    (..., m, D) stack: an (..., m-1) array."""
+    return np.linalg.norm(T[..., 1:, :] - T[..., :1, :], axis=-1)
+
+
+def _longest(norms: np.ndarray) -> float:
     v = float(norms.max())
     if v == 0.0:
         raise ValueError("all coordinates coincide with the base vertex")
     return v
 
 
+def max_at0(X) -> float:
+    """max_{x_0}(X): longest edge at the base vertex."""
+    return _longest(_edge_lengths_at0(as_tuple_array(X)))
+
+
 def min_at0(X) -> float:
     """min_{x_0}(X): shortest edge at the base vertex (0 if degenerate)."""
-    X = as_tuple_array(X)
-    return float(np.linalg.norm(X[1:] - X[0], axis=1).min())
+    return float(_edge_lengths_at0(as_tuple_array(X)).min())
 
 
 def scale_at0(X) -> float:
     """scale_{x_0}(X) = min_at0 / max_at0, in [0, 1]."""
-    return min_at0(X) / max_at0(X)
+    norms = _edge_lengths_at0(as_tuple_array(X))
+    return float(norms.min()) / _longest(norms)
 
 
 def gram_content(X, base: int = 0) -> float:

@@ -1,6 +1,13 @@
 """Weighted point clouds as discrete measures: containers, CSV I/O,
 reference generators and Ahlfors-regularity probing.
 
+A cloud computes three facts about its points once, on first use, and
+keeps them: the support diameter, the median nearest-neighbour distance
+and the k-d tree over its points (`tree`), which every walk over the whole
+cloud reads.  A cloud's points must therefore not change after it is
+built; a cloud over other points, or over a subset, is a new cloud with
+its own cached facts.
+
 CSV format: first line `dim=D`, then one row `c_1,...,c_D,weight` per
 point.  Weights must be strictly positive.
 """
@@ -252,6 +259,7 @@ class WeightedPointCloud:
         self.weights = weights
         self._diameter: float | None = None
         self._median_nn: float | None = None
+        self._tree: cKDTree | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -289,14 +297,20 @@ class WeightedPointCloud:
             self._diameter = float(np.sqrt(_max_sq_dist(self.points)))
         return self._diameter
 
+    @property
+    def tree(self) -> cKDTree:
+        """The k-d tree over the points, built on first use and kept."""
+        if self._tree is None:
+            self._tree = cKDTree(self.points)
+        return self._tree
+
     def median_nn_distance(self) -> float:
         """Median distance to the nearest distinct-index neighbour."""
         if self._median_nn is None:
             if len(self.points) < 2:
                 self._median_nn = 0.0
             else:
-                tree = cKDTree(self.points)
-                dist, _ = tree.query(self.points, k=2)
+                dist, _ = self.tree.query(self.points, k=2)
                 self._median_nn = float(np.median(dist[:, 1]))
         return self._median_nn
 

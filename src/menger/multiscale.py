@@ -12,6 +12,13 @@ Per scale n the construction is:
         built by trimming the leftover quarter balls against the kept
         quarter balls and earlier leftovers, then assigning each leftover
         to the smallest kept index whose quarter ball it meets.
+
+Each walk (build_net, _first_within, build_partition's first pass) reads
+the points of the k-d tree it is given, from tree.data, and builds no tree
+over them.  A level's net and partition walk the cloud's own cached tree,
+WeightedPointCloud.tree; the three point sets that are subsets of the cloud
+(the net points of a ball family, the leftover centres and the points no
+kept quarter ball holds) each get their own tree, built once.
 """
 
 from __future__ import annotations
@@ -53,8 +60,8 @@ def scale_index(diam: float, alpha0: float) -> int:
     return k if _power(alpha0, k) == diam else k + 1
 
 
-def build_net(points: np.ndarray, order: np.ndarray, r: float) -> np.ndarray:
-    """Greedy r-separated net over `points`, scanned in `order`.
+def build_net(tree: cKDTree, order: np.ndarray, r: float) -> np.ndarray:
+    """Greedy r-separated net over the points of `tree`, scanned in `order`.
 
     Returns the selected indices (in admission order).  Admitted points are
     pairwise more than r apart and every point is within r of one of them.
@@ -70,9 +77,10 @@ def build_net(points: np.ndarray, order: np.ndarray, r: float) -> np.ndarray:
     one vectorised comparison re-tests them.  The admissions are then
     resolved in scan order, each marking its hits covered, so a block
     member covered by an earlier one is skipped as in a one-at-a-time scan.
-    The walk ends once every point of `order` is covered.
+    The walk ends once every point of `order` is covered.  The points are
+    read from tree.data, the array the tree was built over.
     """
-    tree = cKDTree(points)
+    points = tree.data
     radius = r * _PAD
     covered = np.zeros(len(points), dtype=bool)
     count = np.full(len(points), -1)
@@ -118,16 +126,16 @@ def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> np.ndarr
 
     Closed balls of radius q are disjoint iff their centers are more than
     2q apart, so the kept centers are the greedy 2q-net of the net, scanned
-    in net order.
+    in net order.  The walk reads a tree built over the net points.
     """
-    return build_net(net_points, np.arange(len(net_points)), 2.0 * quarter_radius)
+    return build_net(cKDTree(net_points), np.arange(len(net_points)), 2.0 * quarter_radius)
 
 
 def build_partition(
-    points: np.ndarray, net_points: np.ndarray, kept: np.ndarray, quarter_radius: float
+    tree: cKDTree, net_points: np.ndarray, kept: np.ndarray, quarter_radius: float
 ) -> np.ndarray:
-    """Assign every point to a kept ball index, realising the leftover
-    construction.
+    """Assign every point of `tree` to a kept ball index, realising the
+    leftover construction.
 
     A point inside a kept quarter ball goes to that ball (smallest index on
     boundary ties; kept quarter balls are disjoint so ties only occur
@@ -136,10 +144,13 @@ def build_partition(
     such B' in net order and routed to g(B') = the smallest kept index
     whose quarter ball meets B'.  Every dropped net point has a kept center
     within 2q, so g is total.
+
+    The first pass, to the kept quarter balls, walks `tree`; the leftover
+    centres and the points still unassigned each get a tree of their own.
     """
     q2 = quarter_radius * quarter_radius
     kept_centers = net_points[kept]
-    assignment = _first_within(points, kept_centers, q2)
+    assignment = _first_within(tree, kept_centers, q2)
     unassigned = np.nonzero(assignment < 0)[0]
     if len(unassigned) == 0:
         return assignment
@@ -151,19 +162,19 @@ def build_partition(
     # i.e. center distance <= 2q.  Guaranteed to exist by the drop rule, as
     # long as both compare against the same rounded square (2q)*(2q).
     two_q = 2.0 * quarter_radius
-    g = _first_within(leftover_centers, kept_centers, two_q * two_q)
+    g = _first_within(cKDTree(leftover_centers), kept_centers, two_q * two_q)
     if (g < 0).any():
         raise InvariantError("dropped net ball meets no kept quarter ball")
-    first = _first_within(points[unassigned], leftover_centers, q2)
+    first = _first_within(cKDTree(tree.data[unassigned]), leftover_centers, q2)
     if (first < 0).any():
         raise InvariantError("net covering violated: point outside every quarter ball")
     assignment[unassigned] = g[first]
     return assignment
 
 
-def _first_within(points: np.ndarray, centers: np.ndarray, r2: float) -> np.ndarray:
-    """Index of the first centre within squared distance r2 of each point,
-    -1 where there is none.
+def _first_within(tree: cKDTree, centers: np.ndarray, r2: float) -> np.ndarray:
+    """Index of the first centre within squared distance r2 of each point of
+    `tree`, -1 where there is none.
 
     The centres are walked in index order, in blocks whose k-d-tree
     candidate counts (return_length=True) sum to at most BLOCK_CANDIDATES,
@@ -171,9 +182,10 @@ def _first_within(points: np.ndarray, centers: np.ndarray, r2: float) -> np.ndar
     the candidates not yet claimed are re-tested with the exact closed
     comparison, vectorised, and each point they hit is claimed by the
     smallest hitting centre.  The walk stops once every point is claimed.
+    The points are read from tree.data.
     """
+    points = tree.data
     first = np.full(len(points), -1, dtype=int)
-    tree = cKDTree(points)
     radius = math.sqrt(r2) * _PAD
     counts = tree.query_ball_point(centers, radius, return_length=True)
     csum = np.cumsum(counts)
@@ -225,10 +237,10 @@ class NetLevel:
 
 def build_level(cloud: WeightedPointCloud, n: int, alpha0: float, order: np.ndarray) -> NetLevel:
     r = alpha0**n
-    net = build_net(cloud.points, order, r)
+    net = build_net(cloud.tree, order, r)
     net_points = cloud.points[net]
     kept = build_ball_family(net_points, r)
-    partition = build_partition(cloud.points, net_points, kept, r)
+    partition = build_partition(cloud.tree, net_points, kept, r)
     return NetLevel(n=n, alpha0=alpha0, net=net, kept=kept, partition=partition)
 
 
@@ -282,7 +294,10 @@ class MultiresolutionFamily:
 
     def levels_for(self, query: Ball) -> range:
         """All built scales relevant to a query ball: n >= m(Q), down to the
-        resolution floor."""
+        resolution floor.  A ball of diameter 0 has m(Q) = +inf, so none:
+        D(Q) is empty and its discrete flatness is 0."""
+        if query.diameter == 0.0:
+            return range(0)
         m = scale_index(query.diameter, self.alpha0)
         return range(m, self.n_floor + 1)
 

@@ -106,7 +106,7 @@ def deviation_violations(T: np.ndarray, plane: AffinePlane) -> tuple:
     d = m - 2
     psin0 = np.sqrt(_batch.psin_sq_at(T, 0))
     diam = np.sqrt(_batch.pairwise_sq(T).max(axis=(1, 2)))
-    norms = np.linalg.norm(T[:, 1:, :] - T[:, :1, :], axis=2)
+    norms = geometry._edge_lengths_at0(T)
     scale0 = norms.min(axis=1) / norms.max(axis=1)
     heights = np.stack(
         [np.sqrt(_batch.affine_span_dist_sq(np.delete(T, i, axis=1), T[:, i, :])) for i in range(m)],
@@ -159,7 +159,7 @@ def suite_geometry(seed: int = 7) -> dict:
         T = rng.normal(size=(3000, d + 2, d + 1))
         psin0 = np.sqrt(_batch.psin_sq_at(T, 0))
         worst_psin = max(worst_psin, float(np.sqrt(_batch.curvature_terms(T)["psin2"].max())))
-        base_norm = np.linalg.norm(T[:, 1:, :] - T[:, :1, :], axis=2)
+        base_norm = geometry._edge_lengths_at0(T)
         for i in range(1, d + 2):
             red = np.delete(T, i, axis=1)
             dist = np.sqrt(_batch.affine_span_dist_sq(red, T[:, i, :]))
@@ -735,7 +735,8 @@ def _run(names, seed: int, inject_failure: str | None) -> tuple[list, list]:
         suite_multiscale(seed, corrupt_net=corrupts_net) if name == "multiscale" else SUITES[name](seed)
         for name in names
     ]
-    return suites, [_check(inject_failure, False, injected=True)] if inject_failure and not corrupts_net else []
+    planted = inject_failure is not None and not corrupts_net
+    return suites, [_check(inject_failure, False, injected=True)] if planted else []
 
 
 def run_suite(name: str, seed: int = 7, inject_failure: str | None = None) -> dict:

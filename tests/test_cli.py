@@ -218,6 +218,36 @@ def test_a_mass_factor_that_underflows_exits_2(tmp_path, capsys):
     assert "mass factor" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[[0.0, 0.0], [1e200, 0.0]], [[0.0, 0.0], [1e-200, 0.0], [0.0, 1e-200]]],
+    ids=["overflow", "underflow"],
+)
+def test_a_cloud_whose_squared_distances_leave_the_float_range_exits_2(tmp_path, capsys, points):
+    # at 1e200 beta read radius inf and beta_2 NaN; at 1e-200 the squared
+    # distances underflow to 0, so beta_2 and c_1^2 read 0
+    path = tmp_path / "scaled.csv"
+    WeightedPointCloud(np.array(points), np.ones(len(points))).to_csv(path)
+    for argv in (["beta"], ["curvature"], ["flatness"], ["flatness", "--mode", "continuous"], ["ratio", "thm13"]):
+        code, stdout, err = run(capsys, [*argv, "--input", str(path), "--d", "1"])
+        assert (code, stdout) == (2, ""), argv
+        assert str(path) in err and "rescale" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_flatness_of_a_cloud_of_one_repeated_point_is_0(tmp_path, capsys, rows):
+    # its bounding ball has radius 0, so m(Q) = +inf and D(Q) is empty
+    path = tmp_path / "point.csv"
+    WeightedPointCloud(np.full((rows, 2), 0.5), np.ones(rows)).to_csv(path)
+    for mode in ("discrete", "continuous"):
+        code, stdout, _ = run(capsys, ["flatness", "--input", str(path), "--d", "1", "--mode", mode])
+        assert code == 0, mode
+        out = json.loads(stdout)
+        assert (out["ball"]["radius"], out["total"], out["n_terms"]) == (0.0, 0.0, 0), mode
+    code, stdout, _ = run(capsys, ["beta", "--input", str(path), "--d", "1"])
+    assert (code, json.loads(stdout)["beta2"]) == (0, 0.0)
+
+
 def test_bad_sample_counts_exit_2(tmp_path, capsys):
     path = tmp_path / "circle.csv"
     gen_sphere(2, 500, seed=1).to_csv(path)
@@ -258,6 +288,14 @@ def test_verify_inject_failure(capsys):
     assert not json.loads(stdout)["passed"]
     assert "failed checks:" in err
     assert "harness_probe" in err
+
+
+def test_an_empty_injection_name_fails_the_report(capsys):
+    code, stdout, _ = run(capsys, ["verify", "sequences", "--inject-failure", ""])
+    assert code == 1
+    report = json.loads(stdout)
+    assert not report["passed"]
+    assert report["checks"][-1] == {"name": "", "passed": False, "detail": {"injected": True}}
 
 
 @pytest.mark.parametrize(

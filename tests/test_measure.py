@@ -320,6 +320,16 @@ def test_median_nn_distance_grid():
     assert cloud.median_nn_distance() == 1.0
 
 
+def test_a_cloud_keeps_one_tree_and_a_new_cloud_builds_its_own():
+    cloud = gen_sphere(2, 100, seed=6)
+    assert cloud.tree is cloud.tree
+    assert np.array_equal(cloud.tree.data, cloud.points)
+    # a fresh cloud over the same arrays caches nothing of the first
+    fresh = WeightedPointCloud(cloud.points, cloud.weights)
+    assert fresh.tree is not cloud.tree
+    assert np.array_equal(fresh.tree.data, cloud.points)
+
+
 def test_bounding_ball_contains_everything():
     cloud = gen_sphere(2, 100, seed=6)
     ball = cloud.bounding_ball()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from menger import measure, multiscale
 from menger.geometry import InvariantError
 from menger.measure import Ball, WeightedPointCloud, gen_four_corner_cantor, gen_plane_patch, gen_sphere
 from menger.multiscale import (
@@ -65,14 +67,14 @@ def test_m_of_q_uses_ball_diameter():
 
 def test_build_net_on_a_line():
     pts = as_pts([0.0, 1.0, 2.0, 3.0])
-    net = build_net(pts, np.arange(4), 1.5)
+    net = build_net(cKDTree(pts), np.arange(4), 1.5)
     assert net.tolist() == [0, 2]
 
 
 def test_net_separation_and_covering(circle):
     r = 0.3
     order = np.random.default_rng(1).permutation(len(circle))
-    net = build_net(circle.points, order, r)
+    net = build_net(circle.tree, order, r)
     sel = circle.points[net]
     dist = np.linalg.norm(sel[:, None, :] - sel[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
@@ -170,7 +172,8 @@ grid_clouds = st.integers(1, 3).flatmap(
 @given(grid_clouds, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 1.5]), st.data())
 def test_greedy_routines_match_reference_loop(pts, r, q, data):
     order = np.asarray(data.draw(st.permutations(range(len(pts)))), dtype=int)
-    net = build_net(pts, order, r)
+    tree = cKDTree(pts)
+    net = build_net(tree, order, r)
     assert net.dtype.kind == "i"
     assert np.array_equal(net, reference_net(pts, order, r))
     for net_points in (pts, pts[net]):
@@ -179,13 +182,13 @@ def test_greedy_routines_match_reference_loop(pts, r, q, data):
         assert np.array_equal(kept, reference_ball_family(net_points, q))
     # a q-net covers within q, so the partition exists; an r-net with r > q
     # may not cover, and both versions must then raise the same error
-    for net_points in (pts[build_net(pts, order, q)], pts[net]):
+    for net_points in (pts[build_net(tree, order, q)], pts[net]):
         kept = build_ball_family(net_points, q)
-        args = (pts, net_points, kept, q)
-        assert same(outcome(build_partition, *args), outcome(reference_partition, *args))
+        args = (net_points, kept, q)
+        assert same(outcome(build_partition, tree, *args), outcome(reference_partition, pts, *args))
     centers = pts[data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=12))]
     for r2 in (r * r, q * q, (2.0 * q) * (2.0 * q)):
-        assert same(_first_within(pts, centers, r2), reference_first_within(pts, centers, r2))
+        assert same(_first_within(tree, centers, r2), reference_first_within(pts, centers, r2))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 300))
@@ -197,13 +200,14 @@ def test_tree_searches_keep_exact_boundary_hits(seed, D, n):
     unit = rng.normal(size=(n, D))
     for scale in (10.0 ** rng.integers(-3, 4), 1e-160, 1e-150, 1e150):
         pts = unit * scale
+        tree = cKDTree(pts)
         centers = pts[rng.choice(n, size=min(n, 20), replace=False)]
         for i, j in rng.integers(0, n, size=(4, 2)):
             r2 = float(np.einsum("i,i->", pts[i] - pts[j], pts[i] - pts[j]))
-            assert same(_first_within(pts, centers, r2), reference_first_within(pts, centers, r2))
+            assert same(_first_within(tree, centers, r2), reference_first_within(pts, centers, r2))
             r = float(np.sqrt(r2))
             order = rng.permutation(n)
-            assert np.array_equal(build_net(pts, order, r), reference_net(pts, order, r))
+            assert np.array_equal(build_net(tree, order, r), reference_net(pts, order, r))
 
 
 def test_ball_family_drop_rule_is_closed():
@@ -215,28 +219,28 @@ def test_ball_family_drop_rule_is_closed():
 
 def test_partition_hand_case_direct_assignment():
     pts = as_pts([0.0, 0.2, 1.0, 1.1, 2.5])
-    net = build_net(pts, np.arange(5), 0.3)
+    net = build_net(cKDTree(pts), np.arange(5), 0.3)
     assert net.tolist() == [0, 2, 4]
     kept = build_ball_family(pts[net], 0.3)
     assert kept.tolist() == [0, 1, 2]
-    part = build_partition(pts, pts[net], kept, 0.3)
+    part = build_partition(cKDTree(pts), pts[net], kept, 0.3)
     assert part.tolist() == [0, 0, 1, 1, 2]
     # a point exactly on the quarter sphere is inside (q**2 is one ulp
     # below the rounded q*q for this q)
     q = 2 * 0.35**8
     pts = as_pts([0.0, q])
-    assert build_partition(pts, pts[:1], np.array([0]), q).tolist() == [0, 0]
+    assert build_partition(cKDTree(pts), pts[:1], np.array([0]), q).tolist() == [0, 0]
 
 
 def test_partition_hand_case_leftover_routing():
     # net point at 0.5 is dropped (within 2q of 0); the point it covers is
     # routed to the kept ball its quarter ball meets
     pts = as_pts([0.0, 0.5, 0.9])
-    net = build_net(pts, np.arange(3), 0.3)
+    net = build_net(cKDTree(pts), np.arange(3), 0.3)
     assert net.tolist() == [0, 1, 2]
     kept = build_ball_family(pts[net], 0.3)
     assert kept.tolist() == [0, 2]
-    part = build_partition(pts, pts[net], kept, 0.3)
+    part = build_partition(cKDTree(pts), pts[net], kept, 0.3)
     assert part.tolist() == [0, 0, 1]
 
 
@@ -244,7 +248,7 @@ def test_partition_covering_violation_is_an_invariant_error():
     # the net misses the point at 5: no quarter ball, kept or leftover, holds it
     pts = as_pts([0.0, 5.0])
     with pytest.raises(InvariantError, match="outside every quarter ball"):
-        build_partition(pts, pts[:1], np.array([0]), 1.0)
+        build_partition(cKDTree(pts), pts[:1], np.array([0]), 1.0)
 
 
 def test_partition_leftover_routing_runs_in_bounded_memory():
@@ -255,7 +259,7 @@ def test_partition_leftover_routing_runs_in_bounded_memory():
     net_pts = as_pts(np.concatenate([[0.0], np.linspace(1.5, 2.0, n)]))
     tracemalloc.start()
     try:
-        part = build_partition(pts, net_pts, np.array([0]), 1.0)
+        part = build_partition(cKDTree(pts), net_pts, np.array([0]), 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,7 +276,7 @@ def test_net_and_ball_family_run_in_bounded_memory():
     order = np.random.default_rng(0).permutation(n)
     tracemalloc.start()
     try:
-        net = build_net(pts, order, 1.0)
+        net = build_net(cKDTree(pts), order, 1.0)
         kept = build_ball_family(pts, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -280,6 +284,37 @@ def test_net_and_ball_family_run_in_bounded_memory():
     assert net.tolist() == [order[0]]
     assert kept.tolist() == [0]
     assert peak < 200 * 2**20
+
+
+def test_a_family_builds_one_tree_over_the_whole_cloud(monkeypatch):
+    # the nearest-neighbour scale, every net and every partition's first
+    # pass read the cloud's cached tree; only the subsets (net points,
+    # leftover centres, unassigned points) get trees of their own
+    sizes = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            sizes.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(measure, "cKDTree", CountingTree)
+    monkeypatch.setattr(multiscale, "cKDTree", CountingTree)
+    cloud = gen_sphere(2, 2000)
+    fam = MultiresolutionFamily(cloud, 0.25)
+    for n in range(fam.n_top, fam.n_floor + 1):
+        fam.level(n)
+    assert fam.n_floor - fam.n_top >= 3
+    assert len(sizes) > 1
+    assert sizes.count(len(cloud)) == 1
+
+
+def test_a_zero_radius_query_has_no_family_balls(circle):
+    fam = MultiresolutionFamily(circle, 0.25)
+    point = Ball(circle.points[0], 0.0)
+    assert fam.levels_for(point) == range(0)
+    assert jones_flatness_discrete(circle, point, fam, 1).total == 0.0
+    with pytest.raises(ValueError, match="positive finite diameter"):
+        fam.levels_for(Ball(circle.points[0], np.inf))
 
 
 def test_partition_sandwich_on_random_cloud(circle):
