@@ -18,6 +18,10 @@ do not carry over; the median is reported.  Per cloud it times:
   beta2_us      microseconds per planes.beta2 call, one timer per call: the
                 median over 64 balls of radius 0.05 centred on points 0-63,
                 on each of the REPEATS clouds
+  beta2_batch_us  microseconds per ball inside one scale-layer batch: the
+                same 64 balls as one planes._beta2_layers call (one layer,
+                radius 0.05), its time over 64, the median over the REPEATS
+                clouds
 
 with alpha0 = 0.25 and d = 1 on the circle, d = 2 on the sphere.  Prints
 one JSON object.  BLAS is held to one thread, as in bench/run.py.
@@ -46,7 +50,7 @@ def _cell(menger, D: int, n: int, d: int) -> dict:
     base = menger.measure.gen_sphere(D, n, seed=n + D)
     ms = menger.multiscale
     times: dict[str, list[float]] = {"diameter_s": [], "levels_s": [], "discrete_s": [], "continuous_s": []}
-    beta2_us = []
+    beta2_us, batch_us = [], []
     level_s: dict[int, list[float]] = {}
     for _ in range(REPEATS):
         cloud = menger.measure.WeightedPointCloud(base.points, base.weights)
@@ -72,8 +76,12 @@ def _cell(menger, D: int, n: int, d: int) -> dict:
             t0 = perf_counter()
             menger.planes.beta2(cloud, ball, d)
             beta2_us.append(1e6 * (perf_counter() - t0))
+        t0 = perf_counter()
+        menger.planes._beta2_layers(cloud, cloud.points[:64], [0.05], d)
+        batch_us.append(1e6 * (perf_counter() - t0) / 64)
     out = {key: statistics.median(v) for key, v in times.items()}
     out["beta2_us"] = statistics.median(beta2_us)
+    out["beta2_batch_us"] = statistics.median(batch_us)
     out["level_s"] = {str(n): statistics.median(v) for n, v in level_s.items()}
     out["levels"] = fam.n_floor - fam.n_top + 1
     out["net_points"] = int(sum(len(fam.level(k).net) for k in range(fam.n_top, fam.n_floor + 1)))

@@ -1,12 +1,13 @@
 """Weighted point clouds as discrete measures: containers, CSV I/O,
 reference generators and Ahlfors-regularity probing.
 
-A cloud computes three facts about its points once, on first use, and
-keeps them: the support diameter, the median nearest-neighbour distance
-and the k-d tree over its points (`tree`), which every walk over the whole
-cloud reads.  A cloud's points must therefore not change after it is
-built; a cloud over other points, or over a subset, is a new cloud with
-its own cached facts.
+A cloud computes four facts about its points once, on first use, and
+keeps them: the support diameter, the median nearest-neighbour distance,
+the k-d tree over its points (`tree`), which every walk over the whole
+cloud reads, and their coordinate columns (`columns`), which every ball
+scan over the whole cloud reads.  A cloud's points must therefore not
+change after it is built; a cloud over other points, or over a subset, is
+a new cloud with its own cached facts.
 
 CSV format: first line `dim=D`, then one row `c_1,...,c_D,weight` per
 point.  Weights must be strictly positive.
@@ -208,35 +209,57 @@ class Ball:
 
     def contains(self, points) -> np.ndarray:
         """Boolean mask for closed-ball membership of the rows of an (N, D)
-        array: _sq_norms(points - center) <= r*r, bit for bit.
-
-        Row-wise numpy ops on an (N, D) array with small D run their inner
-        loop once per row, so the squared distances are first summed one
-        coordinate column at a time.  That sum can differ from the einsum's
-        in its last bit (at D = 3 numpy's einsum adds (p0 + p2) + p1), but
-        its terms are the einsum's products and all >= 0, so the two orders
-        differ by at most 2(D-1) eps relative, and subnormal sums are exact.
-        Rows whose column sum lies within a relative _PAD - 1 of r*r, or is
-        not finite, are decided again by the einsum itself.  An overflowing
-        square is +inf, without a warning, as in the einsum.
-        """
+        array: _sq_norms(points - center) <= r*r, bit for bit, decided by
+        _within_sq_radius."""
         P = np.asarray(points, dtype=float)
         c = self.center
         if P.ndim != 2 or P.shape[1] != len(c):
             raise ValueError(f"points must be (N, {len(c)}) to match the ball centre, got {P.shape}")
-        r2 = self.radius * self.radius
+        d2 = _column_sq_dists(P.T, c)
+        return _within_sq_radius(d2, self.radius * self.radius, lambda rows: P[rows] - c)
+
+
+def _column_sq_dists(columns: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distances from `center` to N points given as their D
+    coordinate columns (D, N), summed one column at a time:
+    ((p_0 - c_0)^2 + (p_1 - c_1)^2) + ...
+
+    Row-wise numpy ops on an (N, D) array with small D run their inner loop
+    once per row, which is why the columns are summed instead.  An
+    overflowing square is +inf, without a warning, as in the einsum.
+    """
+    with np.errstate(over="ignore"):
+        d2 = columns[0] - center[0]
+        np.square(d2, out=d2)
+        for j in range(1, len(columns)):
+            term = columns[j] - center[j]
+            d2 += np.square(term, out=term)
+    return d2
+
+
+def _within_sq_radius(d2: np.ndarray, r2: float, diffs) -> np.ndarray:
+    """Boolean mask of the point-centre pairs with _sq_norms(p - c) <= r2,
+    bit for bit, from their column sums d2 (_column_sq_dists, 1-D);
+    diffs(rows) returns the difference rows p - c of the pairs at `rows`.
+
+    The column sum can differ from the einsum's in its last bit (at D = 3
+    numpy's einsum adds (p0 + p2) + p1), but its terms are the einsum's
+    products and all >= 0, so the two orders differ by at most 2(D-1) eps
+    relative, and subnormal sums are exact.  Pairs whose column sum lies
+    within a relative _PAD - 1 of r2, or is infinite, are decided again by
+    the einsum itself, one row per pair, so the answer for a pair does not
+    depend on which other pairs are tested with it.  A NaN column sum comes
+    from a NaN coordinate, whose einsum is NaN too: both compare False.
+    """
+    inside = d2 <= r2
+    near = d2 >= r2 / _PAD
+    near &= d2 <= r2 * _PAD
+    near |= np.isinf(d2)
+    rows = near.nonzero()[0]
+    if len(rows):
         with np.errstate(over="ignore"):
-            d2 = np.square(P[:, 0] - c[0])
-            for j in range(1, len(c)):
-                term = P[:, j] - c[j]
-                d2 += np.square(term, out=term)
-            inside = d2 <= r2
-            near = (d2 >= r2 / _PAD) & (d2 <= r2 * _PAD)
-            near |= ~np.isfinite(d2)
-            if near.any():
-                rows = np.flatnonzero(near)
-                inside[rows] = _sq_norms(P[rows] - c) <= r2
-        return inside
+            inside[rows] = _sq_norms(diffs(rows)) <= r2
+    return inside
 
 
 class WeightedPointCloud:
@@ -260,6 +283,7 @@ class WeightedPointCloud:
         self._diameter: float | None = None
         self._median_nn: float | None = None
         self._tree: cKDTree | None = None
+        self._columns: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -272,10 +296,10 @@ class WeightedPointCloud:
         return float(self.weights.sum())
 
     def in_ball(self, ball: Ball) -> np.ndarray:
-        return np.nonzero(ball.contains(self.points))[0]
+        return np.nonzero(ball.contains(self.columns.T))[0]
 
     def mass_in(self, ball: Ball) -> float:
-        return float(self.weights[ball.contains(self.points)].sum())
+        return float(self.weights[ball.contains(self.columns.T)].sum())
 
     def subset(self, indices) -> "WeightedPointCloud":
         return WeightedPointCloud(self.points[indices], self.weights[indices])
@@ -303,6 +327,16 @@ class WeightedPointCloud:
         if self._tree is None:
             self._tree = cKDTree(self.points)
         return self._tree
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The points as coordinate columns, a C-contiguous (D, N) copy built
+        on first use and kept: a ball scan (in_ball, mass_in) passes its
+        transpose to Ball.contains, which then reads each column
+        contiguously rather than with a stride of D."""
+        if self._columns is None:
+            self._columns = np.ascontiguousarray(self.points.T)
+        return self._columns
 
     def median_nn_distance(self) -> float:
         """Median distance to the nearest distinct-index neighbour."""

@@ -19,6 +19,11 @@ over them.  A level's net and partition walk the cloud's own cached tree,
 WeightedPointCloud.tree; the three point sets that are subsets of the cloud
 (the net points of a ball family, the leftover centres and the points no
 kept quarter ball holds) each get their own tree, built once.
+
+The discrete functional reads one planes.beta2 per family ball, through the
+family's cache.  The continuous functional evaluates every scale of its
+grid at once, with one planes._beta2_layers call, which returns the bits of
+one beta2 call per (x, t).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from scipy.spatial import cKDTree
 
 from .geometry import InvariantError
 from .measure import _PAD, Ball, WeightedPointCloud, _level, _power, _sq_norms
-from .planes import _check_dim, beta2
+from .planes import _beta2_layers, _check_dim, beta2
 
 # Most levels a family spans below n_top.  A floor's level grows like
 # ln(diam / floor) / ln(1/alpha0), so only an alpha0 near 1 reaches it: a
@@ -357,7 +362,17 @@ def jones_flatness_continuous(
     positive median_nn, or of infinite diameter, is rejected: its grid
     would stop above the support's scales and return almost nothing, or
     never end.  Any other ball has a finite floor of at least 1e-12 diam(B),
-    so the grid has at most 41 levels and needs no cap of its own.
+    so the grid has at most 41 levels and needs no cap of its own.  A cloud
+    whose median nearest-neighbour distance overflows has no floor, and is
+    rejected too.
+
+    Every beta_2(x, t) comes from one planes._beta2_layers call over the
+    sampled x and the whole grid, which scans the centres in blocks and
+    returns beta2(cloud, Ball(x, t), d).value bit for bit.  The terms are
+    then built t-major, each value squared with Python's float power as
+    beta2(...).value ** 2 is, and each layer is summed in x order before its
+    log weight is applied: total and terms are those of a loop of one beta2
+    call per (x, t).
     """
     if x_cap < 1:
         raise ValueError("x_cap must be >= 1")
@@ -377,6 +392,11 @@ def jones_flatness_continuous(
     w_sub = w_sub * (mass_b / w_sub.sum())
 
     median_nn = cloud.median_nn_distance()
+    if median_nn == math.inf:
+        raise ValueError(
+            "the cloud's median nearest-neighbour distance is not finite (its squared distances "
+            "overflow the float range), so the continuous functional has no resolution floor"
+        )
     floor = max(median_nn, 1e-12 * max(query.diameter, 1e-300))
     if 0 < median_nn < floor or floor == math.inf:
         raise ValueError(
@@ -384,15 +404,19 @@ def jones_flatness_continuous(
             f"the median nearest-neighbour distance {median_nn!r}, so the scale grid would stop "
             "above the support's scales"
         )
-    log_w = math.log(1.0 / SCALE_RATIO)
-    total = 0.0
+    radii = []
     t = query.diameter
     while t >= floor:
+        radii.append(t)
+        t *= SCALE_RATIO
+    values, _ = _beta2_layers(cloud, cloud.points[sub], radii, d)
+    log_w = math.log(1.0 / SCALE_RATIO)
+    total = 0.0
+    for t, row in zip(radii, values.tolist()):
         layer = 0.0
-        for pi, wx in zip(sub, w_sub):
-            b2 = beta2(cloud, Ball(cloud.points[pi], t), d).value ** 2
+        for pi, wx, value in zip(sub, w_sub, row):
+            b2 = value**2
             layer += wx * b2
             terms.append({"t": t, "x": int(pi), "beta2sq": b2, "weight": float(wx)})
         total += log_w * layer
-        t *= SCALE_RATIO
     return FlatnessReport(total=total, terms=terms)

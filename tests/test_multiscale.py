@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -435,6 +436,63 @@ def test_continuous_flatness_rejects_a_ball_wider_than_its_scale_grid():
     assert jones_flatness_continuous(dup, Ball(np.zeros(2), 2.0), 1).total == 0.0
     with pytest.raises(ValueError, match="median nearest-neighbour distance"):
         jones_flatness_continuous(dup, Ball(np.zeros(2), np.inf), 1)
+
+
+def _continuous_by_ball(cloud, query, d, x_cap):
+    """(total, terms) of J^c with one beta2 call per (x, t), in the order the
+    functional sums them."""
+    idx = cloud.in_ball(query)
+    mass_b = float(cloud.weights[idx].sum())
+    sub = idx[:: math.ceil(len(idx) / x_cap)] if len(idx) > x_cap else idx
+    w_sub = cloud.weights[sub] * (mass_b / cloud.weights[sub].sum())
+    floor = max(cloud.median_nn_distance(), 1e-12 * query.diameter)
+    total, terms, t = 0.0, [], query.diameter
+    while t >= floor:
+        layer = 0.0
+        for pi, wx in zip(sub, w_sub):
+            b2 = beta2(cloud, Ball(cloud.points[pi], t), d).value ** 2
+            layer += wx * b2
+            terms.append({"t": t, "x": int(pi), "beta2sq": b2, "weight": float(wx)})
+        total += math.log(2.0) * layer
+        t *= 0.5
+    return total, terms
+
+
+@pytest.mark.parametrize("x_cap", [64, 256])
+def test_continuous_flatness_is_the_per_ball_sum_bit_for_bit(circle, graph12, sphere3, x_cap):
+    for cloud, d in ((circle, 1), (graph12, 1), (sphere3, 2)):
+        # the whole cloud, and a ball narrower than the grid's floor: no scales
+        for query in (cloud.bounding_ball(), Ball(cloud.points[0], 1e-6)):
+            total, terms = _continuous_by_ball(cloud, query, d, x_cap)
+            rep = jones_flatness_continuous(cloud, query, d, x_cap=x_cap)
+            assert float(rep.total).hex() == float(total).hex()
+            assert rep.terms == terms
+            assert [t["beta2sq"].hex() for t in rep.terms] == [t["beta2sq"].hex() for t in terms]
+
+
+def test_continuous_flatness_runs_in_bounded_memory():
+    # every ball of the two coarsest scales holds all 6000 points: one scan
+    # table of all 250 centres, or one layer's fits at once, would hold
+    # 250 x 6000 rows
+    n = 6000
+    cloud = WeightedPointCloud(as_pts(np.linspace(0.0, 1.0, n)), np.full(n, 1.0 / n))
+    cloud.median_nn_distance()
+    tracemalloc.start()
+    try:
+        rep = jones_flatness_continuous(cloud, Ball(np.array([0.5]), 1.0), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.total == 0.0 and len(rep.terms) == 250 * 14
+    assert peak < 40 * 2**20
+
+
+def test_continuous_flatness_names_an_overflowing_nearest_neighbour_scale():
+    base = gen_sphere(2, 40)
+    cloud = WeightedPointCloud(base.points * 2.0**520, base.weights)
+    assert cloud.median_nn_distance() == np.inf
+    with pytest.raises(ValueError, match="median nearest-neighbour distance is not finite"):
+        jones_flatness_continuous(cloud, Ball(np.zeros(2), 2.0**521), 1)
 
 
 def test_beta2_scans_once_and_repeated_query_scans_nothing(circle, monkeypatch):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from menger import planes
 from menger.measure import Ball, WeightedPointCloud, gen_lipschitz_graph, gen_sphere
-from menger.planes import AffinePlane, _beta2_value, beta2
+from menger.planes import AffinePlane, _beta2_layers, _beta2_values, beta2
 
 
 def _fit_oracle(points, weights, d):
@@ -141,8 +142,8 @@ def test_beta2_fitted_plane_beats_any_other_plane():
     for theta in np.linspace(0.0, np.pi, 50, endpoint=False):
         other = AffinePlane(res.plane.point, np.array([[math.cos(theta), math.sin(theta)]]))
         w = cloud.weights[idx]
-        value = _beta2_value(other.distance_many(cloud.points[idx]), w, w.sum(), ball.radius)
-        assert res.value <= value * (1.0 + 1e-9)
+        value = _beta2_values(other.distance_many(cloud.points[idx]), w, [(0, len(w))], [w.sum()], ball.radius)
+        assert res.value <= value[0] * (1.0 + 1e-9)
 
 
 def test_beta2_empty_ball():
@@ -159,7 +160,7 @@ def test_beta2_of_a_point_mass_is_zero():
     assert res.value == 0.0
     assert res.mass == 3.0
     dist = res.plane.distance_many(cloud.points)
-    assert _beta2_value(dist, cloud.weights, res.mass, ball.radius) == 0.0
+    assert _beta2_values(dist, cloud.weights, [(0, len(dist))], [res.mass], ball.radius)[0] == 0.0
 
 
 def test_beta2_uses_ball_diameter():
@@ -179,6 +180,15 @@ def _clouds():
             (graph, 4), (equal, 2), (equal, 3)]
 
 
+def _dyadic_grid():
+    """The points of a 17 x 17 grid of step 1/8: from a grid point, others
+    lie exactly on the spheres of radius 1/2 and 5/8 (3-4-5 triangles), with
+    exact squared distances."""
+    g = np.arange(-8, 9) / 8.0
+    pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    return WeightedPointCloud(pts, np.random.default_rng(9).uniform(0.5, 2.0, len(pts)))
+
+
 @pytest.mark.parametrize("case", range(6))
 def test_beta2_matches_the_oracle_bit_for_bit(case):
     cloud, d = _clouds()[case]
@@ -193,6 +203,40 @@ def test_beta2_matches_the_oracle_bit_for_bit(case):
         assert _bits(res.value) == _bits(value) and _bits(res.mass) == _bits(mass)
         assert np.array_equal(_bits(res.plane.point), _bits(point))
         assert np.array_equal(_bits(res.plane.basis), _bits(basis))
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_beta2_layers_match_the_oracle_bit_for_bit(case, monkeypatch):
+    cloud, d = [*_clouds(), (_dyadic_grid(), 1)][case]
+    D = cloud.ambient_dim
+    centers = np.vstack([cloud.points[::41], np.full((1, D), 50.0)])  # the last ball is always empty
+    radii = [3.0, 0.625, 0.5, 0.2, 0.05, 1e-9, 0.0]  # all-covering down to tiny and 0
+    values, masses = _beta2_layers(cloud, centers, radii, d)
+    on_sphere = 0
+    for j, r in enumerate(radii):
+        for i, c in enumerate(centers):
+            V = cloud.points - c
+            d2 = np.einsum("ij,ij->i", V, V)
+            on_sphere += np.count_nonzero(d2 == r * r)
+            value, mass, _, _ = _beta2_oracle(cloud, np.nonzero(d2 <= r * r)[0], Ball(c, r), d)
+            assert _bits(values[j, i]) == _bits(value) and _bits(masses[j, i]) == _bits(mass)
+    if case == 6:
+        assert on_sphere > 50
+    # one centre per block: every layer's flat arrays split at other seams
+    monkeypatch.setattr(planes, "BATCH_ROWS", 1)
+    seams = _beta2_layers(cloud, centers, radii, d)
+    assert np.array_equal(_bits(seams[0]), _bits(values)) and np.array_equal(_bits(seams[1]), _bits(masses))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_an_overflowing_scatter_is_refused_by_name():
+    # squared distances of about 2^1040 to the centroid: the scatter is +inf
+    base = gen_sphere(2, 40)
+    cloud = WeightedPointCloud(base.points * 2.0**520, base.weights)
+    with pytest.raises(ValueError, match="scatter matrix of a ball's points is not finite"):
+        beta2(cloud, Ball(np.zeros(2), 2.0**521), 1)
+    with pytest.raises(ValueError, match="scatter matrix of a ball's points is not finite"):
+        _beta2_layers(cloud, cloud.points[:2], [2.0**522, 2.0**521], 1)
 
 
 @pytest.mark.parametrize(
