@@ -22,6 +22,10 @@ do not carry over; the median is reported.  Per cloud it times:
                 same 64 balls as one planes._beta2_layers call (one layer,
                 radius 0.05), its time over 64, the median over the REPEATS
                 clouds
+  routed_share  the share of (point, level) cells, over every level built,
+                whose point lies outside its own cell's kept quarter ball:
+                the points the partition routes through the net walk's and
+                the ball-family walk's cover maps, read from NetLevel
 
 with alpha0 = 0.25 and d = 1 on the circle, d = 2 on the sphere.  Prints
 one JSON object.  BLAS is held to one thread, as in bench/run.py.
@@ -85,7 +89,19 @@ def _cell(menger, D: int, n: int, d: int) -> dict:
     out["level_s"] = {str(n): statistics.median(v) for n, v in level_s.items()}
     out["levels"] = fam.n_floor - fam.n_top + 1
     out["net_points"] = int(sum(len(fam.level(k).net) for k in range(fam.n_top, fam.n_floor + 1)))
+    out["routed_share"] = _routed_share(menger, cloud, fam)
     return out
+
+
+def _routed_share(menger, cloud, fam) -> float:
+    routed = 0
+    for n in range(fam.n_top, fam.n_floor + 1):
+        level = fam.level(n)
+        q = level.quarter_radius
+        # the partition's first pass compares these same squared norms
+        d2 = menger.measure._sq_norms(cloud.points - level.centers(cloud)[level.partition])
+        routed += int((d2 > q * q).sum())
+    return routed / (len(cloud) * (fam.n_floor - fam.n_top + 1))
 
 
 def main(argv=None) -> int:

@@ -13,12 +13,12 @@ Per scale n the construction is:
         quarter balls and earlier leftovers, then assigning each leftover
         to the smallest kept index whose quarter ball it meets.
 
-Each walk (build_net, _first_within, build_partition's first pass) reads
-the points of the k-d tree it is given, from tree.data, and builds no tree
-over them.  A level's net and partition walk the cloud's own cached tree,
-WeightedPointCloud.tree; the three point sets that are subsets of the cloud
-(the net points of a ball family, the leftover centres and the points no
-kept quarter ball holds) each get their own tree, built once.
+Each walk (build_net, _first_within) reads the points of the k-d tree it
+is given, from tree.data, and builds no tree over them.  A level's net and
+partition walk the cloud's own cached tree, WeightedPointCloud.tree; the
+net points are the only subset of the cloud that gets a tree, one per
+level, for the ball family's walk.  The two greedy walks return their cover
+maps, and the partition reads its leftover routing off them.
 
 The discrete functional reads one planes.beta2 per family ball, through the
 family's cache.  The continuous functional evaluates every scale of its
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import InvariantError
 from .measure import _PAD, Ball, WeightedPointCloud, _level, _power, _sq_norms
 from .planes import _beta2_layers, _check_dim, beta2
 
@@ -65,11 +64,12 @@ def scale_index(diam: float, alpha0: float) -> int:
     return k if _power(alpha0, k) == diam else k + 1
 
 
-def build_net(tree: cKDTree, order: np.ndarray, r: float) -> np.ndarray:
+def build_net(tree: cKDTree, order: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy r-separated net over the points of `tree`, scanned in `order`.
 
-    Returns the selected indices (in admission order).  Admitted points are
-    pairwise more than r apart and every point is within r of one of them.
+    Returns (net, cover): the selected indices in admission order, and per
+    point p the position in `net` of the first admitted point within r of
+    p, -1 only for points `order` leaves out (a net tree's parent pointer).
     A point is admitted iff no earlier admitted point lies within r of it,
     by the exact closed comparison |x - y|^2 <= r*r, which is symmetric.
 
@@ -80,37 +80,39 @@ def build_net(tree: cKDTree, order: np.ndarray, r: float) -> np.ndarray:
     a larger block would mostly query ground that its own first admissions
     cover.  One query_ball_point call fetches the block's candidates and
     one vectorised comparison re-tests them.  The admissions are then
-    resolved in scan order, each marking its hits covered, so a block
-    member covered by an earlier one is skipped as in a one-at-a-time scan.
-    The walk ends once every point of `order` is covered.  The points are
-    read from tree.data, the array the tree was built over.
+    resolved in scan order, each setting `cover` on its uncovered hits, so
+    a block member covered by an earlier one is skipped as in a
+    one-at-a-time scan.  The walk ends once every point of `order` is
+    covered.  The points are read from tree.data.
     """
     points = tree.data
     radius = r * _PAD
-    covered = np.zeros(len(points), dtype=bool)
+    cover = np.full(len(points), -1)
     count = np.full(len(points), -1)
     selected = []
     rest = np.asarray(order, dtype=int)
     width = 1
     while True:
-        rest = rest[~covered[rest]]
+        rest = rest[cover[rest] < 0]
         if len(rest) == 0:
-            return np.asarray(selected, dtype=int)
+            return np.asarray(selected, dtype=int), cover
         window = rest[:width]
         new = window[count[window] < 0]
-        count[new] = tree.query_ball_point(points[new], radius, return_length=True)
+        count[new] = tree.query_ball_point(points.take(new, axis=0), radius, return_length=True)
         counts = count[window]
         cap = min(BLOCK_CANDIDATES, len(rest))
         k = max(1, int(np.searchsorted(np.cumsum(counts), cap, side="right")))
         block, rest = window[:k], rest[k:]
-        cand, owner = _candidates(tree, points[block], radius)
-        hit = _sq_norms(points[cand] - points[block[owner]]) <= r * r
+        block_points = points.take(block, axis=0)
+        cand, owner = _candidates(tree, block_points, radius)
+        hit = _sq_norms(points.take(cand, axis=0) - block_points.take(owner, axis=0)) <= r * r
         ends = np.cumsum(np.bincount(owner[hit], minlength=k)).tolist()
         cand = cand[hit]
         for idx, lo, hi in zip(block.tolist(), [0] + ends, ends):
-            if not covered[idx]:
+            if cover[idx] < 0:
+                hits = cand[lo:hi]
+                cover[hits[cover[hits] < 0]] = len(selected)
                 selected.append(idx)
-                covered[cand[lo:hi]] = True
         # the next window holds about twice the points that fill a block here
         width = int(2 * min(BLOCK_CANDIDATES, len(rest)) / max(counts.mean(), 1.0)) + 1
 
@@ -125,55 +127,44 @@ def _candidates(tree: cKDTree, centers: np.ndarray, radius: float):
     return cand, np.repeat(np.arange(len(centers)), lengths)
 
 
-def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> np.ndarray:
+def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy subfamily whose quarter balls (radius = quarter_radius) are
-    maximal mutually disjoint.  Returns positions within the net list.
+    maximal mutually disjoint.  Returns (kept, route): positions within the
+    net list, and per net point the position in `kept` of the first kept
+    quarter ball that meets its own.
 
     Closed balls of radius q are disjoint iff their centers are more than
-    2q apart, so the kept centers are the greedy 2q-net of the net, scanned
-    in net order.  The walk reads a tree built over the net points.
+    2q apart, so `kept` is the greedy 2q-net of the net, scanned in net
+    order, and `route` is its cover.  The walk reads a tree built over the
+    net points.
     """
     return build_net(cKDTree(net_points), np.arange(len(net_points)), 2.0 * quarter_radius)
 
 
 def build_partition(
-    tree: cKDTree, net_points: np.ndarray, kept: np.ndarray, quarter_radius: float
+    tree: cKDTree, kept_centers: np.ndarray, quarter_radius: float, cover: np.ndarray, route: np.ndarray
 ) -> np.ndarray:
     """Assign every point of `tree` to a kept ball index, realising the
-    leftover construction.
+    leftover construction, from the cover of a q-net of the points
+    (build_net at r = q = quarter_radius) and its ball family's route.
 
     A point inside a kept quarter ball goes to that ball (smallest index on
     boundary ties; kept quarter balls are disjoint so ties only occur
-    exactly on spheres).  Any other point lies in some leftover quarter
+    exactly on spheres).  Any other point p lies in some leftover quarter
     ball B' (centered on a dropped net point); it is claimed by the first
     such B' in net order and routed to g(B') = the smallest kept index
-    whose quarter ball meets B'.  Every dropped net point has a kept center
-    within 2q, so g is total.
+    whose quarter ball meets B'.  Only the first pass walks `tree`.
 
-    The first pass, to the kept quarter balls, walks `tree`; the leftover
-    centres and the points still unassigned each get a tree of their own.
+    Every net point within q of such a p is a dropped one, so the first of
+    them, B', is cover[p] and g(B') is route[cover[p]].  Each comparison is
+    the einsum of the same difference (p - c, leftover - kept) against the
+    same rounded square, so the partition is bit for bit that of the
+    construction.  route[cover] is total when the net's order covers every
+    point: each walk ends only once its whole order is covered.
     """
-    q2 = quarter_radius * quarter_radius
-    kept_centers = net_points[kept]
-    assignment = _first_within(tree, kept_centers, q2)
-    unassigned = np.nonzero(assignment < 0)[0]
-    if len(unassigned) == 0:
-        return assignment
-
-    leftover = np.ones(len(net_points), dtype=bool)
-    leftover[kept] = False
-    leftover_centers = net_points[leftover]
-    # g(B'): smallest kept index whose quarter ball meets the leftover ball,
-    # i.e. center distance <= 2q.  Guaranteed to exist by the drop rule, as
-    # long as both compare against the same rounded square (2q)*(2q).
-    two_q = 2.0 * quarter_radius
-    g = _first_within(cKDTree(leftover_centers), kept_centers, two_q * two_q)
-    if (g < 0).any():
-        raise InvariantError("dropped net ball meets no kept quarter ball")
-    first = _first_within(cKDTree(tree.data[unassigned]), leftover_centers, q2)
-    if (first < 0).any():
-        raise InvariantError("net covering violated: point outside every quarter ball")
-    assignment[unassigned] = g[first]
+    assignment = _first_within(tree, kept_centers, quarter_radius * quarter_radius)
+    unassigned = assignment < 0
+    assignment[unassigned] = route[cover[unassigned]]
     return assignment
 
 
@@ -202,7 +193,7 @@ def _first_within(tree: cKDTree, centers: np.ndarray, r2: float) -> np.ndarray:
         owner += lo
         free = first[cand] < 0
         cand, owner = cand[free], owner[free]
-        hit = _sq_norms(points[cand] - centers[owner]) <= r2
+        hit = _sq_norms(points.take(cand, axis=0) - centers.take(owner, axis=0)) <= r2
         cand, owner = cand[hit], owner[hit]
         # a point hit by several centres of the block keeps the smallest
         first[cand] = len(centers)
@@ -242,10 +233,10 @@ class NetLevel:
 
 def build_level(cloud: WeightedPointCloud, n: int, alpha0: float, order: np.ndarray) -> NetLevel:
     r = alpha0**n
-    net = build_net(cloud.tree, order, r)
-    net_points = cloud.points[net]
-    kept = build_ball_family(net_points, r)
-    partition = build_partition(cloud.tree, net_points, kept, r)
+    net, cover = build_net(cloud.tree, order, r)
+    net_points = cloud.points.take(net, axis=0)
+    kept, route = build_ball_family(net_points, r)
+    partition = build_partition(cloud.tree, net_points.take(kept, axis=0), r, cover, route)
     return NetLevel(n=n, alpha0=alpha0, net=net, kept=kept, partition=partition)
 
 

@@ -281,10 +281,10 @@ def check_rake_property(Xs, X, k: int, alpha0: float) -> bool:
 
 
 def annulus_indices(cloud: WeightedPointCloud, center, r: float, level: int, alpha0: float) -> np.ndarray:
-    """Support indices in A_level(center, r): alpha0^{level+1} r < dist <= alpha0^level r."""
-    P = cloud.points
-    outer = Ball(center, alpha0**level * r).contains(P)
-    return np.nonzero(outer & ~Ball(center, alpha0 ** (level + 1) * r).contains(P))[0]
+    """Support indices in A_level(center, r): alpha0^{level+1} r < dist <= alpha0^level r,
+    from one scan of the cloud; the inner ball tests only the outer ball's rows."""
+    idx = cloud.in_ball(Ball(center, alpha0**level * r))
+    return idx[~Ball(center, alpha0 ** (level + 1) * r).contains(cloud.points.take(idx, axis=0))]
 
 
 def annulus_conditional_mass(

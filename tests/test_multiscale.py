@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from menger import measure, multiscale
-from menger.geometry import InvariantError
 from menger.measure import Ball, WeightedPointCloud, gen_four_corner_cantor, gen_plane_patch, gen_sphere
 from menger.multiscale import (
     MAX_LEVELS_BELOW_TOP,
     MultiresolutionFamily,
     _first_within,
     build_ball_family,
+    build_level,
     build_net,
     build_partition,
     jones_flatness_continuous,
@@ -68,14 +68,15 @@ def test_m_of_q_uses_ball_diameter():
 
 def test_build_net_on_a_line():
     pts = as_pts([0.0, 1.0, 2.0, 3.0])
-    net = build_net(cKDTree(pts), np.arange(4), 1.5)
+    net, cover = build_net(cKDTree(pts), np.arange(4), 1.5)
     assert net.tolist() == [0, 2]
+    assert cover.tolist() == [0, 0, 1, 1]  # 1.0 is within 1.5 of both: the first coverer wins
 
 
 def test_net_separation_and_covering(circle):
     r = 0.3
     order = np.random.default_rng(1).permutation(len(circle))
-    net = build_net(circle.tree, order, r)
+    net, _ = build_net(circle.tree, order, r)
     sel = circle.points[net]
     dist = np.linalg.norm(sel[:, None, :] - sel[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
@@ -139,28 +140,34 @@ def reference_partition(points, net_points, kept, quarter_radius):
     leftover[kept] = False
     two_q = 2.0 * quarter_radius
     g = reference_first_within(net_points[leftover], net_points[kept], two_q * two_q)
-    if (g < 0).any():
-        raise InvariantError("dropped net ball meets no kept quarter ball")
     first = reference_first_within(points[unassigned], net_points[leftover], q2)
-    if (first < 0).any():
-        raise InvariantError("net covering violated: point outside every quarter ball")
+    assert (g >= 0).all() and (first >= 0).all()  # a q-net covers, and every dropped ball meets a kept one
     assignment[unassigned] = g[first]
     return assignment
 
 
-def outcome(fn, *args):
-    """A routine's result, or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except InvariantError as exc:
-        return repr(exc)
-
-
 def same(a, b):
-    """The same raised error, or equal integer arrays."""
-    if isinstance(a, str) or isinstance(b, str):
-        return isinstance(a, str) and isinstance(b, str) and a == b
+    """Equal integer arrays."""
     return a.dtype.kind == b.dtype.kind == "i" and np.array_equal(a, b)
+
+
+def assert_level_matches_reference(pts, order, q):
+    """A level's two greedy walks at r = q and 2q, their cover maps and the
+    partition read off them, against the reference loops and full-table
+    lookups."""
+    tree = cKDTree(pts)
+    net, cover = build_net(tree, order, q)
+    assert np.array_equal(net, reference_net(pts, order, q))
+    net_points = pts[net]
+    # cover[p]: the first admitted point within q of p
+    assert same(cover, reference_first_within(pts, net_points, q * q))
+    kept, route = build_ball_family(net_points, q)
+    assert np.array_equal(kept, reference_ball_family(net_points, q))
+    # route[i]: the first kept centre within 2q of net point i
+    two_q = 2.0 * q
+    assert same(route, reference_first_within(net_points, net_points[kept], two_q * two_q))
+    part = build_partition(tree, net_points[kept], q, cover, route)
+    assert same(part, reference_partition(pts, net_points, kept, q))
 
 
 # Integer grids with radii whose squares are exact, so many center
@@ -174,19 +181,13 @@ grid_clouds = st.integers(1, 3).flatmap(
 def test_greedy_routines_match_reference_loop(pts, r, q, data):
     order = np.asarray(data.draw(st.permutations(range(len(pts)))), dtype=int)
     tree = cKDTree(pts)
-    net = build_net(tree, order, r)
+    net, _ = build_net(tree, order, r)
     assert net.dtype.kind == "i"
     assert np.array_equal(net, reference_net(pts, order, r))
     for net_points in (pts, pts[net]):
-        kept = build_ball_family(net_points, q)
+        kept, _ = build_ball_family(net_points, q)
         assert kept.dtype.kind == "i"
         assert np.array_equal(kept, reference_ball_family(net_points, q))
-    # a q-net covers within q, so the partition exists; an r-net with r > q
-    # may not cover, and both versions must then raise the same error
-    for net_points in (pts[build_net(tree, order, q)], pts[net]):
-        kept = build_ball_family(net_points, q)
-        args = (net_points, kept, q)
-        assert same(outcome(build_partition, tree, *args), outcome(reference_partition, pts, *args))
     centers = pts[data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=12))]
     for r2 in (r * r, q * q, (2.0 * q) * (2.0 * q)):
         assert same(_first_within(tree, centers, r2), reference_first_within(pts, centers, r2))
@@ -208,63 +209,85 @@ def test_tree_searches_keep_exact_boundary_hits(seed, D, n):
             assert same(_first_within(tree, centers, r2), reference_first_within(pts, centers, r2))
             r = float(np.sqrt(r2))
             order = rng.permutation(n)
-            assert np.array_equal(build_net(tree, order, r), reference_net(pts, order, r))
+            assert np.array_equal(build_net(tree, order, r)[0], reference_net(pts, order, r))
+
+
+@given(grid_clouds, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.data())
+def test_cover_maps_match_reference_loops(pts, q, data):
+    order = np.asarray(data.draw(st.permutations(range(len(pts)))), dtype=int)
+    assert_level_matches_reference(pts, order, q)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 300))
+def test_cover_maps_keep_exact_boundary_hits(seed, D, n):
+    # q is the distance of a pair, so points sit on the q sphere of net
+    # points; at 1e-160 the squared distances are subnormal
+    rng = np.random.default_rng(seed)
+    unit = rng.normal(size=(n, D))
+    for scale in (1e-160, 1e-150, 1e150):
+        pts = unit * scale
+        for i, j in rng.integers(0, n, size=(2, 2)):
+            q = float(np.sqrt(np.einsum("i,i->", pts[i] - pts[j], pts[i] - pts[j])))
+            assert_level_matches_reference(pts, rng.permutation(n), q)
 
 
 def test_ball_family_drop_rule_is_closed():
     # centers exactly 2q apart have touching quarter balls: dropped
     pts = as_pts([0.0, 0.6, 1.3])
-    kept = build_ball_family(pts, 0.3)
+    kept, route = build_ball_family(pts, 0.3)
     assert kept.tolist() == [0, 2]
+    assert route.tolist() == [0, 0, 1]
 
 
 def test_partition_hand_case_direct_assignment():
     pts = as_pts([0.0, 0.2, 1.0, 1.1, 2.5])
-    net = build_net(cKDTree(pts), np.arange(5), 0.3)
+    net, cover = build_net(cKDTree(pts), np.arange(5), 0.3)
     assert net.tolist() == [0, 2, 4]
-    kept = build_ball_family(pts[net], 0.3)
+    kept, route = build_ball_family(pts[net], 0.3)
     assert kept.tolist() == [0, 1, 2]
-    part = build_partition(cKDTree(pts), pts[net], kept, 0.3)
+    part = build_partition(cKDTree(pts), pts[net][kept], 0.3, cover, route)
     assert part.tolist() == [0, 0, 1, 1, 2]
     # a point exactly on the quarter sphere is inside (q**2 is one ulp
     # below the rounded q*q for this q)
     q = 2 * 0.35**8
     pts = as_pts([0.0, q])
-    assert build_partition(cKDTree(pts), pts[:1], np.array([0]), q).tolist() == [0, 0]
+    net, cover = build_net(cKDTree(pts), np.arange(2), q)
+    assert net.tolist() == [0] and cover.tolist() == [0, 0]
+    assert build_partition(cKDTree(pts), pts[:1], q, cover, np.array([0])).tolist() == [0, 0]
 
 
 def test_partition_hand_case_leftover_routing():
     # net point at 0.5 is dropped (within 2q of 0); the point it covers is
     # routed to the kept ball its quarter ball meets
     pts = as_pts([0.0, 0.5, 0.9])
-    net = build_net(cKDTree(pts), np.arange(3), 0.3)
+    net, cover = build_net(cKDTree(pts), np.arange(3), 0.3)
     assert net.tolist() == [0, 1, 2]
-    kept = build_ball_family(pts[net], 0.3)
+    assert cover.tolist() == [0, 1, 2]
+    kept, route = build_ball_family(pts[net], 0.3)
     assert kept.tolist() == [0, 2]
-    part = build_partition(cKDTree(pts), pts[net], kept, 0.3)
+    assert route.tolist() == [0, 0, 1]
+    part = build_partition(cKDTree(pts), pts[net][kept], 0.3, cover, route)
     assert part.tolist() == [0, 0, 1]
 
 
-def test_partition_covering_violation_is_an_invariant_error():
-    # the net misses the point at 5: no quarter ball, kept or leftover, holds it
-    pts = as_pts([0.0, 5.0])
-    with pytest.raises(InvariantError, match="outside every quarter ball"):
-        build_partition(cKDTree(pts), pts[:1], np.array([0]), 1.0)
-
-
 def test_partition_leftover_routing_runs_in_bounded_memory():
-    # every point misses the kept quarter ball at 0 and lies in leftover
-    # quarter balls, so the last lookup spans a 6000 x 6000 table (288 MB)
+    # the level's net is 0 and 1.1; 1.1 is dropped from the ball family,
+    # so every point but 0 misses the kept quarter ball and is routed
+    # through it.  The net walk's second admission has all 6000 points as
+    # candidates, so a walk without a block bound, or a full point-to-point
+    # table (288 MB), would exceed the bound.
     n = 6000
-    pts = as_pts(np.linspace(1.1, 2.5, n))
-    net_pts = as_pts(np.concatenate([[0.0], np.linspace(1.5, 2.0, n)]))
+    cloud = WeightedPointCloud(as_pts(np.concatenate([[0.0], np.linspace(1.1, 2.0, n)])), np.ones(n + 1))
+    order = np.concatenate([[0], 1 + np.random.default_rng(0).permutation(n)])
     tracemalloc.start()
     try:
-        part = build_partition(cKDTree(pts), net_pts, np.array([0]), 1.0)
+        level = build_level(cloud, 0, 0.5, order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (part == 0).all()
+    assert level.net[0] == 0 and len(level.net) == 2
+    assert level.kept.tolist() == [0]
+    assert (level.partition == 0).all()
     assert peak < 200 * 2**20
 
 
@@ -277,8 +300,8 @@ def test_net_and_ball_family_run_in_bounded_memory():
     order = np.random.default_rng(0).permutation(n)
     tracemalloc.start()
     try:
-        net = build_net(cKDTree(pts), order, 1.0)
-        kept = build_ball_family(pts, 0.5)
+        net, _ = build_net(cKDTree(pts), order, 1.0)
+        kept, _ = build_ball_family(pts, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -288,9 +311,9 @@ def test_net_and_ball_family_run_in_bounded_memory():
 
 
 def test_a_family_builds_one_tree_over_the_whole_cloud(monkeypatch):
-    # the nearest-neighbour scale, every net and every partition's first
-    # pass read the cloud's cached tree; only the subsets (net points,
-    # leftover centres, unassigned points) get trees of their own
+    # the nearest-neighbour scale, every net and every partition read the
+    # cloud's cached tree; only each level's net points get a tree of their
+    # own, for the ball family's walk
     sizes = []
 
     class CountingTree(cKDTree):
@@ -304,9 +327,9 @@ def test_a_family_builds_one_tree_over_the_whole_cloud(monkeypatch):
     fam = MultiresolutionFamily(cloud, 0.25)
     for n in range(fam.n_top, fam.n_floor + 1):
         fam.level(n)
-    assert fam.n_floor - fam.n_top >= 3
-    assert len(sizes) > 1
-    assert sizes.count(len(cloud)) == 1
+    levels = range(fam.n_top, fam.n_floor + 1)
+    assert len(levels) >= 4
+    assert sizes == [len(cloud)] + [len(fam.level(n).net) for n in levels]
 
 
 def test_a_zero_radius_query_has_no_family_balls(circle):

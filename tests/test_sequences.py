@@ -6,7 +6,7 @@ import pytest
 
 from menger import sequences as sq
 from menger.estimators import classify_scale
-from menger.measure import WeightedPointCloud, gen_sphere
+from menger.measure import Ball, WeightedPointCloud, gen_sphere
 
 
 def test_constants_d1():
@@ -237,3 +237,22 @@ def test_annulus_indices_brackets():
     edge = WeightedPointCloud(np.array([[0.25, 0.0]]), np.ones(1))
     assert list(sq.annulus_indices(edge, [0.0, 0.0], 1.0, 1, a0)) == [0]
     assert list(sq.annulus_indices(edge, [0.0, 0.0], 1.0, 0, a0)) == []
+
+
+def test_annulus_indices_is_the_two_ball_mask_on_both_spheres():
+    # dyadic grids, radii and alpha0: the centre's offsets v and alpha0 v lie
+    # on the outer and the inner sphere, where the closed and open ends decide
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        D = int(rng.integers(1, 4))
+        a0 = float(rng.choice([0.5, 0.25]))
+        level = int(rng.integers(0, 3))
+        v = 2.0 * rng.integers(-2, 3, size=D)
+        c = rng.integers(-4, 5, size=D) * 2.0 ** -int(rng.integers(0, 4))
+        rows = [c, c + v, c + a0 * v, c - v, *(c + rng.integers(-8, 9, size=(30, D)) / 4.0)]
+        cloud = WeightedPointCloud(np.asarray(rows), np.ones(len(rows)))
+        r = float(np.linalg.norm(v)) / a0**level or 1.0
+        P = cloud.points
+        outer = Ball(c, a0**level * r).contains(P)
+        want = np.nonzero(outer & ~Ball(c, a0 ** (level + 1) * r).contains(P))[0]
+        assert np.array_equal(sq.annulus_indices(cloud, c, r, level, a0), want)
