@@ -1,9 +1,10 @@
-"""Throughput of the batch curvature kernel and of the exact path.
+"""Throughput of the batch curvature kernel, the exact path and the Monte
+Carlo layer.
 
     python3 scripts/sweep_kernel.py [--src DIR]
 
 Imports `menger` from --src (default: this checkout's `src`), so the same
-script measures any checkout.  Two tables, each in tuples per second:
+script measures any checkout.  Three tables:
 
 - kernel: _batch.curvature_terms on B tuples of d + 2 Gaussian points in
   R^{d+1} (seeded), for d = 1, 2, 3 and B = 1, 2^10, 2^18.  A cell times
@@ -12,6 +13,13 @@ script measures any checkout.  Two tables, each in tuples per second:
   on m Gaussian points in R^{d+1} with m^{d+2} about 2^18 and 2^21, for
   d = 1, 2, 3, in a ball that holds every point, with lambda None and
   0.4.  A cell times one call, EXACT_REPEATS times.
+- mc: the two layers of the Monte Carlo path.  draws: index draws per
+  second of estimators._tuple_stream, MC_TUPLES 4-tuples at m = MC_POINTS,
+  for equal, uniform-random, log-normal (sigma 6) and one-heavy weights,
+  beside Generator.choice drawing the same indices.  cd_sq: tuples per
+  second of _batch.cd_sq on 2^18 Gaussian tuples in R^{d+1}, d = 1, 2, 3,
+  without a floor and with the squared floor 0.4^2 (lambda 0.4 in a ball
+  of radius 1).  A cell times one call, REPEATS times.
 
 Each cell reports the median.  Prints one JSON object.  BLAS is held to one
 thread, as in bench/run.py; give the number of CPUs of the machine next to
@@ -39,6 +47,9 @@ MIN_CELL_S = 0.2
 SIZES = (1, 2**10, 2**18)
 EXACT_LOG2_TUPLES = (18, 21)
 DIMS = (1, 2, 3)
+MC_POINTS = 3244  # the points of one bench mc-sphere cap
+MC_TUPLES = 100_000
+MC_KERNEL_TUPLES = 2**18
 
 
 def _cell(kernel, T) -> float:
@@ -60,6 +71,51 @@ def _cell(kernel, T) -> float:
     return statistics.median(rates)
 
 
+def _median_rate(count: int, call, repeats: int) -> float:
+    rates = []
+    for _ in range(repeats):
+        t0 = perf_counter()
+        call()
+        rates.append(count / (perf_counter() - t0))
+    return statistics.median(rates)
+
+
+def _mc_table(numpy, estimators, _batch, rng) -> dict:
+    heavy = numpy.ones(MC_POINTS)
+    heavy[0] = 1e6
+    weights = {
+        "equal": numpy.full(MC_POINTS, 1.0 / MC_POINTS),
+        "uniform": rng.uniform(size=MC_POINTS),
+        "lognormal": rng.lognormal(0.0, 6.0, size=MC_POINTS),
+        "one-heavy": heavy,
+    }
+    draws = {}
+    for name, w in weights.items():
+        p = w / w.sum()
+
+        def guide():
+            for _ in estimators._tuple_stream(w, 4, MC_TUPLES, 0):
+                pass
+
+        def choice():
+            gen = numpy.random.default_rng(0)
+            for lo in range(0, MC_TUPLES, estimators._CHUNK):
+                gen.choice(MC_POINTS, size=(min(estimators._CHUNK, MC_TUPLES - lo), 4), p=p)
+
+        draws[name] = {"draws_per_s": round(_median_rate(4 * MC_TUPLES, guide, REPEATS)),
+                       "choice_draws_per_s": round(_median_rate(4 * MC_TUPLES, choice, REPEATS))}
+        print(f"mc draws {name}: {draws[name]}", file=sys.stderr, flush=True)
+    kernel = {}
+    for d in DIMS:
+        T = rng.normal(size=(MC_KERNEL_TUPLES, d + 2, d + 1))
+        for lam in (None, 0.4):
+            floor2 = None if lam is None else lam * lam
+            name = f"d{d}-lam{lam}"
+            kernel[name] = round(_median_rate(len(T), lambda: _batch.cd_sq(T, floor2), REPEATS))
+            print(f"mc cd_sq {name}: {kernel[name]} tuples/s", file=sys.stderr, flush=True)
+    return {"draws": draws, "cd_sq_tuples_per_s": kernel}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the menger package")
@@ -67,7 +123,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import numpy
 
-    from menger import _batch
+    from menger import _batch, estimators
     from menger.estimators import continuous_curvature_sq
     from menger.measure import Ball, WeightedPointCloud
 
@@ -86,17 +142,16 @@ def main(argv=None) -> int:
             ball = Ball(numpy.zeros(d + 1), 1.001 * float(numpy.linalg.norm(cloud.points, axis=1).max()))
             for lam in (None, 0.4):
                 name = f"d{d}-m{m}-lam{lam}"
-                rates = []
-                for _ in range(EXACT_REPEATS):
-                    t0 = perf_counter()
-                    est = continuous_curvature_sq(cloud, ball, d, mode="exact", lam=lam)
-                    rates.append(est.n_samples / (perf_counter() - t0))
-                exact[name] = {"tuples": m ** (d + 2), "tuples_per_s": round(statistics.median(rates))}
+                rate = _median_rate(
+                    m ** (d + 2), lambda: continuous_curvature_sq(cloud, ball, d, mode="exact", lam=lam), EXACT_REPEATS
+                )
+                exact[name] = {"tuples": m ** (d + 2), "tuples_per_s": round(rate)}
                 print(f"exact {name}: {exact[name]['tuples_per_s']} tuples/s", file=sys.stderr, flush=True)
+    mc = _mc_table(numpy, estimators, _batch, rng)
     env = {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__,
            "machine": platform.machine(), "repeats": REPEATS,
            "exact_repeats": EXACT_REPEATS}
-    print(json.dumps({"env": env, "tuples_per_s": cells, "exact": exact}, indent=1))
+    print(json.dumps({"env": env, "tuples_per_s": cells, "exact": exact, "mc": mc}, indent=1))
     return 0
 
 

@@ -9,12 +9,13 @@ coordinates get polar sine 0.
 Every kernel reads one dot table per tuple, laid out by a plan cached per
 (m, D, bases) (_plan).  The difference of each pair of vertices is formed
 once; the table holds each squared pair length and each distinct
-off-diagonal Gram entry once, as one contiguous einsum over the coordinates
-of two pair rows (6 dot products per triangle, where a Gram einsum at every
-base takes 21).  The Gram matrix at base b is read off the table: vertex
-v's diagonal entry is the squared length of the pair {v, b}, and the entry
-of v, w is the dot product of the rows of {v, b} and {w, b}.  Each entry
-carries the bits that a Gram einsum of the edge vectors x_v - x_b gives:
+off-diagonal Gram entry once, each a contiguous einsum over the coordinates
+of a pair row with itself or of two gathered pair rows (6 dot products per
+triangle, where a Gram einsum at every base takes 21).  The Gram matrix at
+base b is read off the table: vertex v's diagonal entry is the squared
+length of the pair {v, b}, and the entry of v, w is the dot product of the
+rows of {v, b} and {w, b}.  Each entry carries the bits that a Gram einsum
+of the edge vectors x_v - x_b gives:
 
 - a pair row holds x_v - x_b or x_b - x_v, and the second is the exact
   negation of the first (rounding is symmetric); rows touching the first
@@ -26,7 +27,9 @@ carries the bits that a Gram einsum of the edge vectors x_v - x_b gives:
   products accumulate in the same order;
 - det, trace and eigvalsh then see the same matrix, and every later step
   (edge products, maxima, sums over a tuple's vertices) runs per row in
-  the same order.
+  the same order; _fold spells the products, maxima and minima over a few
+  columns as one elementwise op per column, which gives a reduction's
+  bits.
 
 So the content at base p of a tuple depends only on x_p and on the other
 points in position order: it is the base-0 content of the tuple that moves
@@ -36,6 +39,12 @@ gives curvature_terms' bits with one determinant per tuple instead of one
 per vertex.  The table costs 8 B per ordered tuple: 16.8 MB for the 128^3
 tuples of 128 points at d = 1, at most 80 MB at the estimators' auto limit
 of 10M tuples.  Both paths assemble c_d^2 in _assemble.
+
+cd_sq is the Monte Carlo kernel: c_d^2 per tuple and nothing else, with
+an optional separation floor applied to the dot table before any Gram
+matrix is formed.  curvature_terms is the diagnostic kernel (verify,
+geometry, decomposition_check) and returns every per-tuple term.  Both run
+each row block through _vertex_terms.
 
 Stacks are processed in row blocks whose working arrays hold about
 BLOCK_ENTRIES floats in all, so memory stays a small multiple of the
@@ -63,19 +72,20 @@ class _Plan(NamedTuple):
     Pair p joins the vertices ia[p] and ic[p], the unordered pairs in
     lexicographic order; its row holds x_ia - x_ic, pointing away from the
     first base where it touches that base, so that base's Gram matrix needs
-    no negation.  Column j of a block's dot table is the dot product of the
-    pair rows left[j] and right[j], taken as 0.0 - dot where neg[j].  The
-    first P columns are the squared pair lengths, the others the distinct
-    off-diagonal Gram entries; `gram` lists each base's k x k matrix as
-    columns of that table.
+    no negation.  The first P columns of a block's dot table are the
+    squared pair lengths, each the dot product of a pair row with itself;
+    column P + j is the dot product of the pair rows left[j] and right[j],
+    one distinct off-diagonal Gram entry.  The columns in neg are taken as
+    0.0 - dot.  `gram` lists each base's k x k matrix as columns of that
+    table.
     """
 
     m: int
     ia: np.ndarray  # (P,)
     ic: np.ndarray  # (P,)
-    left: np.ndarray  # (P + Q,)
-    right: np.ndarray  # (P + Q,)
-    neg: np.ndarray | None  # (P + Q,) bool; None when no column is negated
+    left: np.ndarray  # (Q,)
+    right: np.ndarray  # (Q,)
+    neg: np.ndarray  # the negated columns, all >= P
     gram: np.ndarray  # (len(bases) * k * k,)
     edges: np.ndarray  # (m, m-1): the pairs {i, j}, j != i ascending, at vertex i
     rows: int  # rows per block
@@ -90,7 +100,8 @@ def _plan(m: int, D: int, bases: tuple) -> _Plan:
     pair = {}
     for p, (a, c) in enumerate(zip(ia.tolist(), ic.tolist())):
         pair[a, c] = pair[c, a] = p
-    left, right, neg = list(range(len(ia))), list(range(len(ia))), [False] * len(ia)
+    P = len(ia)
+    left, right, neg = [], [], []
     column = {}
     gram = []
     for b in bases:
@@ -102,22 +113,23 @@ def _plan(m: int, D: int, bases: tuple) -> _Plan:
                     continue
                 key = (min(v, w), max(v, w), b)
                 if key not in column:
-                    column[key] = len(left)
+                    column[key] = P + len(left)
                     left.append(pair[v, b])
                     right.append(pair[w, b])
                     # the row of {v, b} holds x_v - x_b or its negation
-                    neg.append((ia[pair[v, b]] == v) != (ia[pair[w, b]] == w))
+                    if (ia[pair[v, b]] == v) != (ia[pair[w, b]] == w):
+                        neg.append(column[key])
                 gram.append(column[key])
     # pair differences and their two gathers, two gathers of pair rows per
-    # dot-table column, the table, the Gram stack and what det makes of it
-    width = 3 * len(ia) * D + 2 * len(left) * D + len(left) + 3 * len(gram)
+    # off-diagonal column, the table, the Gram stack and what det makes of it
+    width = 3 * P * D + 2 * len(left) * D + P + len(left) + 3 * len(gram)
     return _Plan(
         m,
         ia,
         ic,
         np.array(left, dtype=np.intp),
         np.array(right, dtype=np.intp),
-        np.array(neg) if any(neg) else None,
+        np.array(neg, dtype=np.intp),
         np.array(gram, dtype=np.intp),
         np.array([[pair[i, j] for j in range(m) if j != i] for i in range(m)], dtype=np.intp),
         max(1, BLOCK_ENTRIES // max(width, 1)),  # width 0: one point, no pairs
@@ -132,9 +144,12 @@ def _blocks(T: np.ndarray, bases: tuple):
         rows = slice(lo, lo + plan.rows)
         block = T[rows]
         diff = np.subtract(block.take(plan.ia, axis=1), block.take(plan.ic, axis=1))
-        dots = np.einsum("bjk,bjk->bj", diff.take(plan.left, axis=1), diff.take(plan.right, axis=1))
-        if plan.neg is not None:
-            np.subtract(0.0, dots, out=dots, where=plan.neg)
+        P = diff.shape[1]
+        dots = np.empty((len(block), P + len(plan.left)))
+        np.einsum("bjk,bjk->bj", diff, diff, out=dots[:, :P])
+        np.einsum("bjk,bjk->bj", diff.take(plan.left, axis=1), diff.take(plan.right, axis=1), out=dots[:, P:])
+        if plan.neg.size:
+            dots[:, plan.neg] = 0.0 - dots.take(plan.neg, axis=1)
         yield plan, rows, dots
 
 
@@ -208,7 +223,7 @@ def psin_sq_at(T: np.ndarray, i: int) -> np.ndarray:
     i = range(T.shape[1])[i]
     out = np.empty(len(T))
     for plan, rows, dots in _blocks(T, (i,)):
-        out[rows] = _ratio(_content(_gram(dots, plan))[:, 0], dots.take(plan.edges[i], axis=1).prod(axis=1))
+        out[rows] = _ratio(_content(_gram(dots, plan))[:, 0], _fold(np.multiply, dots.take(plan.edges[i], axis=1)))
     return out
 
 
@@ -226,8 +241,55 @@ def _assemble(vol2: np.ndarray, prods: np.ndarray, diam2: np.ndarray):
     return psin2, denom, cd_sq
 
 
+def _fold(ufunc, cols: np.ndarray) -> np.ndarray:
+    """ufunc applied across axis 1 of cols in index order: the bits of
+    ufunc.reduce(cols, axis=1) for np.multiply, whose reduction runs in that
+    order, and for np.maximum and np.minimum, which are exact; without a
+    reduction's per-row loop over a few entries."""
+    out = cols[:, 0].copy()
+    for j in range(1, cols.shape[1]):
+        ufunc(out, cols[:, j], out=out)
+    return out
+
+
+def _vertex_terms(dots: np.ndarray, plan: _Plan):
+    """Per block row: the squared Gram contents (n, m) and squared edge
+    products (n, m) at every vertex, the squared diameter (n,), and
+    _assemble's squared polar sines, diam^{d(d+1)} and c_d^2.  The one
+    per-block path of curvature_terms and cd_sq."""
+    vol2 = _content(_gram(dots, plan))
+    prods = _fold(np.multiply, dots.take(plan.edges, axis=1).transpose(0, 2, 1))
+    diam2 = _fold(np.maximum, dots[:, : len(plan.ia)])
+    return (vol2, prods, diam2, *_assemble(vol2, prods, diam2))
+
+
+def cd_sq(T: np.ndarray, floor2: float | None = None) -> np.ndarray:
+    """c_d^2 per tuple of the stack T (B, m, D), in the canonical polar-sine
+    form: the Monte Carlo kernel.
+
+    With floor2, a tuple whose squared minimal separation is below floor2
+    gets 0.  Such tuples are dropped after the dot table, before any Gram
+    matrix is read or determinant taken, and a block in which none passes
+    goes no further.  No value depends on another row, so a passing tuple
+    carries curvature_terms' bits.
+    """
+    B, m, _ = T.shape
+    P = m * (m - 1) // 2
+    out = np.zeros(B)
+    for plan, rows, dots in _blocks(T, tuple(range(m))):
+        if floor2 is not None:
+            keep = separated(_fold(np.minimum, dots[:, :P]), floor2)
+            if not keep.any():
+                continue
+            dots = dots[keep]
+            rows = rows.start + np.flatnonzero(keep)
+        out[rows] = _vertex_terms(dots, plan)[-1]
+    return out
+
+
 def curvature_terms(T: np.ndarray) -> dict:
-    """Everything the estimators need, per tuple.
+    """Every per-tuple term, for the diagnostic callers (verify, geometry,
+    decomposition_check); cd_sq is the Monte Carlo kernel.
 
     Returns a dict with
       diam2       (B,)   squared diameters
@@ -251,17 +313,13 @@ def curvature_terms(T: np.ndarray) -> dict:
         "cd_sq_vol": np.zeros(B),
     }
     for plan, rows, dots in _blocks(T, tuple(range(m))):
-        d2 = dots[:, :P]
-        vol2 = _content(_gram(dots, plan))
-        prods = dots.take(plan.edges, axis=1).prod(axis=2)
-        diam2 = d2.max(axis=1)
-        psin2, denom, cd_sq = _assemble(vol2, prods, diam2)
+        vol2, prods, diam2, psin2, denom, cd2 = _vertex_terms(dots, plan)
         pos = denom > 0.0
         out["diam2"][rows] = diam2
-        out["min_sep2"][rows] = d2.min(axis=1)
+        out["min_sep2"][rows] = _fold(np.minimum, dots[:, :P])
         out["psin2"][rows] = psin2
         out["content0_sq"][rows] = vol2[:, 0]
-        out["cd_sq"][rows] = cd_sq
+        out["cd_sq"][rows] = cd2
         np.divide(psin2[:, 0], denom, out=out["psin0_nrm"][rows], where=pos)
         inv_sum = _ratio(1.0, prods).sum(axis=1)
         good = pos & (prods > 0.0).all(axis=1)

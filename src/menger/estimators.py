@@ -7,6 +7,10 @@ computed exactly (exhaustive sum over ordered index tuples) whenever
 factor mu(Q)^{d+2}.  Sampling uses one seeded generator consumed
 identically regardless of any separation filter, so U_lambda estimates at
 different lambda share a sample stream and are monotone by construction.
+The stream is Generator.choice's, index for index, with the inverse-CDF
+search read off a guide table (_tuple_stream).  The Monte Carlo path
+evaluates it with _batch.cd_sq, which computes c_d^2 alone and drops a
+tuple below the separation floor before its Gram determinants.
 
 The content at vertex p of an ordered tuple depends only on its base t_p
 and on the other indices in position order, so the exact path factors each
@@ -35,6 +39,10 @@ EXACT_TUPLE_LIMIT = 10_000_000
 # auto path stays below it, a forced mode="exact" above it raises.
 EXACT_TABLE_BYTES = 1 << 30
 _CHUNK = 1 << 18
+# _tuple_stream draws and looks up this many rows of uniforms at a time, and
+# settles a key by this many guide-table comparisons before a binary search.
+_DRAW_ROWS = 1 << 13
+_GUIDE_STEPS = 2
 # decomposition_check pools the levels k > K_MAX into one "tail" class.
 K_MAX = 20
 
@@ -76,22 +84,47 @@ def _restricted(cloud: WeightedPointCloud, query: Ball | None) -> np.ndarray:
     return idx
 
 
-def _tuple_values(points: np.ndarray, floor2: float | None) -> np.ndarray:
-    """c_d^2 per tuple, with the optional separation indicator applied."""
-    terms = _batch.curvature_terms(points)
-    vals = terms["cd_sq"]
-    if floor2 is not None:
-        vals = np.where(_batch.separated(terms["min_sep2"], floor2), vals, 0.0)
-    return vals
-
-
 def _tuple_stream(weights: np.ndarray, arity: int, n_samples: int, seed: int):
     """n_samples index tuples drawn i.i.d. from the normalised weights, in
-    chunks of at most _CHUNK rows, from one generator seeded with seed."""
+    chunks of at most _CHUNK rows, from one generator seeded with seed.
+
+    Each chunk is rng.choice(len(p), size=(rows, arity), p=p), and the
+    generator ends in the state choice leaves: the same p, cdf and
+    uniforms, drawn _DRAW_ROWS rows at a time (consecutive rng.random calls
+    return the doubles of one call).  Only the inverse-CDF search differs:
+    choice's cdf.searchsorted(u, side="right"), the count of cdf entries
+    <= u, is read off a guide table (Chen & Asau 1974; Devroye 1986, ch. III).
+
+    G is the least power of two >= m, so j = floor(u G) and j / G are
+    exact, and guide[j] counts the cdf entries <= j / G.  A key u in
+    [j / G, (j + 1) / G) has its count in [guide[j], guide[j + 1]]; the cdf
+    is nondecreasing, so each comparison u >= cdf[i] at the running count
+    i steps it up by one until it stops.  _GUIDE_STEPS comparisons against
+    a cdf padded with +inf settle every key in a bucket at most that wide;
+    keys in wider buckets go to searchsorted.
+    """
     rng = np.random.default_rng(seed)
     p = weights / weights.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    size = 1 << (len(cdf) - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(size + 1) / size, side="right")
+    wide = np.diff(guide) > _GUIDE_STEPS
+    padded = np.concatenate([cdf, np.full(_GUIDE_STEPS, np.inf)])
     for lo in range(0, n_samples, _CHUNK):
-        yield rng.choice(len(p), size=(min(_CHUNK, n_samples - lo), arity), p=p)
+        rows = min(_CHUNK, n_samples - lo)
+        out = np.empty((rows, arity), dtype=np.int64)
+        for r in range(0, rows, _DRAW_ROWS):
+            u = rng.random(min(_DRAW_ROWS, rows - r) * arity)
+            j = (u * size).astype(np.intp)
+            idx = guide.take(j)
+            for _ in range(_GUIDE_STEPS):
+                idx += padded.take(idx) <= u
+            far = wide.take(j)
+            if far.any():
+                idx[far] = cdf.searchsorted(u[far], side="right")
+            out[r : r + len(u) // arity] = idx.reshape(-1, arity)
+        yield out
 
 
 def _mass_factor(w: np.ndarray, arity: int) -> float:
@@ -106,6 +139,28 @@ def _mass_factor(w: np.ndarray, arity: int) -> float:
             f"the mass factor mu(Q)^{arity} underflows the smallest normal float; rescale the weights"
         )
     return factor
+
+
+def _check_extent(pts: np.ndarray, d: int) -> None:
+    """Refuse points whose c_d^2 leaves the float range at their own scale.
+
+    The kernel forms Gram determinants and edge products of d+1 squared
+    lengths and diam^{d(d+1)} = (diam^2)^{d(d+1)/2}.  So unless every point
+    coincides (every tuple then gives 0), the squared extent of the points
+    (the squared diagonal of their bounding box) raised to max(d+1,
+    d(d+1)/2) must be a finite normal float; otherwise the estimate comes
+    out 0 or NaN.
+    """
+    span = pts.max(axis=0) - pts.min(axis=0)
+    if not span.any():
+        return
+    extent2 = float((span * span).sum())
+    power = max(d + 1, d * (d + 1) // 2)
+    if not np.finfo(float).tiny <= _power(extent2, power) < math.inf:
+        raise ValueError(
+            f"the query's points have squared extent {extent2!r}, whose power {power} leaves the "
+            f"normal float range, so c_{d}^2 would overflow or underflow; rescale the coordinates"
+        )
 
 
 def continuous_curvature_sq(
@@ -124,7 +179,8 @@ def continuous_curvature_sq(
     ValueError when its content table would exceed EXACT_TABLE_BYTES.  lam
     (with a ball query) keeps only tuples whose minimal pairwise distance
     is at least lam * radius(Q); it must be >= 0, and any lam > 2
-    (+inf included) empties the region.
+    (+inf included) empties the region.  Points whose scale puts c_d^2
+    out of the float range raise ValueError (_check_extent).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -138,6 +194,7 @@ def continuous_curvature_sq(
     m = len(idx)
     arity = d + 2
     pts = cloud.points[idx]
+    _check_extent(pts, d)
     w = cloud.weights[idx]
     # a floor whose square overflows is +inf: no tuple of finite points is
     # that far apart, so the separated region is empty
@@ -169,7 +226,7 @@ def continuous_curvature_sq(
     s = 0.0
     s2 = 0.0
     for ti in _tuple_stream(w, arity, n_samples, seed):
-        vals = _tuple_values(pts[ti], floor2)
+        vals = _batch.cd_sq(pts.take(ti, axis=0), floor2)
         s += float(vals.sum())
         s2 += float((vals * vals).sum())
     mean = s / n_samples
@@ -314,7 +371,7 @@ def decomposition_check(
     vals = []
     codes = []
     for ti in _tuple_stream(w, arity, n_samples, seed):
-        T = pts[ti]
+        T = pts.take(ti, axis=0)
         terms = _batch.curvature_terms(T)
         _, scale, level, handles = scale_classes(T, alpha0)
         code = level * arity + handles.sum(axis=1)

@@ -160,11 +160,19 @@ def build_partition(
     the einsum of the same difference (p - c, leftover - kept) against the
     same rounded square, so the partition is bit for bit that of the
     construction.  route[cover] is total when the net's order covers every
-    point: each walk ends only once its whole order is covered.
+    point: each walk ends only once its whole order is covered.  A cover
+    that leaves out a point no kept quarter ball holds (-1, from a net
+    whose order skips it) raises ValueError.
     """
     assignment = _first_within(tree, kept_centers, quarter_radius * quarter_radius)
-    unassigned = assignment < 0
-    assignment[unassigned] = route[cover[unassigned]]
+    unassigned = np.flatnonzero(assignment < 0)
+    owner = cover[unassigned]
+    if (owner < 0).any():
+        raise ValueError(
+            f"point {unassigned[owner < 0][0]} lies in no kept quarter ball and the cover leaves it "
+            "out; build the net over an order that covers every point"
+        )
+    assignment[unassigned] = route[owner]
     return assignment
 
 

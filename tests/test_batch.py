@@ -7,6 +7,7 @@ kernel output must carry the same bits (compared as uint64, so a -0.0 or a
 NaN payload counts too), at every tuple size, scale and row-block seam.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -117,6 +118,7 @@ def assert_kernels_match(T):
     assert got.keys() == want.keys()
     for key in want:
         assert_bits_equal(got[key], want[key])
+    assert_bits_equal(_batch.cd_sq(T), want["cd_sq"])
 
 
 def stack(rng, B, m, D):
@@ -174,6 +176,41 @@ def test_values_do_not_depend_on_the_row_block(small_blocks, m, D):
         assert_kernels_match(stack(rng, B, m, D))
 
 
+@pytest.fixture
+def content_rows(monkeypatch):
+    """How many Gram matrices _content receives, one entry per call."""
+    calls = []
+    real = _batch._content
+
+    def counting(G):
+        calls.append(len(G))
+        return real(G)
+
+    monkeypatch.setattr(_batch, "_content", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m, D", [(3, 2), (4, 3), (6, 7)])
+def test_cd_sq_floor_drops_tuples_before_any_determinant(small_blocks, content_rows, m, D):
+    rows = _batch._plan(m, D, tuple(range(m))).rows
+    rng = np.random.default_rng(10 + m)
+    T = stack(rng, 4 * rows + 3, m, D)
+    # the whole second block sits below any positive floor
+    T[rows : 2 * rows, 1] = T[rows : 2 * rows, 0]
+    want = ref_curvature_terms(T)
+    sep2 = want["min_sep2"]
+    on_it = float(np.sort(sep2)[len(sep2) // 3])  # some tuples sit on the floor
+    for floor2 in (0.0, on_it, float(np.median(sep2[sep2 > 0])), float(sep2.max()), math.inf):
+        keep = sep2 >= floor2
+        content_rows.clear()
+        assert_bits_equal(_batch.cd_sq(T, floor2), np.where(keep, want["cd_sq"], 0.0))
+        # one call per block with a passing tuple, holding those tuples only
+        passing = [int(keep[lo : lo + rows].sum()) for lo in range(0, len(T), rows)]
+        assert content_rows == [n for n in passing if n], floor2
+        assert floor2 == 0.0 or passing[1] == 0
+    assert content_rows == []  # nothing reaches the floor of +inf
+
+
 def test_base_and_vertex_indices_are_checked():
     T = np.zeros((2, 3, 2))
     with pytest.raises(IndexError):
@@ -182,14 +219,23 @@ def test_base_and_vertex_indices_are_checked():
         _batch.psin_sq_at(T, -4)
 
 
-@pytest.mark.parametrize("shape", [(100_000, 4, 3), (262_144, 3, 2)])
-def test_curvature_terms_memory_is_a_small_multiple_of_the_input(shape):
+@pytest.mark.parametrize(
+    "kernel, shape",
+    [
+        pytest.param(_batch.curvature_terms, (100_000, 4, 3), id="shape0"),
+        pytest.param(_batch.curvature_terms, (262_144, 3, 2), id="shape1"),
+        pytest.param(_batch.cd_sq, (100_000, 4, 3), id="cd_sq-shape0"),
+        pytest.param(_batch.cd_sq, (262_144, 3, 2), id="cd_sq-shape1"),
+    ],
+)
+def test_curvature_terms_memory_is_a_small_multiple_of_the_input(kernel, shape):
     # a (B, m, m, D) broadcast and m Gram stacks at once peaked at 5x the
-    # input; row blocks leave the outputs (0.8x and 1.5x here) plus a block
+    # input; row blocks leave the outputs (0.8x and 1.5x here for
+    # curvature_terms, a tenth of that for cd_sq) plus a block
     T = np.random.default_rng(0).normal(size=shape)
     tracemalloc.start()
     try:
-        _batch.curvature_terms(T)
+        kernel(T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -234,6 +234,33 @@ def test_a_cloud_whose_squared_distances_leave_the_float_range_exits_2(tmp_path,
         assert str(path) in err and "rescale" in err and "Traceback" not in err
 
 
+def scaled_circle_csv(tmp_path, j):
+    """40 evenly spaced points of the unit circle, scaled by 2^j, each of
+    weight 1/40 (64,000 ordered triples: the exact path)."""
+    a = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+    path = tmp_path / f"circle{j}.csv"
+    WeightedPointCloud(np.c_[np.cos(a), np.sin(a)] * 2.0**j, np.full(40, 1 / 40)).to_csv(path)
+    return str(path)
+
+
+@pytest.mark.parametrize("j", [-400, -300, 300, 400])
+def test_a_circle_whose_curvature_leaves_the_float_range_exits_2(tmp_path, capsys, j):
+    # its squared diameter is a normal float, but the kernel's squared edge
+    # products are not: the estimate read 0.0 at 2^-300 and 2^-400 and NaN
+    # at 2^300 and 2^400, with exit 0
+    code, stdout, err = run(capsys, ["curvature", "--input", scaled_circle_csv(tmp_path, j)])
+    assert (code, stdout) == (2, "")
+    assert "squared extent" in err and "rescale" in err and "Traceback" not in err
+
+
+def test_a_circle_inside_the_float_range_keeps_its_bits(tmp_path, capsys):
+    # c_1^2 is homogeneous of degree -2: about 0.148 * 2^(-2j)
+    for j, want in ((-200, 3.805772564499995e119), (200, 5.70750498939201e-122)):
+        code, stdout, _ = run(capsys, ["curvature", "--input", scaled_circle_csv(tmp_path, j)])
+        assert code == 0
+        assert json.loads(stdout)["estimate"] == want, j
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 def test_flatness_of_a_cloud_of_one_repeated_point_is_0(tmp_path, capsys, rows):
     # its bounding ball has radius 0, so m(Q) = +inf and D(Q) is empty

@@ -113,6 +113,49 @@ def test_separation_parameter_is_validated_where_it_enters(cantor2):
             assert est.estimate == 0.0
 
 
+def sampler_weights(rng, m):
+    """Equal, uniform-random, log-normal (sigma 6) and one-heavy weights:
+    guide buckets from one entry each to thousands."""
+    heavy = np.ones(m)
+    heavy[m // 3] = 1e6
+    return {
+        "equal": np.full(m, 1.0 / m),
+        "uniform": rng.uniform(0.0, 1.0, size=m) + 1e-3,
+        "lognormal": rng.lognormal(0.0, 6.0, size=m),
+        "one-heavy": heavy,
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 1024, 1025])
+def test_tuple_stream_is_generator_choice_chunk_by_chunk(monkeypatch, m):
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+    chunk, rows = estimators._CHUNK, estimators._DRAW_ROWS
+    for kind, w in sampler_weights(default_rng(m), m).items():
+        p = w / w.sum()
+        for n, arity in ((1, 3), (rows + 1, 4), (chunk, 3), (chunk + 1, 3)):
+            ref = default_rng(n + m)
+            got = list(estimators._tuple_stream(w, arity, n, n + m))
+            assert [len(ti) for ti in got] == [min(chunk, n - lo) for lo in range(0, n, chunk)]
+            for ti in got:
+                assert np.array_equal(ti, ref.choice(m, size=ti.shape, p=p)), (kind, n)
+            assert made[-1].bit_generator.state == ref.bit_generator.state, (kind, n)
+
+
+def test_coinciding_points_give_0_at_any_scale():
+    # every tuple of one repeated point has curvature 0, so no scale is
+    # refused; two distinct points 2^-600 apart are
+    for x in (2.0**-600, 1.0, 2.0**600):
+        cloud = WeightedPointCloud(np.full((6, 2), x), np.ones(6))
+        for d in (1, 2):
+            for mode in ("exact", "mc"):
+                assert continuous_curvature_sq(cloud, None, d, n_samples=100, mode=mode).estimate == 0.0
+    pair = WeightedPointCloud(np.array([[0.0, 0.0], [2.0**-600, 0.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="squared extent"):
+        continuous_curvature_sq(pair, None, 1)
+
+
 def ref_exact_mean(cloud, query, d, lam=None):
     """The exact sum as the per-tuple kernel gives it: curvature_terms on
     every ordered tuple, _CHUNK tuples at a time, the separation floor

@@ -270,6 +270,19 @@ def test_partition_hand_case_leftover_routing():
     assert part.tolist() == [0, 0, 1]
 
 
+def test_partition_refuses_a_cover_that_leaves_a_point_out():
+    # the net's order skips the point at 5: its cover entry is -1, and no
+    # kept quarter ball holds it, so it has no cell (route[-1] put it in
+    # ball 0, 5 from its centre)
+    pts = as_pts([0.0, 0.5, 5.0])
+    q = 1.0
+    net, cover = build_net(cKDTree(pts), np.array([0, 1]), q)
+    assert net.tolist() == [0] and cover.tolist() == [0, 0, -1]
+    kept, route = build_ball_family(pts[net], q)
+    with pytest.raises(ValueError, match="point 2 "):
+        build_partition(cKDTree(pts), pts[net][kept], q, cover, route)
+
+
 def test_partition_leftover_routing_runs_in_bounded_memory():
     # the level's net is 0 and 1.1; 1.1 is dropped from the ball family,
     # so every point but 0 misses the kept quarter ball and is routed
