@@ -33,18 +33,19 @@ of the edge vectors x_v - x_b gives:
 
 So the content at base p of a tuple depends only on x_p and on the other
 points in position order: it is the base-0 content of the tuple that moves
-x_p to the front.  content_table evaluates it once per ordered index tuple
-of a point set, and ordered_cd_sq reads every vertex's content there; that
-gives curvature_terms' bits with one determinant per tuple instead of one
-per vertex.  The table costs 8 B per ordered tuple: 16.8 MB for the 128^3
-tuples of 128 points at d = 1, at most 80 MB at the estimators' auto limit
-of 10M tuples.  Both paths assemble c_d^2 in _assemble.
+x_p to the front.  ordered_cd_sq_sum, the estimators' exact sum, evaluates
+it once per ordered index tuple of a point set into a table and reads every
+vertex's content there; that gives curvature_terms' bits with one
+determinant per tuple instead of one per vertex.  The table costs 8 B per
+ordered tuple: 16.8 MB for the 128^3 tuples of 128 points at d = 1, at
+most 80 MB at the estimators' auto limit of 10M tuples.
 
 cd_sq is the Monte Carlo kernel: c_d^2 per tuple and nothing else, with
 an optional separation floor applied to the dot table before any Gram
 matrix is formed.  curvature_terms is the diagnostic kernel (verify,
-geometry, decomposition_check) and returns every per-tuple term.  Both run
-each row block through _vertex_terms.
+geometry, decomposition_check) and returns every per-tuple term.  All
+three hand their contents and pair lengths to _assemble, the one c_d^2
+assembly.
 
 Stacks are processed in row blocks whose working arrays hold about
 BLOCK_ENTRIES floats in all, so memory stays a small multiple of the
@@ -227,20 +228,6 @@ def psin_sq_at(T: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
-def _assemble(vol2: np.ndarray, prods: np.ndarray, diam2: np.ndarray):
-    """Squared polar sines (n, m), diam^{d(d+1)} (n,) and c_d^2 (n,) in the
-    canonical polar-sine form, from the squared Gram contents (n, m) and
-    squared edge products (n, m) at every vertex and the squared diameters
-    (n,).  The one c_d^2 assembly: curvature_terms and ordered_cd_sq call it."""
-    d = vol2.shape[1] - 2
-    psin2 = _ratio(vol2, prods)
-    # diam^{d(d+1)} = (diam^2)^{d(d+1)/2}; d(d+1)/2 is an integer
-    denom = diam2 ** (d * (d + 1) // 2)
-    cd_sq = np.zeros(len(denom))
-    np.divide(psin2.sum(axis=1), (d + 2) * denom, out=cd_sq, where=denom > 0.0)
-    return psin2, denom, cd_sq
-
-
 def _fold(ufunc, cols: np.ndarray) -> np.ndarray:
     """ufunc applied across axis 1 of cols in index order: the bits of
     ufunc.reduce(cols, axis=1) for np.multiply, whose reduction runs in that
@@ -252,15 +239,23 @@ def _fold(ufunc, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vertex_terms(dots: np.ndarray, plan: _Plan):
-    """Per block row: the squared Gram contents (n, m) and squared edge
-    products (n, m) at every vertex, the squared diameter (n,), and
-    _assemble's squared polar sines, diam^{d(d+1)} and c_d^2.  The one
-    per-block path of curvature_terms and cd_sq."""
-    vol2 = _content(_gram(dots, plan))
-    prods = _fold(np.multiply, dots.take(plan.edges, axis=1).transpose(0, 2, 1))
-    diam2 = _fold(np.maximum, dots[:, : len(plan.ia)])
-    return (vol2, prods, diam2, *_assemble(vol2, prods, diam2))
+def _assemble(vol2: np.ndarray, pair2: np.ndarray, plan: _Plan):
+    """Per row, from the squared Gram contents (n, m) at every vertex and
+    the squared pair lengths (n, P) in the plan's pair order: the squared
+    edge products (n, m) at every vertex, the squared diameter (n,), the
+    squared polar sines (n, m), diam^{d(d+1)} (n,) and c_d^2 (n,) in the
+    canonical polar-sine form.  The one c_d^2 assembly: curvature_terms,
+    cd_sq and ordered_cd_sq_sum call it."""
+    d = vol2.shape[1] - 2
+    # gathered one row per (vertex, edge), so each fold step reads whole rows
+    prods = _fold(np.multiply, pair2.T.take(plan.edges, axis=0)).T
+    diam2 = _fold(np.maximum, pair2)
+    psin2 = _ratio(vol2, prods)
+    # diam^{d(d+1)} = (diam^2)^{d(d+1)/2}; d(d+1)/2 is an integer
+    denom = diam2 ** (d * (d + 1) // 2)
+    cd_sq = np.zeros(len(denom))
+    np.divide(psin2.sum(axis=1), (d + 2) * denom, out=cd_sq, where=denom > 0.0)
+    return prods, diam2, psin2, denom, cd_sq
 
 
 def cd_sq(T: np.ndarray, floor2: float | None = None) -> np.ndarray:
@@ -283,7 +278,7 @@ def cd_sq(T: np.ndarray, floor2: float | None = None) -> np.ndarray:
                 continue
             dots = dots[keep]
             rows = rows.start + np.flatnonzero(keep)
-        out[rows] = _vertex_terms(dots, plan)[-1]
+        out[rows] = _assemble(_content(_gram(dots, plan)), dots[:, :P], plan)[-1]
     return out
 
 
@@ -313,7 +308,8 @@ def curvature_terms(T: np.ndarray) -> dict:
         "cd_sq_vol": np.zeros(B),
     }
     for plan, rows, dots in _blocks(T, tuple(range(m))):
-        vol2, prods, diam2, psin2, denom, cd2 = _vertex_terms(dots, plan)
+        vol2 = _content(_gram(dots, plan))
+        prods, diam2, psin2, denom, cd2 = _assemble(vol2, dots[:, :P], plan)
         pos = denom > 0.0
         out["diam2"][rows] = diam2
         out["min_sep2"][rows] = _fold(np.minimum, dots[:, :P])
@@ -333,20 +329,6 @@ def separated(min_sep2: np.ndarray, floor2: float) -> np.ndarray:
     return min_sep2 >= floor2
 
 
-# content_table's entry for a tuple below the separation floor; a content
-# is clamped at 0, so no content takes this value.
-BELOW_FLOOR = -1.0
-
-
-class ContentTable(NamedTuple):
-    """What ordered_cd_sq reads for the ordered index tuples of one point set."""
-
-    pair_sq: np.ndarray  # (m, m) squared pair lengths
-    content: np.ndarray  # (m**arity,) base-0 Gram content per tuple, flat C order
-    arity: int
-    floored: bool  # whether tuples below a separation floor hold BELOW_FLOOR
-
-
 def _index_tuples(lo: int, hi: int, m: int, arity: int) -> np.ndarray:
     """The ordered index tuples with flat (C order) indices lo..hi-1, one
     row per position: (arity, n) int32 digits in base m.  A table of m^3
@@ -360,75 +342,63 @@ def _index_tuples(lo: int, hi: int, m: int, arity: int) -> np.ndarray:
     return t
 
 
-def _tuple_pair_sq(pair_sq: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Squared pair lengths (P, n) of the index tuples t (arity, n), the
-    pairs in lexicographic order."""
-    ia, ic = np.triu_indices(len(t), k=1)
-    return pair_sq.take(t[ia] * len(pair_sq) + t[ic])
-
-
-def content_table(points: np.ndarray, arity: int, floor2: float | None) -> ContentTable:
-    """The pair table of the points (m, D) and the squared base-0 Gram
-    content of each of their m**arity ordered index tuples.
-
-    With floor2, the entries of tuples whose squared minimal separation is
-    below floor2 hold BELOW_FLOOR instead, and cost no determinant.
-    Separation does not depend on the order of a tuple, so every entry that
-    ordered_cd_sq reads for a passing tuple holds its content.  The table
-    costs 8 B per ordered tuple.
-    """
-    m, D = points.shape
-    pair_sq = pairwise_sq(points[None])[0]
-    content = np.empty(m**arity)
-    rows = _plan(arity, D, (0,)).rows
-    for lo in range(0, len(content), rows):
-        hi = min(lo + rows, len(content))
-        t = _index_tuples(lo, hi, m, arity)
-        if floor2 is None:
-            content[lo:hi] = content_sq(points.take(t.T, axis=0), 0)
-            continue
-        keep = separated(_tuple_pair_sq(pair_sq, t).min(axis=0), floor2)
-        block = content[lo:hi]
-        block[~keep] = BELOW_FLOOR
-        block[keep] = content_sq(points.take(t[:, keep].T, axis=0), 0)
-    return ContentTable(pair_sq, content, arity, floor2 is not None)
-
-
-def ordered_cd_sq(table: ContentTable, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ordered index tuples with flat indices lo..hi-1 (n, arity) and
-    their c_d^2 (n,), read off the tables; 0 for tuples below the
-    separation floor, whose entries in the content table mark them and
-    which never reach the assembly.
+def ordered_cd_sq_sum(
+    points: np.ndarray, weights: np.ndarray, arity: int, floor2: float | None, chunk: int
+) -> float:
+    """The exact sum of c_d^2(t) * prod weights[t] over the m**arity ordered
+    index tuples t of the points (m, D): np.sum over each run of `chunk`
+    tuples in flat (C) order, the runs added in order.  With floor2, a
+    tuple whose squared minimal separation is below floor2 contributes 0
+    and costs no determinant.
 
     The content at vertex p of tuple t is the base-0 content of the tuple
     (t_p, the others in position order): the same Gram matrix, so the same
-    bits, as curvature_terms forms at base p.  Pair lengths, diameters,
-    separations and edge products are gathers of the pair table, laid out
-    one row per pair or vertex so that each reduction runs over rows.
+    bits, as curvature_terms forms at base p.  So a first pass fills a
+    table with the base-0 content of every ordered tuple, 8 B per tuple,
+    and a second hands each tuple's entries there and its pair lengths,
+    gathered from the points' pair table, to _assemble.  Separation does
+    not depend on the order of a tuple, so a tuple below the floor is
+    skipped by both passes and its entries are never read.
     """
-    m, arity = len(table.pair_sq), table.arity
-    t = _index_tuples(lo, hi, m, arity)
+    m, D = points.shape
+    total = m**arity
     plan = _plan(arity, 1, ())  # pair order and edge lists do not depend on D
+    pair_sq = pairwise_sq(points[None])[0].ravel()
+
+    def pair_lengths(t: np.ndarray) -> np.ndarray:
+        """Squared pair lengths (P, n) of the index tuples t (arity, n)."""
+        return pair_sq.take(t[plan.ia] * m + t[plan.ic])
+
+    def passing(pair2: np.ndarray) -> np.ndarray:
+        """Offsets of the tuples, by their pair lengths (P, n), that reach the floor."""
+        return np.flatnonzero(separated(_fold(np.minimum, pair2.T), floor2))
+
+    content = np.zeros(total)
+    rows = _plan(arity, D, (0,)).rows
+    for lo in range(0, total, rows):
+        t = _index_tuples(lo, min(lo + rows, total), m, arity)
+        on = slice(None) if floor2 is None else passing(pair_lengths(t))
+        content[lo : lo + t.shape[1]][on] = content_sq(points.take(t[:, on].T, axis=0), 0)
+
     # row p: the coefficients of t's entries in the flat index of the tuple
     # (t_p, the others in position order)
     powers = m ** np.arange(arity - 1, -1, -1)
     rotate = np.array([np.insert(powers[1:], p, powers[0]) for p in range(arity)])
-    P = len(plan.ia)
-    # per tuple: pair indices, their two gathers and the pair lengths; the
-    # rotated indices, contents, edge factors, products and polar sines
-    rows = max(1, BLOCK_ENTRIES // (4 * P + arity * (arity + 4)))
-    out = np.zeros(t.shape[1])
-    for b in range(0, len(out), rows):
-        tb = t[:, b : b + rows]
-        sel = slice(b, b + tb.shape[1])
-        if table.floored:
-            keep = table.content[lo + b : lo + b + tb.shape[1]] != BELOW_FLOOR
-            tb, sel = tb[:, keep], b + np.flatnonzero(keep)
-        d2 = _tuple_pair_sq(table.pair_sq, tb)
-        vol2 = table.content.take(rotate @ tb)
-        prods = d2.take(plan.edges, axis=0).prod(axis=1)
-        out[sel] = _assemble(vol2.T, prods.T, d2.max(axis=0))[2]
-    return t.T, out
+    # per tuple: pair indices, their gathers and the pair lengths; the
+    # rotated indices, contents, edge factors, products, polar sines and weights
+    rows = max(1, BLOCK_ENTRIES // (4 * len(plan.ia) + arity * (arity + 5)))
+    acc = 0.0
+    for lo in range(0, total, chunk):
+        terms = np.empty(min(chunk, total - lo))
+        for b in range(0, len(terms), rows):
+            t = _index_tuples(lo + b, lo + min(b + rows, len(terms)), m, arity)
+            pair2 = pair_lengths(t)
+            on = slice(None) if floor2 is None else passing(pair2)
+            vals = np.zeros(t.shape[1])
+            vals[on] = _assemble(content.take(rotate @ t[:, on]).T, pair2[:, on].T, plan)[-1]
+            terms[b : b + len(vals)] = vals * np.prod(weights[t.T], axis=1)
+        acc += float(np.sum(terms))
+    return acc
 
 
 def psin_with_replacement(X: np.ndarray, ys: np.ndarray, i: int) -> np.ndarray:

@@ -12,15 +12,18 @@ search read off a guide table (_tuple_stream).  The Monte Carlo path
 evaluates it with _batch.cd_sq, which computes c_d^2 alone and drops a
 tuple below the separation floor before its Gram determinants.
 
-The content at vertex p of an ordered tuple depends only on its base t_p
-and on the other indices in position order, so the exact path factors each
-distinct Gram matrix once: _batch.content_table holds the base-0 content
-of every ordered tuple, and each vertex reads its entry there, with the
-bits the per-tuple kernel gives.  The table costs 8 B per ordered tuple:
-at most 80 MB at the auto limit, and 134 MB for the 256^3 tuples of a
-forced-exact level-4 Cantor cloud; a forced exact sum whose table would
-exceed EXACT_TABLE_BYTES is refused.  On the exact path a tuple below the
-separation floor costs no Gram determinant.
+The exact path is one call, _batch.ordered_cd_sq_sum, which sums the
+ordered tuples _CHUNK at a time in flat order.  It factors each distinct
+Gram matrix once, in a table of the base-0 content of every ordered tuple
+that each vertex reads with the bits the per-tuple kernel gives.  The table
+costs 8 B per ordered tuple: at most 80 MB at the auto limit, and 134 MB
+for the 256^3 tuples of a forced-exact level-4 Cantor cloud; a forced exact
+sum whose table would exceed EXACT_TABLE_BYTES is refused.  On the exact
+path a tuple below the separation floor costs no Gram determinant.
+
+Both paths, and decomposition_check, enter through one argument check
+(_restricted): d >= 1, n_samples >= 1, a ball that holds support points,
+and points whose scale keeps c_d^2 in the float range.
 """
 
 from __future__ import annotations
@@ -73,15 +76,6 @@ class MCEstimate:
             "n_samples": self.n_samples,
             "exact": self.exact,
         }
-
-
-def _restricted(cloud: WeightedPointCloud, query: Ball | None) -> np.ndarray:
-    if query is None:
-        return np.arange(len(cloud))
-    idx = cloud.in_ball(query)
-    if len(idx) == 0:
-        raise ValueError("query ball holds no support points")
-    return idx
 
 
 def _tuple_stream(weights: np.ndarray, arity: int, n_samples: int, seed: int):
@@ -163,6 +157,25 @@ def _check_extent(pts: np.ndarray, d: int) -> None:
         )
 
 
+def _restricted(
+    cloud: WeightedPointCloud, query: Ball | None, d: int, n_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points and weights of the cloud inside the query ball (all of
+    them without one), behind the entry checks that the tuple estimators
+    share: d >= 1, n_samples >= 1, a ball that holds support points, and
+    points whose scale keeps c_d^2 in the float range (_check_extent)."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    idx = np.arange(len(cloud)) if query is None else cloud.in_ball(query)
+    if len(idx) == 0:
+        raise ValueError("query ball holds no support points")
+    pts = cloud.points[idx]
+    _check_extent(pts, d)
+    return pts, cloud.weights[idx]
+
+
 def continuous_curvature_sq(
     cloud: WeightedPointCloud,
     query: Ball | None,
@@ -180,48 +193,33 @@ def continuous_curvature_sq(
     (with a ball query) keeps only tuples whose minimal pairwise distance
     is at least lam * radius(Q); it must be >= 0, and any lam > 2
     (+inf included) empties the region.  Points whose scale puts c_d^2
-    out of the float range raise ValueError (_check_extent).
+    out of the float range raise ValueError (_check_extent).  Every
+    argument is checked before the cloud is read.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if mode not in ("auto", "exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
     if lam is not None and query is None:
         raise ValueError("a separation parameter needs a ball query")
     if lam is not None and not lam >= 0.0:  # NaN fails every comparison
         raise ValueError(f"lambda must be a nonnegative number, got {lam!r}")
-    idx = _restricted(cloud, query)
-    m = len(idx)
+    pts, w = _restricted(cloud, query, d, n_samples)
+    m = len(pts)
     arity = d + 2
-    pts = cloud.points[idx]
-    _check_extent(pts, d)
-    w = cloud.weights[idx]
     # a floor whose square overflows is +inf: no tuple of finite points is
     # that far apart, so the separated region is empty
     floor2 = None if lam is None else _power(lam * query.radius, 2)
-
-    total_tuples = m**arity
-    use_exact = mode == "exact" or (mode == "auto" and total_tuples <= EXACT_TUPLE_LIMIT)
-    if mode not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown mode {mode!r}")
-
     factor = _mass_factor(w, arity)
 
-    if use_exact:
+    total_tuples = m**arity
+    if mode == "exact" or (mode == "auto" and total_tuples <= EXACT_TUPLE_LIMIT):
         if 8 * total_tuples > EXACT_TABLE_BYTES:
             raise ValueError(
                 f"an exact sum over {m}^{arity} ordered tuples needs a content table of "
                 f"{8 * total_tuples / 2**30:.1f} GiB, over the {EXACT_TABLE_BYTES / 2**30:g} GiB "
                 "bound; use mode='mc'"
             )
-        table = _batch.content_table(pts, arity, floor2)
-        acc = 0.0
-        for lo in range(0, total_tuples, _CHUNK):
-            ti, vals = _batch.ordered_cd_sq(table, lo, min(lo + _CHUNK, total_tuples))
-            acc += float(np.sum(vals * np.prod(w[ti], axis=1)))
-        return MCEstimate(
-            mean=acc / factor, std_error=0.0, n_samples=total_tuples, mass_factor=factor, exact=True
-        )
+        mean = _batch.ordered_cd_sq_sum(pts, w, arity, floor2, _CHUNK) / factor
+        return MCEstimate(mean=mean, std_error=0.0, n_samples=total_tuples, mass_factor=factor, exact=True)
 
     s = 0.0
     s2 = 0.0
@@ -358,13 +356,10 @@ def decomposition_check(
     estimator on the same stream; totals are exactly-rounded sums, making
     the equality bitwise.  The (k, n) cells also record the
     canonical-handle-position estimate, i.e. the cell total divided by the
-    binomial weight C(d+1, n).
+    binomial weight C(d+1, n).  d, n_samples, the query and the scale of
+    its points are refused as continuous_curvature_sq refuses them.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    idx = _restricted(cloud, query)
-    pts = cloud.points[idx]
-    w = cloud.weights[idx]
+    pts, w = _restricted(cloud, query, d, n_samples)
     arity = d + 2
     mass_factor = _mass_factor(w, arity)
 

@@ -313,18 +313,18 @@ class MultiresolutionFamily:
         return self._beta_cache[key][0]
 
 
-def local_family(family: MultiresolutionFamily, query: Ball) -> list[tuple[int, int, Ball]]:
-    """D(Q): all family balls at scales n >= m(Q) that intersect Q,
-    intersection decided by the center-distance rule |c_B - c_Q| <= r_B + r_Q."""
+def local_family(family: MultiresolutionFamily, query: Ball) -> list[tuple[int, int]]:
+    """D(Q) as (n, j) pairs: all family balls at scales n >= m(Q) that
+    intersect Q, intersection decided by the center-distance rule
+    |c_B - c_Q| <= r_B + r_Q.  Ball j of level n is
+    family.level(n).ball(family.cloud, j)."""
     out = []
     cq = np.asarray(query.center, dtype=float)
     for n in family.levels_for(query):
         lvl = family.level(n)
         centers = lvl.centers(family.cloud)
         d = np.linalg.norm(centers - cq, axis=1)
-        hit = np.nonzero(d <= lvl.radius + query.radius)[0]
-        for j in hit:
-            out.append((n, int(j), lvl.ball(family.cloud, int(j))))
+        out.extend((n, int(j)) for j in np.nonzero(d <= lvl.radius + query.radius)[0])
     return out
 
 
@@ -337,7 +337,7 @@ def jones_flatness_discrete(
     _check_dim(d, cloud.ambient_dim)
     terms = []
     total = 0.0
-    for n, j, _ in local_family(family, query):
+    for n, j in local_family(family, query):
         b2 = family.beta2_sq(n, j, d)
         mass = family._beta_cache[n, j, d][1]
         total += b2 * mass

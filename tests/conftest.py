@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from menger import _batch
+
 from menger.measure import (
     gen_four_corner_cantor,
     gen_lipschitz_graph,
@@ -53,3 +55,17 @@ def cantor2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def content_rows(monkeypatch):
+    """How many tuples' Gram matrices _batch._content receives, one entry per call."""
+    calls = []
+    real = _batch._content
+
+    def counting(G):
+        calls.append(len(G))
+        return real(G)
+
+    monkeypatch.setattr(_batch, "_content", counting)
+    return calls

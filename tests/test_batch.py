@@ -176,20 +176,6 @@ def test_values_do_not_depend_on_the_row_block(small_blocks, m, D):
         assert_kernels_match(stack(rng, B, m, D))
 
 
-@pytest.fixture
-def content_rows(monkeypatch):
-    """How many Gram matrices _content receives, one entry per call."""
-    calls = []
-    real = _batch._content
-
-    def counting(G):
-        calls.append(len(G))
-        return real(G)
-
-    monkeypatch.setattr(_batch, "_content", counting)
-    return calls
-
-
 @pytest.mark.parametrize("m, D", [(3, 2), (4, 3), (6, 7)])
 def test_cd_sq_floor_drops_tuples_before_any_determinant(small_blocks, content_rows, m, D):
     rows = _batch._plan(m, D, tuple(range(m))).rows

@@ -267,6 +267,26 @@ def test_exact_sums_keep_their_bits_across_chunk_and_block_seams(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+def test_exact_floor_costs_no_determinant(content_rows, d):
+    # the exact-path twin of test_cd_sq_floor_drops_tuples_before_any_determinant:
+    # only the ordered tuples that reach the floor reach _content, once each
+    rng = np.random.default_rng(40 + d)
+    counts = []
+    for D in (1, 2, 3):
+        cloud, ball = grid_on_the_floor(rng, D)
+        pts = cloud.points[cloud.in_ball(ball)]
+        m = len(pts)
+        ti = np.stack(np.unravel_index(np.arange(m ** (d + 2)), (m,) * (d + 2)), axis=1)
+        passing = int((_batch.curvature_terms(pts[ti])["min_sep2"] >= 1.0).sum())
+        assert passing < m ** (d + 2)
+        content_rows.clear()
+        continuous_curvature_sq(cloud, ball, d, mode="exact", lam=0.4)
+        assert sum(content_rows) == passing, D
+        counts.append(passing)
+    assert max(counts) > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_mc_separation_filter_keeps_every_bit(d):
     rng = np.random.default_rng(10 + d)
     for D in (1, 2, 3, 4):
@@ -312,11 +332,28 @@ def test_forced_exact_refuses_a_table_over_the_bound(monkeypatch):
     assert not continuous_curvature_sq(cloud, None, 1, n_samples=100, mode="mc").exact
 
 
+def test_decomposition_check_refuses_what_continuous_curvature_sq_refuses():
+    # scaled by 2^-400 it returned 0.0 with an exact partition, by 2^400 NaN,
+    # and at d = 0 it returned 1.0
+    circle = gen_sphere(2, 40, seed=0)
+    for scale in (2.0**-400, 2.0**400):
+        cloud = WeightedPointCloud(scale * circle.points, circle.weights)
+        with pytest.raises(ValueError, match="squared extent"):
+            continuous_curvature_sq(cloud, None, 1, n_samples=2000)
+        with pytest.raises(ValueError, match="squared extent"):
+            decomposition_check(cloud, None, 1, 0.25, n_samples=2000)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        decomposition_check(circle, None, 0, 0.25, n_samples=2000)
+
+
 def test_query_and_mode_validation(small_cloud):
     with pytest.raises(ValueError):
         continuous_curvature_sq(small_cloud, Ball(np.array([99.0, 0.0]), 0.1), 1)
     with pytest.raises(ValueError):
         continuous_curvature_sq(small_cloud, None, 1, mode="nope")
+    # the mode is checked before the cloud: it used to surface as the empty ball's error
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        continuous_curvature_sq(small_cloud, Ball(np.array([99.0, 0.0]), 0.1), 1, mode="bogus")
     with pytest.raises(ValueError):
         continuous_curvature_sq(small_cloud, None, 0)
     with pytest.raises(ValueError):

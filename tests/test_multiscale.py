@@ -400,8 +400,9 @@ def test_local_family_center_distance_rule(circle):
     query = Ball(circle.points[0], 0.2)
     fam_balls = local_family(fam, query)
     assert fam_balls
-    for n, j, ball in fam_balls:
+    for n, j in fam_balls:
         assert n >= scale_index(query.diameter, 0.25)
+        ball = fam.level(n).ball(circle, j)
         gap = float(np.linalg.norm(ball.center - query.center))
         assert gap <= ball.radius + query.radius
 
