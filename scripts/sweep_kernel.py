@@ -10,9 +10,12 @@ script measures any checkout.  Three tables:
   R^{d+1} (seeded), for d = 1, 2, 3 and B = 1, 2^10, 2^18.  A cell times
   enough calls to cover about MIN_CELL_S seconds, REPEATS times.
 - exact: ordered tuples per second of continuous_curvature_sq(mode="exact")
-  on m Gaussian points in R^{d+1} with m^{d+2} about 2^18 and 2^21, for
-  d = 1, 2, 3, in a ball that holds every point, with lambda None and
-  0.4.  A cell times one call, EXACT_REPEATS times.
+  on m Gaussian points in R^{d+1} with m^{d+2} about 2^12 (a small ball),
+  2^18 and 2^21, for d = 1, 2, 3, in a ball that holds every point, with
+  lambda None and 0.4.  A cell times one call, EXACT_REPEATS times, and
+  reports determinants_per_tuple: the Gram matrices that _batch._content
+  receives in one more call, counted through a wrapper, per ordered tuple
+  (1 without a floor, at most 1 with one).
 - mc: the two layers of the Monte Carlo path.  draws: index draws per
   second of estimators._tuple_stream, MC_TUPLES 4-tuples at m = MC_POINTS,
   for equal, uniform-random, log-normal (sigma 6) and one-heavy weights,
@@ -45,7 +48,7 @@ REPEATS = 5
 EXACT_REPEATS = 3
 MIN_CELL_S = 0.2
 SIZES = (1, 2**10, 2**18)
-EXACT_LOG2_TUPLES = (18, 21)
+EXACT_LOG2_TUPLES = (12, 18, 21)
 DIMS = (1, 2, 3)
 MC_POINTS = 3244  # the points of one bench mc-sphere cap
 MC_TUPLES = 100_000
@@ -78,6 +81,18 @@ def _median_rate(count: int, call, repeats: int) -> float:
         call()
         rates.append(count / (perf_counter() - t0))
     return statistics.median(rates)
+
+
+def _content_rows(_batch, call) -> int:
+    """How many Gram matrices _batch._content receives while call() runs."""
+    real = _batch._content
+    rows = []
+    _batch._content = lambda G: rows.append(len(G)) or real(G)
+    try:
+        call()
+    finally:
+        _batch._content = real
+    return sum(rows)
 
 
 def _mc_table(numpy, estimators, _batch, rng) -> dict:
@@ -142,11 +157,14 @@ def main(argv=None) -> int:
             ball = Ball(numpy.zeros(d + 1), 1.001 * float(numpy.linalg.norm(cloud.points, axis=1).max()))
             for lam in (None, 0.4):
                 name = f"d{d}-m{m}-lam{lam}"
-                rate = _median_rate(
-                    m ** (d + 2), lambda: continuous_curvature_sq(cloud, ball, d, mode="exact", lam=lam), EXACT_REPEATS
-                )
-                exact[name] = {"tuples": m ** (d + 2), "tuples_per_s": round(rate)}
-                print(f"exact {name}: {exact[name]['tuples_per_s']} tuples/s", file=sys.stderr, flush=True)
+
+                def call():
+                    continuous_curvature_sq(cloud, ball, d, mode="exact", lam=lam)
+
+                rate = _median_rate(m ** (d + 2), call, EXACT_REPEATS)
+                exact[name] = {"tuples": m ** (d + 2), "tuples_per_s": round(rate),
+                               "determinants_per_tuple": _content_rows(_batch, call) / m ** (d + 2)}
+                print(f"exact {name}: {exact[name]}", file=sys.stderr, flush=True)
     mc = _mc_table(numpy, estimators, _batch, rng)
     env = {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__,
            "machine": platform.machine(), "repeats": REPEATS,

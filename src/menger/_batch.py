@@ -33,12 +33,14 @@ of the edge vectors x_v - x_b gives:
 
 So the content at base p of a tuple depends only on x_p and on the other
 points in position order: it is the base-0 content of the tuple that moves
-x_p to the front.  ordered_cd_sq_sum, the estimators' exact sum, evaluates
-it once per ordered index tuple of a point set into a table and reads every
-vertex's content there; that gives curvature_terms' bits with one
-determinant per tuple instead of one per vertex.  The table costs 8 B per
-ordered tuple: 16.8 MB for the 128^3 tuples of 128 points at d = 1, at
-most 80 MB at the estimators' auto limit of 10M tuples.
+x_p to the front.  ordered_cd_sq_sum, the estimators' exact sum, stores it
+once per ordered index tuple of a point set (8 B each; at most 80 MB at
+the estimators' auto limit of 10M tuples) and reads every vertex's content
+back off a transposed view of that table: curvature_terms' bits with one
+determinant per tuple.  It walks the tuples in slabs of consecutive
+leading indices (_slabs) and reads each Gram matrix at base i off one
+table einsum("jd,kd->jk", X - x_i, X - x_i), which runs the pair-row
+einsum's inner loop, so has its bits; a BLAS product does not.
 
 cd_sq is the Monte Carlo kernel: c_d^2 per tuple and nothing else, with
 an optional separation floor applied to the dot table before any Gram
@@ -329,17 +331,32 @@ def separated(min_sep2: np.ndarray, floor2: float) -> np.ndarray:
     return min_sep2 >= floor2
 
 
-def _index_tuples(lo: int, hi: int, m: int, arity: int) -> np.ndarray:
-    """The ordered index tuples with flat (C order) indices lo..hi-1, one
-    row per position: (arity, n) int32 digits in base m.  A table of m^3
-    entries or more keeps m, and the pair indices below m^2, far inside
-    int32."""
-    t = np.empty((arity, hi - lo), dtype=np.int32)
-    flat = np.arange(lo, hi)
-    for p in range(arity - 1, 0, -1):
-        np.divmod(flat, m, out=(flat, t[p]))
-    t[0] = flat
-    return t
+def _at(table: np.ndarray, ps: tuple, ix: tuple) -> np.ndarray:
+    """table[t_{ps[0]}, t_{ps[1]}, ..] over a slab of ordered tuples t whose
+    positions take the indices ix (_slabs), as a view that broadcasts over
+    the slab: position p >= f, f the first position ix does not fix, runs
+    along slab axis p - f."""
+    f = next(p for p, i in enumerate(ix) if isinstance(i, slice))
+    axes = [p - f for p in ps if isinstance(ix[p], slice)]
+    x = np.transpose(table[tuple(ix[p] for p in ps)], np.argsort(axes))
+    return np.expand_dims(x, tuple(sorted(set(range(len(ix) - f)) - set(axes))))
+
+
+def _slabs(m: int, arity: int, width: int):
+    """(first tuple, index, shape) per slab of the m**arity ordered tuples,
+    in flat (C) order.  A slab's index fixes positions 0..L-2 to one point
+    each, runs position L-1 over consecutive points and every later
+    position over all m points; its shape has one axis per position from
+    L-1 on.  L is the shortest prefix whose m**(arity-L) tuples at one
+    prefix fit BLOCK_ENTRIES / width, and position L-1 takes as many points
+    as fit, so a slab holds several bases when L = 1."""
+    L = next((L for L in range(1, arity - 1) if m ** (arity - L) * width <= BLOCK_ENTRIES), arity - 1)
+    step = max(1, BLOCK_ENTRIES // (m ** (arity - L) * width))
+    for prefix in np.ndindex(*(m,) * (L - 1)):
+        for a in range(0, m, step):
+            b = min(a + step, m)
+            first = int(np.ravel_multi_index(prefix + (a,), (m,) * L)) * m ** (arity - L)
+            yield first, prefix + (slice(a, b),) + (slice(None),) * (arity - L), (b - a,) + (m,) * (arity - L)
 
 
 def ordered_cd_sq_sum(
@@ -349,55 +366,83 @@ def ordered_cd_sq_sum(
     index tuples t of the points (m, D): np.sum over each run of `chunk`
     tuples in flat (C) order, the runs added in order.  With floor2, a
     tuple whose squared minimal separation is below floor2 contributes 0
-    and costs no determinant.
+    and costs no determinant; separation does not depend on the order of a
+    tuple, so both passes skip it.
 
-    The content at vertex p of tuple t is the base-0 content of the tuple
-    (t_p, the others in position order): the same Gram matrix, so the same
-    bits, as curvature_terms forms at base p.  So a first pass fills a
-    table with the base-0 content of every ordered tuple, 8 B per tuple,
-    and a second hands each tuple's entries there and its pair lengths,
-    gathered from the points' pair table, to _assemble.  Separation does
-    not depend on the order of a tuple, so a tuple below the floor is
-    skipped by both passes and its entries are never read.
+    The content at vertex p of t is the base-0 content of the tuple (t_p,
+    the others in position order), with the bits curvature_terms gives at
+    base p.  So a table pass stores the base-0 content of every ordered
+    tuple, 8 B per tuple, and a sum pass hands each tuple's contents at
+    every vertex and its pair lengths to _assemble.  Both walk the same
+    slabs (_slabs) and read every table through views that broadcast over
+    a slab (_at), with no per-tuple gather.  The table pass forms one dot
+    table einsum("jd,kd->jk", X - x_i, X - x_i) per base i and reads each
+    Gram matrix at i off it, entries (a, b) and (b, a) alike from [t_a,
+    t_b]: that einsum runs the pair-row einsum's inner loop over the same
+    products in the same order, so it gives _blocks' bits, where a BLAS
+    product of the same rows sums in another order and does not
+    (tests/test_estimators.py holds this up to D = 64).  In the sum pass
+    vertex p's contents, content[t_p, t_0, .., t_{p-1}, t_{p+1}, ..], are
+    a transposed view of the table, the pair lengths a view of the m x m
+    pairwise_sq table, and the weights views multiplied in position order,
+    as np.prod multiplies.
     """
-    m, D = points.shape
+    m = len(points)
     total = m**arity
+    k = arity - 1
     plan = _plan(arity, 1, ())  # pair order and edge lists do not depend on D
-    pair_sq = pairwise_sq(points[None])[0].ravel()
+    pair_sq = pairwise_sq(points[None])[0]
+    width = arity * (arity + 5)  # floats per tuple held by either pass
+    content = np.zeros((m,) * arity)
 
-    def pair_lengths(t: np.ndarray) -> np.ndarray:
-        """Squared pair lengths (P, n) of the index tuples t (arity, n)."""
-        return pair_sq.take(t[plan.ia] * m + t[plan.ic])
+    def lengths(ix: tuple, shape: tuple) -> np.ndarray:
+        """Squared pair lengths (P, n) of a slab's tuples, in the plan's pair order."""
+        out = np.empty((len(plan.ia),) + shape)
+        for q, (a, c) in enumerate(zip(plan.ia.tolist(), plan.ic.tolist())):
+            out[q] = _at(pair_sq, (a, c), ix)
+        return out.reshape(len(out), -1)
 
-    def passing(pair2: np.ndarray) -> np.ndarray:
+    def passing(pair2: np.ndarray):
         """Offsets of the tuples, by their pair lengths (P, n), that reach the floor."""
-        return np.flatnonzero(separated(_fold(np.minimum, pair2.T), floor2))
+        return slice(None) if floor2 is None else np.flatnonzero(separated(_fold(np.minimum, pair2.T), floor2))
 
-    content = np.zeros(total)
-    rows = _plan(arity, D, (0,)).rows
-    for lo in range(0, total, rows):
-        t = _index_tuples(lo, min(lo + rows, total), m, arity)
-        on = slice(None) if floor2 is None else passing(pair_lengths(t))
-        content[lo : lo + t.shape[1]][on] = content_sq(points.take(t[:, on].T, axis=0), 0)
+    for lo, ix, shape in _slabs(m, arity, width):
+        bases = np.atleast_1d(np.arange(m)[ix[0]])
+        dots = np.empty((len(bases), m, m))
+        for i, out in zip(bases.tolist(), dots):
+            y = points - points[i]
+            np.einsum("jd,kd->jk", y, y, out=out)
+        # the same index, with the base read from dots' own axis 0
+        at_base = (slice(None) if isinstance(ix[0], slice) else 0,) + ix[1:]
+        G = np.empty(shape + (k, k))
+        for a in range(1, arity):
+            G[..., a - 1, a - 1] = _at(dots.diagonal(axis1=1, axis2=2), (0, a), at_base)
+            for b in range(a + 1, arity):
+                G[..., a - 1, b - 1] = G[..., b - 1, a - 1] = _at(dots, (0, a, b), at_base)
+        G = G.reshape(-1, k, k)
+        on = slice(None) if floor2 is None else passing(lengths(ix, shape))
+        content.reshape(-1)[lo : lo + len(G)][on] = _content(G[on])
 
-    # row p: the coefficients of t's entries in the flat index of the tuple
-    # (t_p, the others in position order)
-    powers = m ** np.arange(arity - 1, -1, -1)
-    rotate = np.array([np.insert(powers[1:], p, powers[0]) for p in range(arity)])
-    # per tuple: pair indices, their gathers and the pair lengths; the
-    # rotated indices, contents, edge factors, products, polar sines and weights
-    rows = max(1, BLOCK_ENTRIES // (4 * len(plan.ia) + arity * (arity + 5)))
     acc = 0.0
-    for lo in range(0, total, chunk):
-        terms = np.empty(min(chunk, total - lo))
-        for b in range(0, len(terms), rows):
-            t = _index_tuples(lo + b, lo + min(b + rows, len(terms)), m, arity)
-            pair2 = pair_lengths(t)
-            on = slice(None) if floor2 is None else passing(pair2)
-            vals = np.zeros(t.shape[1])
-            vals[on] = _assemble(content.take(rotate @ t[:, on]).T, pair2[:, on].T, plan)[-1]
-            terms[b : b + len(vals)] = vals * np.prod(weights[t.T], axis=1)
-        acc += float(np.sum(terms))
+    terms = np.empty(min(chunk, total))
+    for lo, ix, shape in _slabs(m, arity, width):
+        vol2 = np.empty((arity,) + shape)
+        for p in range(arity):  # content[t_p, t_0, .., t_{p-1}, t_{p+1}, ..]
+            vol2[p] = _at(content, (p, *range(p), *range(p + 1, arity)), ix)
+        pair2 = lengths(ix, shape)
+        on = passing(pair2)
+        vals = np.zeros(pair2.shape[1])
+        vals[on] = _assemble(vol2.reshape(arity, -1)[:, on].T, pair2[:, on].T, plan)[-1]
+        w = _at(weights, (0,), ix)
+        for p in range(1, arity):
+            w = w * _at(weights, (p,), ix)
+        vals *= w.reshape(-1)
+        # each run of `chunk` tuples that ends in this slab is summed
+        cuts = [lo, *range(lo - lo % chunk + chunk, lo + len(vals), chunk), lo + len(vals)]
+        for a, b in zip(cuts, cuts[1:]):
+            terms[a % chunk : a % chunk + b - a] = vals[a - lo : b - lo]
+            if b % chunk == 0 or b == total:
+                acc += float(np.sum(terms[: (b - 1) % chunk + 1]))
     return acc
 
 

@@ -14,12 +14,12 @@ tuple below the separation floor before its Gram determinants.
 
 The exact path is one call, _batch.ordered_cd_sq_sum, which sums the
 ordered tuples _CHUNK at a time in flat order.  It factors each distinct
-Gram matrix once, in a table of the base-0 content of every ordered tuple
-that each vertex reads with the bits the per-tuple kernel gives.  The table
-costs 8 B per ordered tuple: at most 80 MB at the auto limit, and 134 MB
-for the 256^3 tuples of a forced-exact level-4 Cantor cloud; a forced exact
-sum whose table would exceed EXACT_TABLE_BYTES is refused.  On the exact
-path a tuple below the separation floor costs no Gram determinant.
+Gram matrix once, off one dot table per base point, into a table of the
+base-0 content of every ordered tuple that each vertex reads through a
+view, with the per-tuple kernel's bits.  The table costs 8 B per ordered
+tuple: 134 MB for a forced-exact level-4 Cantor cloud (256^3 tuples); a
+forced exact sum whose table would exceed EXACT_TABLE_BYTES is refused.
+On the exact path a tuple below the separation floor costs no determinant.
 
 Both paths, and decomposition_check, enter through one argument check
 (_restricted): d >= 1, n_samples >= 1, a ball that holds support points,

@@ -405,10 +405,12 @@ def gen_lipschitz_graph(d: int, D: int, lip: float, n: int, seed=0) -> WeightedP
     """Graph of an L-Lipschitz map R^d -> R^{D-d} over a unit cube patch.
 
     The map is a small sum of smooth waves with gradient bounded by 1,
-    scaled so the full Jacobian has operator norm <= lip.
+    scaled so the full Jacobian has operator norm <= lip, a finite lip >= 0.
     """
     if not 1 <= d < D or n < 1:
         raise ValueError("need 1 <= d < D and n >= 1")
+    if not 0.0 <= lip < math.inf:  # NaN fails every comparison
+        raise ValueError(f"lip must be a finite number >= 0, got {lip!r}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-0.5, 0.5, size=(n, d))
     m_out = D - d

@@ -65,6 +65,15 @@ def test_generate_rejects_empty_and_zero_dimensional_clouds(tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lip", ["-1", "nan", "inf"])
+def test_generate_graph_refuses_a_bad_lipschitz_constant(tmp_path, capsys, lip):
+    out = tmp_path / "g.csv"
+    code, _, err = run(capsys, ["generate", "graph", "--lip", lip, "--out", str(out)])
+    assert code == 2
+    assert "lip must be a finite number >= 0" in err
+    assert not out.exists()
+
+
 def test_generate_requires_out(capsys):
     code, _, err = run(capsys, ["generate", "cantor", "--level", "1"])
     assert code == 2

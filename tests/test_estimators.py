@@ -242,6 +242,19 @@ def test_exact_sums_match_the_per_tuple_kernel_bitwise(d, m):
         assert got.n_samples == 1 and got.mean == 0.0
 
 
+@pytest.mark.parametrize("d, m", [(1, 11), (2, 6)])
+def test_exact_sums_keep_their_bits_in_high_dimension(d, m):
+    # each base's dot table is one einsum over all D coordinates, whose inner
+    # loop depends on the length; the test above stops at D = 4
+    rng = np.random.default_rng(20 + d)
+    for D in (8, 17, 64):
+        for cloud in awkward_clouds(rng, m, D):
+            ball = enclosing_ball(cloud)
+            for lam in (None, 0.3):
+                got = continuous_curvature_sq(cloud, ball, d, mode="exact", lam=lam)
+                assert_same_bits(got.mean, ref_exact_mean(cloud, ball, d, lam))
+
+
 def test_exact_sums_keep_their_bits_across_chunk_and_block_seams(monkeypatch):
     # 70^3 ordered tuples fill one _CHUNK and part of a second; then chunks
     # and row blocks of a few rows, whose seams fall inside tuples' runs
@@ -284,6 +297,18 @@ def test_exact_floor_costs_no_determinant(content_rows, d):
         assert sum(content_rows) == passing, D
         counts.append(passing)
     assert max(counts) > 0
+
+
+@pytest.mark.parametrize("d, m", [(1, 14), (2, 30), (3, 14)])
+def test_exact_path_takes_one_determinant_per_ordered_tuple(content_rows, d, m):
+    # without a floor every ordered tuple reaches _content once; at d = 2
+    # and 3 one base's tuples span several slabs
+    rng = np.random.default_rng(50 + d)
+    cloud = WeightedPointCloud(rng.normal(size=(m, d + 1)), rng.uniform(0.1, 1.0, size=m))
+    continuous_curvature_sq(cloud, None, d, mode="exact")
+    assert sum(content_rows) == m ** (d + 2)
+    if d == 1:
+        assert content_rows == [m**3]  # all 14 bases in one slab
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -195,6 +195,13 @@ def test_lipschitz_graph_honours_its_constant():
     assert (dy[mask] <= lip * dx[mask] * (1.0 + 1e-9)).all()
 
 
+@pytest.mark.parametrize("lip", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_lipschitz_graph_refuses_a_negative_or_infinite_constant(lip):
+    with pytest.raises(ValueError, match="lip must be"):
+        gen_lipschitz_graph(1, 2, lip, 10)
+    assert np.all(gen_lipschitz_graph(1, 2, 0.0, 10).points[:, 1] == 0.0)  # lip 0: a flat graph
+
+
 def test_generators_are_seeded():
     a = gen_sphere(2, 50, seed=4).points
     b = gen_sphere(2, 50, seed=4).points
