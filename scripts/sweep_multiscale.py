@@ -26,6 +26,9 @@ do not carry over; the median is reported.  Per cloud it times:
                 whose point lies outside its own cell's kept quarter ball:
                 the points the partition routes through the net walk's and
                 the ball-family walk's cover maps, read from NetLevel
+  hit_pairs_per_point  the largest, over the levels built, of the net
+                walk's hit pairs (point, net point within the level's q),
+                which the partition's first pass reads, divided by N
 
 with alpha0 = 0.25 and d = 1 on the circle, d = 2 on the sphere.  Prints
 one JSON object.  BLAS is held to one thread, as in bench/run.py.
@@ -90,6 +93,7 @@ def _cell(menger, D: int, n: int, d: int) -> dict:
     out["levels"] = fam.n_floor - fam.n_top + 1
     out["net_points"] = int(sum(len(fam.level(k).net) for k in range(fam.n_top, fam.n_floor + 1)))
     out["routed_share"] = _routed_share(menger, cloud, fam)
+    out["hit_pairs_per_point"] = _hit_pairs_per_point(menger, cloud, fam)
     return out
 
 
@@ -98,10 +102,17 @@ def _routed_share(menger, cloud, fam) -> float:
     for n in range(fam.n_top, fam.n_floor + 1):
         level = fam.level(n)
         q = level.quarter_radius
-        # the partition's first pass compares these same squared norms
+        # the net walk compares these same squared norms for the partition
         d2 = menger.measure._sq_norms(cloud.points - level.centers(cloud)[level.partition])
         routed += int((d2 > q * q).sum())
     return routed / (len(cloud) * (fam.n_floor - fam.n_top + 1))
+
+
+def _hit_pairs_per_point(menger, cloud, fam) -> float:
+    # the level keeps no hits, so each net walk runs again, untimed
+    walks = (menger.multiscale.build_net(cloud.tree, fam.order, fam.level(n).quarter_radius)
+             for n in range(fam.n_top, fam.n_floor + 1))
+    return max(len(points) for _, _, (points, _) in walks) / len(cloud)
 
 
 def main(argv=None) -> int:

@@ -189,8 +189,12 @@ def _content(G: np.ndarray) -> np.ndarray:
 
 
 def _ratio(num, den: np.ndarray) -> np.ndarray:
-    """num / den where den > 0, else 0."""
-    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+    """num / den where den > 0, else +0.0 (a NaN den too): the bits of a
+    masked divide, whose inner loop is slow on the exact path's slabs."""
+    positive = den > 0.0
+    out = num / np.where(positive, den, 1.0)
+    out[~positive] = 0.0
+    return out
 
 
 def pairwise_sq(T: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Command line driver: data generation, curvature/flatness computation,
 verification suites, and ratio experiment tables.
 
-Exit codes: 0 success, 1 invariant failure, 2 input error.  Every command
-is deterministic given (seed, flags, input file).
+Exit codes: 0 success, 1 invariant failure, 2 input error (a request too
+large to allocate included).  Every command is deterministic given (seed,
+flags, input file).
 """
 
 from __future__ import annotations
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"invariant failure: {exc}\n")
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

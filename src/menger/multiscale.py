@@ -13,12 +13,12 @@ Per scale n the construction is:
         quarter balls and earlier leftovers, then assigning each leftover
         to the smallest kept index whose quarter ball it meets.
 
-Each walk (build_net, _first_within) reads the points of the k-d tree it
-is given, from tree.data, and builds no tree over them.  A level's net and
-partition walk the cloud's own cached tree, WeightedPointCloud.tree; the
-net points are the only subset of the cloud that gets a tree, one per
-level, for the ball family's walk.  The two greedy walks return their cover
-maps, and the partition reads its leftover routing off them.
+A level walks the cloud's own cached tree, WeightedPointCloud.tree, once:
+build_net reads its points from tree.data and builds no tree over them.
+The net points are the only subset of the cloud that gets a tree, one per
+level, for the ball family's walk.  The partition queries nothing: its
+first pass reads the net walk's hit pairs, and its leftover routing the
+two greedy walks' cover maps.
 
 The discrete functional reads one planes.beta2 per family ball, through the
 family's cache.  The continuous functional evaluates every scale of its
@@ -46,8 +46,8 @@ MAX_LEVELS_BELOW_TOP = 64
 # Ratio of consecutive scales t_{j+1} / t_j of the continuous functional's
 # quadrature.
 SCALE_RATIO = 0.5
-# Most k-d-tree candidates one block of a net or first-centre walk fetches
-# and re-tests at once, which bounds the walk's memory.
+# Most k-d-tree candidates one block of a net walk fetches and re-tests at
+# once, which bounds the walk's memory.
 BLOCK_CANDIDATES = 2**16
 
 
@@ -64,13 +64,15 @@ def scale_index(diam: float, alpha0: float) -> int:
     return k if _power(alpha0, k) == diam else k + 1
 
 
-def build_net(tree: cKDTree, order: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+def build_net(tree: cKDTree, order: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Greedy r-separated net over the points of `tree`, scanned in `order`.
 
-    Returns (net, cover): the selected indices in admission order, and per
-    point p the position in `net` of the first admitted point within r of
-    p, -1 only for points `order` leaves out (a net tree's parent pointer).
-    A point is admitted iff no earlier admitted point lies within r of it,
+    Returns (net, cover, hits): the selected indices in admission order;
+    per point p the position in `net` of the first admitted point within r
+    of p, -1 only for points `order` leaves out (a net tree's parent
+    pointer); and hits = (points, owners), int arrays of every pair (p, i)
+    with p within r of net[i], grouped by ascending net position i.  A
+    point is admitted iff no earlier admitted point lies within r of it,
     by the exact closed comparison |x - y|^2 <= r*r, which is symmetric.
 
     The scan walks the points of `order` not yet covered in blocks.  A
@@ -82,20 +84,27 @@ def build_net(tree: cKDTree, order: np.ndarray, r: float) -> tuple[np.ndarray, n
     one vectorised comparison re-tests them.  The admissions are then
     resolved in scan order, each setting `cover` on its uncovered hits, so
     a block member covered by an earlier one is skipped as in a
-    one-at-a-time scan.  The walk ends once every point of `order` is
-    covered.  The points are read from tree.data.
+    one-at-a-time scan, and the re-tested hits of the admitted members are
+    kept as `hits`.  The walk ends once every point of `order` is covered.
+    The points are read from tree.data.
+
+    The net points are pairwise more than r apart, so at most a packing
+    number of them lie within r of one point (2 on a line, 5 in the
+    plane), and `hits` holds at most that many pairs per point.
     """
     points = tree.data
     radius = r * _PAD
     cover = np.full(len(points), -1)
     count = np.full(len(points), -1)
     selected = []
+    hit_points, hit_owners = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     rest = np.asarray(order, dtype=int)
     width = 1
     while True:
         rest = rest[cover[rest] < 0]
         if len(rest) == 0:
-            return np.asarray(selected, dtype=int), cover
+            hits = np.concatenate(hit_points), np.concatenate(hit_owners)
+            return np.asarray(selected, dtype=int), cover, hits
         window = rest[:width]
         new = window[count[window] < 0]
         count[new] = tree.query_ball_point(points.take(new, axis=0), radius, return_length=True)
@@ -106,13 +115,17 @@ def build_net(tree: cKDTree, order: np.ndarray, r: float) -> tuple[np.ndarray, n
         block_points = points.take(block, axis=0)
         cand, owner = _candidates(tree, block_points, radius)
         hit = _sq_norms(points.take(cand, axis=0) - block_points.take(owner, axis=0)) <= r * r
-        ends = np.cumsum(np.bincount(owner[hit], minlength=k)).tolist()
-        cand = cand[hit]
-        for idx, lo, hi in zip(block.tolist(), [0] + ends, ends):
+        cand, owner = cand[hit], owner[hit]
+        ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
+        position = np.full(k, -1)
+        for j, (idx, lo, hi) in enumerate(zip(block.tolist(), [0] + ends, ends)):
             if cover[idx] < 0:
-                hits = cand[lo:hi]
-                cover[hits[cover[hits] < 0]] = len(selected)
+                near = cand[lo:hi]
+                cover[near[cover[near] < 0]] = position[j] = len(selected)
                 selected.append(idx)
+        owner = position[owner]
+        hit_points.append(cand[owner >= 0])
+        hit_owners.append(owner[owner >= 0])
         # the next window holds about twice the points that fill a block here
         width = int(2 * min(BLOCK_CANDIDATES, len(rest)) / max(counts.mean(), 1.0)) + 1
 
@@ -138,34 +151,44 @@ def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> tuple[np
     order, and `route` is its cover.  The walk reads a tree built over the
     net points.
     """
-    return build_net(cKDTree(net_points), np.arange(len(net_points)), 2.0 * quarter_radius)
+    kept, route, _ = build_net(cKDTree(net_points), np.arange(len(net_points)), 2.0 * quarter_radius)
+    return kept, route
 
 
-def build_partition(
-    tree: cKDTree, kept_centers: np.ndarray, quarter_radius: float, cover: np.ndarray, route: np.ndarray
-) -> np.ndarray:
-    """Assign every point of `tree` to a kept ball index, realising the
-    leftover construction, from the cover of a q-net of the points
-    (build_net at r = q = quarter_radius) and its ball family's route.
+def build_partition(kept: np.ndarray, hits: tuple, cover: np.ndarray, route: np.ndarray) -> np.ndarray:
+    """Assign every point to a kept ball index, realising the leftover
+    construction, from the walk of a q-net of the points (build_net at
+    r = q = quarter_radius: its `hits` and `cover`) and from its ball
+    family (build_ball_family at q: `kept` and `route`).  Makes no query.
 
     A point inside a kept quarter ball goes to that ball (smallest index on
     boundary ties; kept quarter balls are disjoint so ties only occur
     exactly on spheres).  Any other point p lies in some leftover quarter
     ball B' (centered on a dropped net point); it is claimed by the first
     such B' in net order and routed to g(B') = the smallest kept index
-    whose quarter ball meets B'.  Only the first pass walks `tree`.
+    whose quarter ball meets B'.
 
-    Every net point within q of such a p is a dropped one, so the first of
-    them, B', is cover[p] and g(B') is route[cover[p]].  Each comparison is
-    the einsum of the same difference (p - c, leftover - kept) against the
-    same rounded square, so the partition is bit for bit that of the
-    construction.  route[cover] is total when the net's order covers every
-    point: each walk ends only once its whole order is covered.  A cover
-    that leaves out a point no kept quarter ball holds (-1, from a net
-    whose order skips it) raises ValueError.
+    The first pass keeps the hit pairs whose net point is kept and gives
+    each point the smallest kept index among them, which is the first kept
+    centre within q since `kept` ascends.  Every net point within q of a
+    point left over is a dropped one, so the first of them, B', is
+    cover[p] and g(B') is route[cover[p]].  Each comparison, in the net
+    walk or the family walk, is the einsum of the same difference (p - c,
+    leftover - kept) against the same rounded square, so the partition is
+    bit for bit that of the construction.  route[cover] is total when the
+    net's order covers every point: each walk ends only once its whole
+    order is covered.  A cover that leaves out a point no kept quarter
+    ball holds (-1, from a net whose order skips it) raises ValueError.
+    Besides the assignment, the pass holds one entry per hit pair, at most
+    a packing number per point (see build_net).
     """
-    assignment = _first_within(tree, kept_centers, quarter_radius * quarter_radius)
-    unassigned = np.flatnonzero(assignment < 0)
+    points, owners = hits
+    index = np.full(len(route), -1)
+    index[kept] = np.arange(len(kept))
+    owners = index[owners]
+    assignment = np.full(len(cover), len(kept))
+    np.minimum.at(assignment, points[owners >= 0], owners[owners >= 0])
+    unassigned = np.flatnonzero(assignment == len(kept))
     owner = cover[unassigned]
     if (owner < 0).any():
         raise ValueError(
@@ -174,41 +197,6 @@ def build_partition(
         )
     assignment[unassigned] = route[owner]
     return assignment
-
-
-def _first_within(tree: cKDTree, centers: np.ndarray, r2: float) -> np.ndarray:
-    """Index of the first centre within squared distance r2 of each point of
-    `tree`, -1 where there is none.
-
-    The centres are walked in index order, in blocks whose k-d-tree
-    candidate counts (return_length=True) sum to at most BLOCK_CANDIDATES,
-    and at least one centre.  Each block makes one query_ball_point call;
-    the candidates not yet claimed are re-tested with the exact closed
-    comparison, vectorised, and each point they hit is claimed by the
-    smallest hitting centre.  The walk stops once every point is claimed.
-    The points are read from tree.data.
-    """
-    points = tree.data
-    first = np.full(len(points), -1, dtype=int)
-    radius = math.sqrt(r2) * _PAD
-    counts = tree.query_ball_point(centers, radius, return_length=True)
-    csum = np.cumsum(counts)
-    left, lo = len(points), 0
-    while lo < len(centers) and left:
-        done = csum[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(csum, done + BLOCK_CANDIDATES, side="right")))
-        cand, owner = _candidates(tree, centers[lo:hi], radius)
-        owner += lo
-        free = first[cand] < 0
-        cand, owner = cand[free], owner[free]
-        hit = _sq_norms(points.take(cand, axis=0) - centers.take(owner, axis=0)) <= r2
-        cand, owner = cand[hit], owner[hit]
-        # a point hit by several centres of the block keeps the smallest
-        first[cand] = len(centers)
-        np.minimum.at(first, cand, owner)
-        left = np.count_nonzero(first < 0)
-        lo = hi
-    return first
 
 
 @dataclass(frozen=True)
@@ -241,10 +229,9 @@ class NetLevel:
 
 def build_level(cloud: WeightedPointCloud, n: int, alpha0: float, order: np.ndarray) -> NetLevel:
     r = alpha0**n
-    net, cover = build_net(cloud.tree, order, r)
-    net_points = cloud.points.take(net, axis=0)
-    kept, route = build_ball_family(net_points, r)
-    partition = build_partition(cloud.tree, net_points.take(kept, axis=0), r, cover, route)
+    net, cover, hits = build_net(cloud.tree, order, r)
+    kept, route = build_ball_family(cloud.points.take(net, axis=0), r)
+    partition = build_partition(kept, hits, cover, route)
     return NetLevel(n=n, alpha0=alpha0, net=net, kept=kept, partition=partition)
 
 

@@ -197,6 +197,16 @@ def test_cd_sq_floor_drops_tuples_before_any_determinant(small_blocks, content_r
     assert content_rows == []  # nothing reaches the floor of +inf
 
 
+def test_ratio_is_zero_off_positive_denominators():
+    num = np.array([[1.0, -2.0, 3.0, 4.0, 5.0, np.inf], [7.0, 0.0, -1.0, 2.0, 3.0, 1.0]]).T  # strided
+    den = np.array([[2.0, 0.0, -1.0, np.nan, -0.0, 3.0], [np.inf, 5.0, 1e-300, 0.0, 4.0, 2.0]]).T
+    with np.errstate(all="raise"):
+        out = _batch._ratio(num, den)
+    want = np.array([[0.5, 0.0, 0.0, 0.0, 0.0, np.inf], [0.0, 0.0, -1.0 / 1e-300, 0.0, 0.75, 0.5]]).T
+    assert out.shape == den.shape
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))  # +0.0 off the mask
+
+
 def test_base_and_vertex_indices_are_checked():
     T = np.zeros((2, 3, 2))
     with pytest.raises(IndexError):

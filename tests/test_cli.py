@@ -74,6 +74,18 @@ def test_generate_graph_refuses_a_bad_lipschitz_constant(tmp_path, capsys, lip):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["sphere", "--n", "1000000000000000"], ["plane", "--d", "1", "--D", "100000000000", "--n", "100000"]]
+)
+def test_generate_past_the_memory_exits_2(tmp_path, capsys, argv):
+    # numpy refuses each array (petabytes) before touching any memory
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, ["generate", *argv, "--out", str(out)])
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+
+
 def test_generate_requires_out(capsys):
     code, _, err = run(capsys, ["generate", "cantor", "--level", "1"])
     assert code == 2

@@ -12,7 +12,6 @@ from menger.measure import Ball, WeightedPointCloud, gen_four_corner_cantor, gen
 from menger.multiscale import (
     MAX_LEVELS_BELOW_TOP,
     MultiresolutionFamily,
-    _first_within,
     build_ball_family,
     build_level,
     build_net,
@@ -68,15 +67,16 @@ def test_m_of_q_uses_ball_diameter():
 
 def test_build_net_on_a_line():
     pts = as_pts([0.0, 1.0, 2.0, 3.0])
-    net, cover = build_net(cKDTree(pts), np.arange(4), 1.5)
+    net, cover, (points, owners) = build_net(cKDTree(pts), np.arange(4), 1.5)
     assert net.tolist() == [0, 2]
     assert cover.tolist() == [0, 0, 1, 1]  # 1.0 is within 1.5 of both: the first coverer wins
+    assert sorted(zip(owners.tolist(), points.tolist())) == [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3)]
 
 
 def test_net_separation_and_covering(circle):
     r = 0.3
     order = np.random.default_rng(1).permutation(len(circle))
-    net, _ = build_net(circle.tree, order, r)
+    net, _, _ = build_net(circle.tree, order, r)
     sel = circle.points[net]
     dist = np.linalg.norm(sel[:, None, :] - sel[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
@@ -128,6 +128,17 @@ def reference_first_within(points, centers, r2):
     return first
 
 
+def assert_hits_match_reference(pts, net, hits, r):
+    """The net walk's hit pairs: grouped by ascending net position, and as
+    a set every (point, net position) pair of the full table within r."""
+    points, owners = hits
+    assert points.dtype.kind == owners.dtype.kind == "i"
+    assert (np.diff(owners) >= 0).all()
+    diff = pts[:, None, :] - pts[net][None, :, :]
+    inside = np.einsum("ijk,ijk->ij", diff, diff) <= r * r
+    assert sorted(zip(points.tolist(), owners.tolist())) == list(zip(*(a.tolist() for a in np.nonzero(inside))))
+
+
 def reference_partition(points, net_points, kept, quarter_radius):
     """The partition by full-table lookups: kept quarter balls first, then
     leftover quarter balls routed to the first kept ball they meet."""
@@ -155,9 +166,9 @@ def assert_level_matches_reference(pts, order, q):
     """A level's two greedy walks at r = q and 2q, their cover maps and the
     partition read off them, against the reference loops and full-table
     lookups."""
-    tree = cKDTree(pts)
-    net, cover = build_net(tree, order, q)
+    net, cover, hits = build_net(cKDTree(pts), order, q)
     assert np.array_equal(net, reference_net(pts, order, q))
+    assert_hits_match_reference(pts, net, hits, q)
     net_points = pts[net]
     # cover[p]: the first admitted point within q of p
     assert same(cover, reference_first_within(pts, net_points, q * q))
@@ -166,7 +177,7 @@ def assert_level_matches_reference(pts, order, q):
     # route[i]: the first kept centre within 2q of net point i
     two_q = 2.0 * q
     assert same(route, reference_first_within(net_points, net_points[kept], two_q * two_q))
-    part = build_partition(tree, net_points[kept], q, cover, route)
+    part = build_partition(kept, hits, cover, route)
     assert same(part, reference_partition(pts, net_points, kept, q))
 
 
@@ -180,36 +191,28 @@ grid_clouds = st.integers(1, 3).flatmap(
 @given(grid_clouds, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 1.5]), st.data())
 def test_greedy_routines_match_reference_loop(pts, r, q, data):
     order = np.asarray(data.draw(st.permutations(range(len(pts)))), dtype=int)
-    tree = cKDTree(pts)
-    net, _ = build_net(tree, order, r)
+    net, _, hits = build_net(cKDTree(pts), order, r)
     assert net.dtype.kind == "i"
     assert np.array_equal(net, reference_net(pts, order, r))
+    assert_hits_match_reference(pts, net, hits, r)
     for net_points in (pts, pts[net]):
         kept, _ = build_ball_family(net_points, q)
         assert kept.dtype.kind == "i"
         assert np.array_equal(kept, reference_ball_family(net_points, q))
-    centers = pts[data.draw(st.lists(st.integers(0, len(pts) - 1), max_size=12))]
-    for r2 in (r * r, q * q, (2.0 * q) * (2.0 * q)):
-        assert same(_first_within(tree, centers, r2), reference_first_within(pts, centers, r2))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 300))
 def test_tree_searches_keep_exact_boundary_hits(seed, D, n):
-    # r2 is the squared distance of a pair, so points sit on the sphere
-    # itself, where a tree search at radius sqrt(r2) can round either way;
-    # at 1e-160 the squared distances are subnormal, below the pad's reach
+    # r is the distance of a pair, so points sit on the r sphere of net
+    # points, where a tree search at radius r can round either way; at
+    # 1e-160 the squared distances are subnormal, below the pad's reach
     rng = np.random.default_rng(seed)
     unit = rng.normal(size=(n, D))
     for scale in (10.0 ** rng.integers(-3, 4), 1e-160, 1e-150, 1e150):
         pts = unit * scale
-        tree = cKDTree(pts)
-        centers = pts[rng.choice(n, size=min(n, 20), replace=False)]
         for i, j in rng.integers(0, n, size=(4, 2)):
-            r2 = float(np.einsum("i,i->", pts[i] - pts[j], pts[i] - pts[j]))
-            assert same(_first_within(tree, centers, r2), reference_first_within(pts, centers, r2))
-            r = float(np.sqrt(r2))
-            order = rng.permutation(n)
-            assert np.array_equal(build_net(tree, order, r)[0], reference_net(pts, order, r))
+            r = float(np.sqrt(np.einsum("i,i->", pts[i] - pts[j], pts[i] - pts[j])))
+            assert_level_matches_reference(pts, rng.permutation(n), r)
 
 
 @given(grid_clouds, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.data())
@@ -241,32 +244,33 @@ def test_ball_family_drop_rule_is_closed():
 
 def test_partition_hand_case_direct_assignment():
     pts = as_pts([0.0, 0.2, 1.0, 1.1, 2.5])
-    net, cover = build_net(cKDTree(pts), np.arange(5), 0.3)
+    net, cover, hits = build_net(cKDTree(pts), np.arange(5), 0.3)
     assert net.tolist() == [0, 2, 4]
     kept, route = build_ball_family(pts[net], 0.3)
     assert kept.tolist() == [0, 1, 2]
-    part = build_partition(cKDTree(pts), pts[net][kept], 0.3, cover, route)
+    part = build_partition(kept, hits, cover, route)
     assert part.tolist() == [0, 0, 1, 1, 2]
     # a point exactly on the quarter sphere is inside (q**2 is one ulp
     # below the rounded q*q for this q)
     q = 2 * 0.35**8
     pts = as_pts([0.0, q])
-    net, cover = build_net(cKDTree(pts), np.arange(2), q)
+    net, cover, hits = build_net(cKDTree(pts), np.arange(2), q)
     assert net.tolist() == [0] and cover.tolist() == [0, 0]
-    assert build_partition(cKDTree(pts), pts[:1], q, cover, np.array([0])).tolist() == [0, 0]
+    assert sorted(hits[0].tolist()) == [0, 1] and hits[1].tolist() == [0, 0]
+    assert build_partition(np.array([0]), hits, cover, np.array([0])).tolist() == [0, 0]
 
 
 def test_partition_hand_case_leftover_routing():
     # net point at 0.5 is dropped (within 2q of 0); the point it covers is
     # routed to the kept ball its quarter ball meets
     pts = as_pts([0.0, 0.5, 0.9])
-    net, cover = build_net(cKDTree(pts), np.arange(3), 0.3)
+    net, cover, hits = build_net(cKDTree(pts), np.arange(3), 0.3)
     assert net.tolist() == [0, 1, 2]
     assert cover.tolist() == [0, 1, 2]
     kept, route = build_ball_family(pts[net], 0.3)
     assert kept.tolist() == [0, 2]
     assert route.tolist() == [0, 0, 1]
-    part = build_partition(cKDTree(pts), pts[net][kept], 0.3, cover, route)
+    part = build_partition(kept, hits, cover, route)
     assert part.tolist() == [0, 0, 1]
 
 
@@ -276,11 +280,11 @@ def test_partition_refuses_a_cover_that_leaves_a_point_out():
     # ball 0, 5 from its centre)
     pts = as_pts([0.0, 0.5, 5.0])
     q = 1.0
-    net, cover = build_net(cKDTree(pts), np.array([0, 1]), q)
+    net, cover, hits = build_net(cKDTree(pts), np.array([0, 1]), q)
     assert net.tolist() == [0] and cover.tolist() == [0, 0, -1]
     kept, route = build_ball_family(pts[net], q)
     with pytest.raises(ValueError, match="point 2 "):
-        build_partition(cKDTree(pts), pts[net][kept], q, cover, route)
+        build_partition(kept, hits, cover, route)
 
 
 def test_partition_leftover_routing_runs_in_bounded_memory():
@@ -313,7 +317,7 @@ def test_net_and_ball_family_run_in_bounded_memory():
     order = np.random.default_rng(0).permutation(n)
     tracemalloc.start()
     try:
-        net, _ = build_net(cKDTree(pts), order, 1.0)
+        net, _, _ = build_net(cKDTree(pts), order, 1.0)
         kept, _ = build_ball_family(pts, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -343,6 +347,28 @@ def test_a_family_builds_one_tree_over_the_whole_cloud(monkeypatch):
     levels = range(fam.n_top, fam.n_floor + 1)
     assert len(levels) >= 4
     assert sizes == [len(cloud)] + [len(fam.level(n).net) for n in levels]
+
+
+def test_a_level_queries_the_cloud_tree_only_in_its_net_walk(monkeypatch):
+    # the partition reads the net walk's hits: the cloud's tree gets the
+    # same query_ball_point calls from a whole level as from its net alone
+    calls = []
+
+    class CountingTree(cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            calls.append((len(x), r, kwargs.get("return_length", False)))
+            return super().query_ball_point(x, r, **kwargs)
+
+    monkeypatch.setattr(measure, "cKDTree", CountingTree)
+    cloud = gen_sphere(3, 2000)
+    fam = MultiresolutionFamily(cloud, 0.25)
+    for n in range(fam.n_top, fam.n_floor + 1):
+        calls.clear()
+        build_net(cloud.tree, fam.order, 0.25**n)
+        alone = list(calls)
+        calls.clear()
+        build_level(cloud, n, 0.25, fam.order)
+        assert alone and calls == alone
 
 
 def test_a_zero_radius_query_has_no_family_balls(circle):
