@@ -40,7 +40,8 @@ back off a transposed view of that table: curvature_terms' bits with one
 determinant per tuple.  It walks the tuples in slabs of consecutive
 leading indices (_slabs) and reads each Gram matrix at base i off one
 table einsum("jd,kd->jk", X - x_i, X - x_i), which runs the pair-row
-einsum's inner loop, so has its bits; a BLAS product does not.
+einsum's inner loop, so has its bits; a BLAS product does not.  Its pair
+lengths are measure's squared-distance table, the same einsum per pair.
 
 cd_sq is the Monte Carlo kernel: c_d^2 per tuple and nothing else, with
 an optional separation floor applied to the dot table before any Gram
@@ -62,6 +63,8 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
+
+from .measure import _sq_dists
 
 # Floats held by the working arrays of one row block, all arrays together.
 BLOCK_ENTRIES = 2**19
@@ -97,9 +100,8 @@ class _Plan(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _plan(m: int, D: int, bases: tuple) -> _Plan:
     ia, ic = np.triu_indices(m, k=1)
-    if bases:
-        away = ia == bases[0]
-        ia[away], ic[away] = ic[away], bases[0]
+    away = ia == bases[0]
+    ia[away], ic[away] = ic[away], bases[0]
     pair = {}
     for p, (a, c) in enumerate(zip(ia.tolist(), ic.tolist())):
         pair[a, c] = pair[c, a] = p
@@ -194,16 +196,6 @@ def _ratio(num, den: np.ndarray) -> np.ndarray:
     positive = den > 0.0
     out = num / np.where(positive, den, 1.0)
     out[~positive] = 0.0
-    return out
-
-
-def pairwise_sq(T: np.ndarray) -> np.ndarray:
-    """Squared distance matrices, shape (B, m, m)."""
-    B, m, _ = T.shape
-    out = np.zeros((B, m, m))
-    for plan, rows, dots in _blocks(T, ()):
-        out[rows, plan.ia, plan.ic] = dots
-        out[rows, plan.ic, plan.ia] = dots
     return out
 
 
@@ -387,22 +379,23 @@ def ordered_cd_sq_sum(
     product of the same rows sums in another order and does not
     (tests/test_estimators.py holds this up to D = 64).  In the sum pass
     vertex p's contents, content[t_p, t_0, .., t_{p-1}, t_{p+1}, ..], are
-    a transposed view of the table, the pair lengths a view of the m x m
-    pairwise_sq table, and the weights views multiplied in position order,
-    as np.prod multiplies.
+    a transposed view of the table, the pair lengths views of the m x m
+    _sq_dists(points, points) table, and the weights views multiplied in
+    position order, as np.prod multiplies.
     """
     m = len(points)
     total = m**arity
     k = arity - 1
-    plan = _plan(arity, 1, ())  # pair order and edge lists do not depend on D
-    pair_sq = pairwise_sq(points[None])[0]
+    plan = _plan(arity, 1, (0,))  # edge lists depend on neither D nor the bases
+    pairs = [(a, c) for a in range(arity) for c in range(a + 1, arity)]  # _assemble's pair order
+    pair_sq = _sq_dists(points, points)
     width = arity * (arity + 5)  # floats per tuple held by either pass
     content = np.zeros((m,) * arity)
 
     def lengths(ix: tuple, shape: tuple) -> np.ndarray:
-        """Squared pair lengths (P, n) of a slab's tuples, in the plan's pair order."""
-        out = np.empty((len(plan.ia),) + shape)
-        for q, (a, c) in enumerate(zip(plan.ia.tolist(), plan.ic.tolist())):
+        """Squared pair lengths (P, n) of a slab's tuples, in `pairs` order."""
+        out = np.empty((len(pairs),) + shape)
+        for q, (a, c) in enumerate(pairs):
             out[q] = _at(pair_sq, (a, c), ix)
         return out.reshape(len(out), -1)
 

@@ -231,9 +231,8 @@ def direct_menger(X) -> float:
     Each unordered pair therefore enters squared.  This variant lacks the
     scale invariance that motivates c_d and is provided for comparison only.
     """
-    X = as_tuple_array(X)
-    d2 = _batch.pairwise_sq(X[None])[0]
-    prod = float(np.prod(d2[np.triu_indices(len(X), k=1)]))
+    d2, content = _batch.pair_and_content_sq(as_tuple_array(X)[None], 0)
+    prod = float(np.prod(d2[0]))
     if prod == 0.0:
         return 0.0
-    return gram_content(X, 0) / prod
+    return math.sqrt(content[0]) / prod

@@ -9,6 +9,11 @@ scan over the whole cloud reads.  A cloud's points must therefore not
 change after it is built; a cloud over other points, or over a subset, is
 a new cloud with its own cached facts.
 
+The one squared-distance rule: |p - c|^2 is the einsum of p - c with
+itself (_sq_norms, _sq_dists), and p is within r of c iff it is <= r*r.
+Balls, net and family walks, the diameter, local_family,
+sample_scaled_simplex, ordered_cd_sq_sum and level_axioms all use it.
+
 CSV format: first line `dim=D`, then one row `c_1,...,c_D,weight` per
 point.  Weights must be strictly positive.
 """
@@ -31,17 +36,18 @@ BLOCK_ENTRIES = 2**22
 _PAD = 1.0 + 1e-9
 
 
-def _sq_dist_blocks(points: np.ndarray, centers: np.ndarray):
-    """Yield (lo, d2) row blocks of the squared distances from `points` to
-    `centers`: d2[i, j] = |points[lo + i] - centers[j]|^2.  Each block's
-    (rows, centers, D) difference array holds at most BLOCK_ENTRIES
-    entries.  Blocks split rows only, so every entry is the same einsum
-    whatever the block size."""
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The table d2[i, j] = |points[i] - centers[j]|^2, each entry the
+    _sq_norms einsum of its difference row, filled in row blocks whose
+    (rows, centers, D) difference arrays hold at most BLOCK_ENTRIES entries.
+    Blocks split rows only, so no entry depends on the block size."""
+    out = np.empty((len(points), len(centers)))
     rows = max(1, BLOCK_ENTRIES // max(len(centers) * points.shape[1], 1))
     for lo in range(0, len(points), rows):
         diff = points[lo : lo + rows, None, :] - centers[None, :, :]
-        yield lo, np.einsum("ijk,ijk->ij", diff, diff)
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[lo : lo + rows])
         del diff  # free it before the next block is allocated
+    return out
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -102,10 +108,10 @@ def _leaves(points: np.ndarray) -> list[np.ndarray]:
 
 
 def _max_sq_dist(points: np.ndarray) -> float:
-    """Largest squared pairwise distance, as the einsum of _sq_dist_blocks.
+    """Largest squared pairwise distance, as the einsum of _sq_dists.
 
     The farthest-point sweep, the box bounds and a Gram block per leaf pair
-    only prune; the result is the maximum over _sq_dist_blocks scans alone.
+    only prune; the result is the maximum over _sq_dists scans alone.
     A leaf pair is skipped when the squared max-distance between the two
     bounding boxes, times _PAD, is below both the sweep's bound and the best
     scanned pair; the pad covers a numpy whose row-norm and table einsums
@@ -113,7 +119,7 @@ def _max_sq_dist(points: np.ndarray) -> float:
     centred coordinates, g = |x'|^2 + |y'|^2 - 2 x'.y' with x' = fl(x - c)
     for the bounding-box centre c, and only its point pairs with g at or
     above the running threshold minus _gram_margin are scanned, in one
-    _sq_dist_blocks table over their rows and columns.  The threshold is
+    _sq_dists table over their rows and columns.  The threshold is
     the best scanned pair, or the sweep's bound over _PAD before any scan;
     neither exceeds the largest einsum, so the pair that attains it is
     always scanned.  Where the margin is not a normal float (subnormal
@@ -154,14 +160,13 @@ def _max_sq_dist(points: np.ndarray) -> float:
                 continue
             i, j = np.nonzero(g >= floor)
             rows, cols = rows[np.unique(i)], cols[np.unique(j)]
-        for _, d2 in _sq_dist_blocks(points[rows], points[cols]):
-            best = max(best, float(d2.max()))
+        best = max(best, float(_sq_dists(points[rows], points[cols]).max()))
     return best
 
 
 def _gram_margin(dim: int, r2: float) -> float:
     """Bound on |g - e| for one pair, where g is _max_sq_dist's Gram value
-    and e the _sq_dist_blocks einsum, given r2 >= every |x'|^2 as computed.
+    and e the _sq_dists einsum, given r2 >= every |x'|^2 as computed.
 
     With eps = 2^-52, rho^2 the largest exact |x - c|^2 (within (1 + D eps)
     of r2) and D = dim, three roundings separate g from the exact |x - y|^2

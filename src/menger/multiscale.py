@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .measure import _PAD, Ball, WeightedPointCloud, _level, _power, _sq_norms
+from .measure import _PAD, Ball, WeightedPointCloud, _level, _power, _sq_dists, _sq_norms
 from .planes import _beta2_layers, _check_dim, beta2
 
 # Most levels a family spans below n_top.  A floor's level grows like
@@ -303,15 +303,14 @@ class MultiresolutionFamily:
 def local_family(family: MultiresolutionFamily, query: Ball) -> list[tuple[int, int]]:
     """D(Q) as (n, j) pairs: all family balls at scales n >= m(Q) that
     intersect Q, intersection decided by the center-distance rule
-    |c_B - c_Q| <= r_B + r_Q.  Ball j of level n is
+    |c_B - c_Q| <= r_B + r_Q in measure's squared form.  Ball j of level n is
     family.level(n).ball(family.cloud, j)."""
     out = []
-    cq = np.asarray(query.center, dtype=float)
     for n in family.levels_for(query):
         lvl = family.level(n)
-        centers = lvl.centers(family.cloud)
-        d = np.linalg.norm(centers - cq, axis=1)
-        out.extend((n, int(j)) for j in np.nonzero(d <= lvl.radius + query.radius)[0])
+        reach = lvl.radius + query.radius
+        d2 = _sq_dists(lvl.centers(family.cloud), query.center[None])[:, 0]
+        out.extend((n, int(j)) for j in np.nonzero(d2 <= reach * reach)[0])
     return out
 
 

@@ -85,11 +85,16 @@ def _plane_dist(V: np.ndarray, bases: np.ndarray, segments) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Beta2Result:
-    """beta_2 value together with the minimising plane and the ball mass."""
+    """beta_2 value, ball mass, and the minimising plane's point and basis (d, D)."""
 
     value: float
-    plane: AffinePlane
     mass: float
+    point: np.ndarray
+    basis: np.ndarray
+
+    @property
+    def plane(self) -> AffinePlane:
+        return AffinePlane(self.point, self.basis)
 
 
 def _canonical_frame(d: int, D: int) -> np.ndarray:
@@ -164,13 +169,12 @@ def beta2(cloud, ball, d: int) -> Beta2Result:
     _check_dim(d, cloud.ambient_dim)
     idx = cloud.in_ball(ball)
     if len(idx) == 0:
-        plane = AffinePlane(ball.center, _canonical_frame(d, cloud.ambient_dim))
-        return Beta2Result(0.0, plane, 0.0)
+        return Beta2Result(0.0, 0.0, ball.center, _canonical_frame(d, cloud.ambient_dim))
     weights = cloud.weights.take(idx)
     segments = [(0, len(idx))]
     masses, centroids, bases, V = _fit(cloud.points.take(idx, axis=0), weights, segments, d)
     value = _beta2_values(_plane_dist(V, bases, segments), weights, segments, masses, ball.radius)[0]
-    return Beta2Result(float(value), AffinePlane(centroids[0], bases[0]), float(masses[0]))
+    return Beta2Result(float(value), float(masses[0]), centroids[0], bases[0])
 
 
 def _outer_blocks(cloud, centers: np.ndarray, r2: float):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimators import classify_scale, concentration_test, handle_indices, scale_classes
 from .geometry import as_tuple_array, max_at0, min_at0, polar_sine, replace_coordinate, scale_at0
-from .measure import Ball, WeightedPointCloud
+from .measure import Ball, WeightedPointCloud, _sq_dists
 
 
 # Draws per step before a piece sampler gives up, and fresh bases before
@@ -448,8 +448,8 @@ def sample_scaled_simplex(
 ) -> np.ndarray:
     """Draw an n-handled level-k simplex from cloud support points: a mass-
     weighted base, the farthest support point as the leading handle, extra
-    handles from the top annulus, tines from the level-k annulus.  Distinct
-    indices throughout; retries a fresh base on failure."""
+    handles from the top annulus, tines from the level-k annulus, all by
+    measure's squared rule.  Distinct indices; retries a fresh base on failure."""
     rng = np.random.default_rng(rng)
     if not 1 <= n <= d:
         raise ValueError("need 1 <= n <= d")
@@ -457,12 +457,12 @@ def sample_scaled_simplex(
     for _ in range(SIMPLEX_ATTEMPTS):
         b = int(rng.choice(len(cloud), p=w_all))
         x0 = cloud.points[b]
-        dist = np.linalg.norm(cloud.points - x0, axis=1)
-        h = int(np.argmax(dist))
-        mx = dist[h]
+        d2 = _sq_dists(cloud.points, x0[None])[:, 0]
+        h = int(np.argmax(d2))
+        mx = math.sqrt(d2[h])
         if mx == 0.0:
             continue
-        top = np.nonzero((dist > alpha0 * mx) & (dist <= mx))[0]
+        top = annulus_indices(cloud, x0, mx, 0, alpha0)
         top = top[top != h]
         tine_idx = annulus_indices(cloud, x0, mx, k, alpha0)
         if len(top) < n - 1 or len(tine_idx) < d + 1 - n:

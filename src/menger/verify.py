@@ -19,6 +19,7 @@ import numpy as np
 from . import _batch, estimators, geometry, multiscale, sequences
 from .measure import (
     Ball,
+    _sq_dists,
     gen_four_corner_cantor,
     gen_lipschitz_graph,
     gen_plane_patch,
@@ -105,7 +106,7 @@ def deviation_violations(T: np.ndarray, plane: AffinePlane) -> tuple:
     B, m, D = T.shape
     d = m - 2
     psin0 = np.sqrt(_batch.psin_sq_at(T, 0))
-    diam = np.sqrt(_batch.pairwise_sq(T).max(axis=(1, 2)))
+    diam = np.sqrt(_batch.pair_and_content_sq(T, 0)[0].max(axis=1))
     norms = geometry._edge_lengths_at0(T)
     scale0 = norms.min(axis=1) / norms.max(axis=1)
     heights = np.stack(
@@ -250,11 +251,6 @@ def suite_geometry(seed: int = 7) -> dict:
 # multiscale
 
 
-def _dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All distances between the rows of a and of b, shape (len(a), len(b))."""
-    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-
-
 def level_axioms(cloud, level) -> dict:
     """The axioms of one multiresolution level, each True when it holds
     exactly, with q = level.quarter_radius:
@@ -266,27 +262,29 @@ def level_axioms(cloud, level) -> dict:
     sandwich_upper    every point within 3q of its cell's centre
     sandwich_lower    a point within q of a kept centre belongs to its cell
 
-    A partition that is not total leaves both sandwich axioms False."""
+    "Within s" is measure's squared rule, _sq_dists <= s*s, against the
+    squares q*q, (2.0*q)*(2.0*q) and (3.0*q)*(3.0*q) the walks compare
+    with.  A partition that is not total leaves both sandwich axioms False."""
     pts = cloud.points
     q = level.quarter_radius
     net = pts[np.asarray(level.net)]
     centers = net[np.asarray(level.kept)]
-    gaps = _dist(net, net)
+    gaps = _sq_dists(net, net)
     np.fill_diagonal(gaps, np.inf)
-    dk = _dist(centers, centers)
+    dk = _sq_dists(centers, centers)
     np.fill_diagonal(dk, np.inf)
     part = np.asarray(level.partition)
     total = len(part) == len(pts) and bool(((part >= 0) & (part < len(centers))).all())
     upper = lower = False
     if total:
-        dist_c = _dist(pts, centers)
-        upper = bool((dist_c[np.arange(len(pts)), part] <= 3 * q).all())  # cell inside (3/4) B_j
-        quarter_pt, quarter_j = np.nonzero(dist_c <= q)  # quarter balls are disjoint
+        d2 = _sq_dists(pts, centers)
+        upper = bool((d2[np.arange(len(pts)), part] <= (3.0 * q) * (3.0 * q)).all())  # cell inside (3/4) B_j
+        quarter_pt, quarter_j = np.nonzero(d2 <= q * q)  # quarter balls are disjoint
         lower = np.array_equal(part[quarter_pt], quarter_j)
     return {
-        "separation": bool(gaps.min(initial=np.inf) > q),
-        "covering": bool((_dist(pts, net).min(axis=1) <= q).all()),
-        "quarter_disjoint": bool(dk.min(initial=np.inf) > 2 * q),
+        "separation": bool(gaps.min(initial=np.inf) > q * q),
+        "covering": bool((_sq_dists(pts, net).min(axis=1) <= q * q).all()),
+        "quarter_disjoint": bool(dk.min(initial=np.inf) > (2.0 * q) * (2.0 * q)),
         "partition_total": total,
         "sandwich_upper": upper,
         "sandwich_lower": lower,

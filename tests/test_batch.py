@@ -106,7 +106,6 @@ def assert_bits_equal(got, want):
 
 def assert_kernels_match(T):
     m = T.shape[1]
-    assert_bits_equal(_batch.pairwise_sq(T), ref_pairwise_sq(T))
     upper = ref_pairwise_sq(T)[:, np.triu(np.ones((m, m), dtype=bool), k=1)]
     for i in range(-1, m):
         assert_bits_equal(_batch.content_sq(T, i), ref_content_sq(T, i))

@@ -1,7 +1,10 @@
 import csv
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +408,20 @@ def test_verify_subprocess_determinism(tmp_path):
     b = subprocess.run(cmd, capture_output=True, check=True)
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["passed"]
+
+
+def test_seed_sweep_hash_is_the_verify_all_hash(capsys):
+    # a bit-for-bit claim compares scripts/sweep_seeds.py's sha256 column
+    # across trees, so it must be the digest of `menger verify all --seed S`
+    path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_seeds.py"
+    spec = importlib.util.spec_from_file_location("sweep_seeds", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--seeds", "7"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    code, stdout, _ = run(capsys, ["verify", "all", "--seed", "7"])
+    assert code == 0
+    assert row["sha256"] == hashlib.sha256(stdout.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

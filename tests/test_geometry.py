@@ -99,7 +99,7 @@ def assert_content_matches_oracle(X):
     from degeneracy (tau >= 1e-3, tau = content / diam^{d+1}), else the
     eps / tau^2 error model of Gram determinants of thin simplices."""
     n = len(X) - 1
-    diam = math.sqrt(_batch.pairwise_sq(X[None])[0].max())
+    diam = math.sqrt(_batch.pair_and_content_sq(X[None], 0)[0].max())
     tau = mp_gram_content(X, 0) / diam**n
     tol = 1e-9 if tau >= 1e-3 else 200.0 * float(np.finfo(float).eps) / tau**2
     for base in range(len(X)):

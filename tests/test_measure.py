@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from menger.measure import (
     Ball,
     WeightedPointCloud,
+    _sq_dists,
+    _sq_norms,
     gen_four_corner_cantor,
     gen_lipschitz_graph,
     gen_plane_patch,
@@ -81,6 +83,20 @@ def test_contains_matches_the_einsum_on_the_boundary(D, scale):
     for r in radii:
         ball = Ball(center, r)
         assert np.array_equal(ball.contains(points), _contains_oracle(ball, points)), (D, scale, r)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("D", [1, 2, 3, 8, 17, 64, 257])
+def test_sq_dists_is_the_row_einsum(D, scale):
+    # the one squared-distance rule: every table entry carries the bits of
+    # _sq_norms of its difference row, at every dimension and scale
+    rng = np.random.default_rng(D)
+    a = rng.normal(size=(40, D)) * scale
+    b = np.r_[rng.normal(size=(30, D)) * scale, a[:3]]
+    table = _sq_dists(a, b)
+    assert table.shape == (len(a), len(b))
+    for j, c in enumerate(b):
+        assert np.array_equal(table[:, j].view(np.uint64), _sq_norms(a - c).view(np.uint64)), (D, scale, j)
 
 
 def test_ball_validates_centre_radius_and_dimension():

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 
 from menger import _batch, multiscale, verify
-from menger.measure import gen_sphere
+from menger.measure import WeightedPointCloud, gen_sphere
 
 
 def test_comparability_counts_a_scaled_curvature(monkeypatch):
@@ -54,3 +54,24 @@ def test_level_axioms_mark_each_corrupted_level():
     }
     for key, bad in corrupted.items():
         assert not verify.level_axioms(cloud, bad)[key], key
+
+
+def _tie_cloud():
+    # |p1 - p0|^2 rounds to 1.0000000000000002 > 1 = q*q, while its square
+    # root rounds to 1.0 = q
+    return WeightedPointCloud(np.array([[0.0, 0.0], [1.0, 1.5e-8], [0.5, 0.0]]), np.ones(3))
+
+
+def test_level_axioms_admit_a_separation_the_net_walk_admits():
+    cloud = _tie_cloud()
+    level = multiscale.build_level(cloud, 0, 0.25, np.arange(3))
+    assert level.quarter_radius == 1.0
+    assert list(level.net) == [0, 1]
+    assert all(verify.level_axioms(cloud, level).values())
+
+
+def test_level_axioms_refuse_a_cover_the_net_walk_refuses():
+    cloud = _tie_cloud()
+    level = multiscale.build_level(cloud, 0, 0.25, np.arange(3))
+    assert list(level.kept) == [0]
+    assert not verify.level_axioms(cloud, dataclasses.replace(level, net=level.net[:1]))["covering"]
