@@ -5,9 +5,11 @@ A cloud computes four facts about its points once, on first use, and
 keeps them: the support diameter, the median nearest-neighbour distance,
 the k-d tree over its points (`tree`), which every walk over the whole
 cloud reads, and their coordinate columns (`columns`), which every ball
-scan over the whole cloud reads.  A cloud's points must therefore not
-change after it is built; a cloud over other points, or over a subset, is
-a new cloud with its own cached facts.
+scan over the whole cloud reads.  The tree alone imports scipy: every k-d
+tree comes from _kdtree, which imports scipy.spatial on its first call, so
+curvature, beta_2 and the generators run on numpy alone.  A cloud's points
+must not change after it is built; a cloud over other points, or over a
+subset, is a new cloud with its own cached facts.
 
 The one squared-distance rule: |p - c|^2 is the einsum of p - c with
 itself (_sq_norms, _sq_dists), and p is within r of c iff it is <= r*r.
@@ -23,9 +25,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Entries per row block of a point-to-centre difference array, and so of
 # its squared-distance table.
@@ -34,6 +39,14 @@ BLOCK_ENTRIES = 2**22
 # Relative pad on the bounds that spatial searches prune with, so that
 # rounding in a bound cannot drop a pair that the exact einsum test keeps.
 _PAD = 1.0 + 1e-9
+
+
+def _kdtree(points: np.ndarray) -> cKDTree:
+    """The k-d tree over `points`: every tree the library builds comes from
+    here, and scipy.spatial is imported on the first call."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -330,7 +343,7 @@ class WeightedPointCloud:
     def tree(self) -> cKDTree:
         """The k-d tree over the points, built on first use and kept."""
         if self._tree is None:
-            self._tree = cKDTree(self.points)
+            self._tree = _kdtree(self.points)
         return self._tree
 
     @property

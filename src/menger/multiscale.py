@@ -31,12 +31,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .measure import _PAD, Ball, WeightedPointCloud, _level, _power, _sq_dists, _sq_norms
+from .measure import _PAD, Ball, WeightedPointCloud, _kdtree, _level, _power, _sq_dists, _sq_norms
 from .planes import _beta2_layers, _check_dim, beta2
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Most levels a family spans below n_top.  A floor's level grows like
 # ln(diam / floor) / ln(1/alpha0), so only an alpha0 near 1 reaches it: a
@@ -151,7 +154,7 @@ def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> tuple[np
     order, and `route` is its cover.  The walk reads a tree built over the
     net points.
     """
-    kept, route, _ = build_net(cKDTree(net_points), np.arange(len(net_points)), 2.0 * quarter_radius)
+    kept, route, _ = build_net(_kdtree(net_points), np.arange(len(net_points)), 2.0 * quarter_radius)
     return kept, route
 
 

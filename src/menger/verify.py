@@ -105,8 +105,11 @@ def deviation_violations(T: np.ndarray, plane: AffinePlane) -> tuple:
     on either side counts as a violation."""
     B, m, D = T.shape
     d = m - 2
-    psin0 = np.sqrt(_batch.psin_sq_at(T, 0))
-    diam = np.sqrt(_batch.pair_and_content_sq(T, 0)[0].max(axis=1))
+    d2, content = _batch.pair_and_content_sq(T, 0)
+    # psin_sq_at(T, 0) off the same pass: the pairs {0, j} are the first
+    # m - 1 in lexicographic order
+    psin0 = np.sqrt(_batch._ratio(content, _batch._fold(np.multiply, d2[:, : m - 1])))
+    diam = np.sqrt(d2.max(axis=1))
     norms = geometry._edge_lengths_at0(T)
     scale0 = norms.min(axis=1) / norms.max(axis=1)
     heights = np.stack(

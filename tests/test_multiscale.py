@@ -332,14 +332,15 @@ def test_a_family_builds_one_tree_over_the_whole_cloud(monkeypatch):
     # cloud's cached tree; only each level's net points get a tree of their
     # own, for the ball family's walk
     sizes = []
+    kdtree = measure._kdtree
 
-    class CountingTree(cKDTree):
-        def __init__(self, data, *args, **kwargs):
-            sizes.append(len(data))
-            super().__init__(data, *args, **kwargs)
+    def counting_kdtree(points):
+        sizes.append(len(points))
+        return kdtree(points)
 
-    monkeypatch.setattr(measure, "cKDTree", CountingTree)
-    monkeypatch.setattr(multiscale, "cKDTree", CountingTree)
+    # measure._kdtree builds every k-d tree; multiscale holds its own binding
+    monkeypatch.setattr(measure, "_kdtree", counting_kdtree)
+    monkeypatch.setattr(multiscale, "_kdtree", counting_kdtree)
     cloud = gen_sphere(2, 2000)
     fam = MultiresolutionFamily(cloud, 0.25)
     for n in range(fam.n_top, fam.n_floor + 1):
@@ -359,7 +360,7 @@ def test_a_level_queries_the_cloud_tree_only_in_its_net_walk(monkeypatch):
             calls.append((len(x), r, kwargs.get("return_length", False)))
             return super().query_ball_point(x, r, **kwargs)
 
-    monkeypatch.setattr(measure, "cKDTree", CountingTree)
+    monkeypatch.setattr(measure, "_kdtree", CountingTree)
     cloud = gen_sphere(3, 2000)
     fam = MultiresolutionFamily(cloud, 0.25)
     for n in range(fam.n_top, fam.n_floor + 1):

@@ -1,4 +1,12 @@
 import inspect
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
 
 import menger
 
@@ -13,3 +21,58 @@ def test_all_names_exactly_the_public_exports():
     # every name __init__ imports is exported, so none is left behind stale
     public = {n for n, v in vars(menger).items() if not n.startswith("_") and not inspect.ismodule(v)}
     assert public == set(menger.__all__)
+
+
+def _fresh_python(code: str) -> dict:
+    # a new interpreter, since this one has imported scipy already; it prints
+    # one JSON object
+    src = str(Path(menger.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_curvature_and_beta2_run_without_scipy(tmp_path):
+    seen = _fresh_python(f"""
+        import json, sys
+        import numpy as np
+        seen = {{}}
+        def mark(step):
+            seen[step] = "scipy" in sys.modules
+        import menger, menger.cli
+        mark("import")
+        from menger import _batch, estimators, measure, planes
+        cloud = measure.gen_sphere(2, 300, seed=1)
+        mark("gen_sphere")
+        cloud.to_csv({str(tmp_path / "circle.csv")!r})
+        cloud = measure.WeightedPointCloud.from_csv({str(tmp_path / "circle.csv")!r})
+        mark("from_csv")
+        ball = measure.Ball(cloud.points[0], 0.3)
+        planes.beta2(cloud, ball, 1)
+        mark("beta2")
+        assert estimators.continuous_curvature_sq(cloud, ball, 1, mode="exact").exact
+        mark("exact")
+        assert not estimators.continuous_curvature_sq(cloud, ball, 1, n_samples=2000, mode="mc").exact
+        mark("mc")
+        _batch.curvature_terms(cloud.points[np.arange(30).reshape(10, 3)])
+        mark("curvature_terms")
+        print(json.dumps(seen))
+    """)
+    assert seen == dict.fromkeys(["import", "gen_sphere", "from_csv", "beta2", "exact", "mc", "curvature_terms"], False)
+
+
+@pytest.mark.parametrize("call", ["MultiresolutionFamily(cloud, 0.25).level(1)", "cloud.median_nn_distance()"])
+def test_a_k_d_tree_imports_scipy_spatial_on_first_use(call):
+    seen = _fresh_python(f"""
+        import json, sys
+        from menger.measure import gen_sphere
+        from menger.multiscale import MultiresolutionFamily
+        cloud = gen_sphere(2, 300, seed=1)
+        before = "scipy" in sys.modules
+        {call}
+        after = "scipy.spatial" in sys.modules
+        from scipy.spatial import cKDTree
+        print(json.dumps({{"before": before, "after": after, "tree": isinstance(cloud._tree, cKDTree)}}))
+    """)
+    assert seen == {"before": False, "after": True, "tree": True}

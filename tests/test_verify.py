@@ -30,9 +30,17 @@ def test_deviation_counts_a_scaled_polar_sine(monkeypatch):
     rng = np.random.default_rng(2)
     T = rng.normal(size=(200, 4, 3))
     plane = verify.random_plane(rng, 2, 3)
-    assert verify.deviation_violations(T, plane)[1:] == (0, 0)
-    psin_sq_at = _batch.psin_sq_at
-    monkeypatch.setattr(_batch, "psin_sq_at", lambda T, i: 1e4 * psin_sq_at(T, i))
+    max_psin, chain, bound = verify.deviation_violations(T, plane)
+    assert (chain, bound) == (0, 0)
+    assert max_psin == float(np.sqrt(_batch.psin_sq_at(T, 0)).max())
+    pair_and_content_sq = _batch.pair_and_content_sq
+
+    def scaled(T, base):
+        # 1e4 times the content at x_0 is 1e4 times its squared polar sine
+        d2, content = pair_and_content_sq(T, base)
+        return d2, 1e4 * content
+
+    monkeypatch.setattr(_batch, "pair_and_content_sq", scaled)
     max_psin, chain, bound = verify.deviation_violations(T, plane)
     assert max_psin > 1.0
     assert chain > 0
