@@ -20,12 +20,13 @@ The commands, with d = 1:
   beta             beta on the ball of radius 0.5 around the first point
   curvature_exact  curvature --lambda 0.4 on a ball that holds about 64 points
                    (circle: around (1, 0), radius 64 pi / N; Cantor: 0,0:1)
-  curvature_mc     curvature --samples 200000 --seed 3 on the bounding ball
+  curvature_mc     curvature --mode mc --samples 200000 --seed 3 on the
+                   bounding ball
 
-A curvature cell also reports `exact`, the path the command took: the CLI
-sums exactly when the ball's tuple count allows it, so curvature_exact is
-exact everywhere and curvature_mc is Monte Carlo on the circles, while on
-the Cantor set's 64 points it is exact too.
+A curvature cell also reports `exact`, the path the command took:
+curvature_exact is exact everywhere, as its balls' tuple counts allow an
+exact sum, and curvature_mc is Monte Carlo everywhere, the Cantor set's 64
+points included.
 
 The input clouds are written once, untimed, to a temporary directory.  The
 script fails when a command exits non-zero.  Prints one JSON object.  BLAS
@@ -95,7 +96,7 @@ def _commands(name: str, path: Path, first_point: list[float], tmp: Path) -> dic
         # `--ball=` keeps a leading minus sign from reading as an option
         "beta": ["beta", *io, "--ball=" + ",".join(map(repr, first_point)) + ":0.5"],
         "curvature_exact": ["curvature", *io, "--ball=" + exact_ball, "--lambda", "0.4"],
-        "curvature_mc": ["curvature", *io, "--samples", "200000", "--seed", "3"],
+        "curvature_mc": ["curvature", *io, "--mode", "mc", "--samples", "200000", "--seed", "3"],
         "flatness": ["flatness", *io],
     }
 

@@ -5,9 +5,10 @@ N = 2k, 8k and 20k.
     python3 scripts/sweep_multiscale.py [--src DIR]
 
 Imports `menger` from --src (default: this checkout's `src`), so the same
-script measures any checkout.  Each cell is timed REPEATS times, on a
-fresh cloud each time, so the cached diameter and nearest-neighbour scale
-do not carry over; the median is reported.  Per cloud it times:
+script measures any checkout whose build_net takes the points themselves.
+Each cell is timed REPEATS times, on a fresh cloud each time, so the cached
+diameter and nearest-neighbour scale do not carry over; the median is
+reported.  Per cloud it times:
 
   diameter_s    WeightedPointCloud.support_diameter
   levels_s      MultiresolutionFamily init (which reads the cached diameter)
@@ -42,6 +43,7 @@ import os
 import platform
 import statistics
 import sys
+from importlib import metadata
 from pathlib import Path
 from time import perf_counter
 
@@ -110,7 +112,7 @@ def _routed_share(menger, cloud, fam) -> float:
 
 def _hit_pairs_per_point(menger, cloud, fam) -> float:
     # the level keeps no hits, so each net walk runs again, untimed
-    walks = (menger.multiscale.build_net(cloud.tree, fam.order, fam.level(n).quarter_radius)
+    walks = (menger.multiscale.build_net(cloud.points, fam.order, fam.level(n).quarter_radius)
              for n in range(fam.n_top, fam.n_floor + 1))
     return max(len(points) for _, _, (points, _) in walks) / len(cloud)
 
@@ -124,7 +126,6 @@ def main(argv=None) -> int:
     import menger.multiscale
     import menger.planes
     import numpy
-    import scipy
 
     cells = {}
     for shape, D, d in (("circle", 2, 1), ("sphere2", 3, 2)):
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
             cells[f"{shape}-{n}"] = _cell(menger, D, n, d)
             print(f"{shape}-{n}: {json.dumps(cells[f'{shape}-{n}'])}", file=sys.stderr, flush=True)
     env = {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__,
-           "scipy": scipy.__version__, "machine": platform.machine(), "repeats": REPEATS}
+           "scipy": metadata.version("scipy"), "machine": platform.machine(), "repeats": REPEATS}
     print(json.dumps({"env": env, "cells": cells}, indent=1))
     return 0
 

@@ -29,6 +29,9 @@ from .measure import (
 )
 from .planes import beta2
 
+# Monte Carlo samples of `curvature` when --samples is not given.
+MC_SAMPLES = 100_000
+
 
 def _parse_ball(text: str, ambient: int) -> Ball:
     """Parse 'cx,cy,...:r' into a Ball, validating the dimension."""
@@ -185,19 +188,23 @@ def cmd_flatness(args) -> int:
 def cmd_curvature(args) -> int:
     cloud = _load_cloud(args.input)
     ball = _query(args, cloud)
+    samples = MC_SAMPLES if args.samples is None else args.samples
     est = estimators.continuous_curvature_sq(
-        cloud, ball, args.d, n_samples=args.samples, seed=args.seed, lam=args.lam
+        cloud, ball, args.d, n_samples=samples, seed=args.seed, mode=args.mode, lam=args.lam
     )
     payload = {
         "command": "curvature",
         "input": args.input,
         "d": args.d,
+        "mode": args.mode,
         "seed": args.seed,
         "ball": {"center": ball.center.tolist(), "radius": ball.radius},
     }
     if args.lam is not None:
         payload["lambda"] = args.lam
     payload.update(est.to_dict())
+    if est.exact and args.samples is not None:
+        payload["unused_samples"] = args.samples
     _emit(payload, args)
     return 0
 
@@ -331,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("curvature", help="curvature integral over a query ball")
     io_flags(c)
-    c.add_argument("--samples", type=int, default=100_000)
+    c.add_argument("--mode", choices=["auto", "exact", "mc"], default="auto",
+                   help="auto sums exactly when the ball's tuple count allows, else samples")
+    c.add_argument("--samples", type=int, default=None,
+                   help=f"Monte Carlo samples (default {MC_SAMPLES}); unused on an exact sum")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--lambda", dest="lam", type=float, default=None)
     c.set_defaults(func=cmd_curvature)

@@ -1,20 +1,26 @@
 """Weighted point clouds as discrete measures: containers, CSV I/O,
 reference generators and Ahlfors-regularity probing.
 
-A cloud computes four facts about its points once, on first use, and
+A cloud computes three facts about its points once, on first use, and
 keeps them: the support diameter, the median nearest-neighbour distance,
-the k-d tree over its points (`tree`), which every walk over the whole
-cloud reads, and their coordinate columns (`columns`), which every ball
-scan over the whole cloud reads.  The tree alone imports scipy: every k-d
-tree comes from _kdtree, which imports scipy.spatial on its first call, so
-curvature, beta_2 and the generators run on numpy alone.  A cloud's points
-must not change after it is built; a cloud over other points, or over a
-subset, is a new cloud with its own cached facts.
+and their coordinate columns (`columns`), which every ball scan over the
+whole cloud reads.  A cloud's points must not change after it is built; a
+cloud over other points, or over a subset, is a new cloud with its own
+cached facts.
 
 The one squared-distance rule: |p - c|^2 is the einsum of p - c with
 itself (_sq_norms, _sq_dists), and p is within r of c iff it is <= r*r.
 Balls, net and family walks, the diameter, local_family,
-sample_scaled_simplex, ordered_cd_sq_sum and level_axioms all use it.
+sample_scaled_simplex, ordered_cd_sq_sum and level_axioms all use it.  The
+one exception is the nearest-neighbour distance, which sums its squares in
+the order of the cKDTree k-d tree (_lane_sq_norms), so that the resolution
+floor it sets keeps the bits it had when a cKDTree computed it.
+
+The one spatial index is a cell grid (_Grid), which hashes the points into
+cubic cells on their three widest axes and proposes the points of the
+neighbouring cells as candidates.  _radius_grid pads its cells so that
+every pair within r is a candidate, and every hit is then decided by the
+rule above.  So the library runs on numpy alone.
 
 CSV format: first line `dim=D`, then one row `c_1,...,c_D,weight` per
 point.  Weights must be strictly positive.
@@ -25,12 +31,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 # Entries per row block of a point-to-centre difference array, and so of
 # its squared-distance table.
@@ -39,14 +41,6 @@ BLOCK_ENTRIES = 2**22
 # Relative pad on the bounds that spatial searches prune with, so that
 # rounding in a bound cannot drop a pair that the exact einsum test keeps.
 _PAD = 1.0 + 1e-9
-
-
-def _kdtree(points: np.ndarray) -> cKDTree:
-    """The k-d tree over `points`: every tree the library builds comes from
-    here, and scipy.spatial is imported on the first call."""
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points)
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -280,6 +274,174 @@ def _within_sq_radius(d2: np.ndarray, r2: float, diffs) -> np.ndarray:
     return inside
 
 
+# Most cells a grid has along one axis: cells are at least extent / GRID_CELLS
+# wide, so a cell coordinate and its neighbours fit in GRID_BITS bits and
+# three of them in one int64 key.
+GRID_CELLS = 2**20
+GRID_BITS = GRID_CELLS.bit_length()
+
+
+class _Grid:
+    """Points in cubic cells of side `side` over their at most three widest
+    coordinate axes, sorted by cell.  The candidates of a point are the
+    points of its own cell and of the cells next to it (3^k cells on k
+    axes), read off the sorted order as one contiguous run per cell row.
+
+    The padding argument.  The side is the requested one, but at least
+    extent / GRID_CELLS (extent: the widest axis's max - min).  A cell
+    coordinate fl(fl(x - lo) / side) is at most GRID_CELLS and carries two
+    roundings of eps/2 relative each (eps = 2^-52; a subnormal difference
+    is exact), so it is within 2^-31 of (x - lo) / side.  So two points
+    whose coordinates on every gridded axis differ by at most side / _PAD
+    have cell coordinates less than 1/_PAD + 2^-30 < 1 apart and are
+    candidates of each other; and a point that is not a candidate of p
+    differs from p by more than (1 - 2^-30) side > side / _PAD on some
+    gridded axis.  Coordinates are clipped to
+    [0, GRID_CELLS], which keeps both statements.  A side that is not finite
+    (an extent or radius that overflows) puts every point in one cell.
+    """
+
+    def __init__(self, points: np.ndarray, side: float):
+        lo = points.min(axis=0, initial=np.inf)  # an empty grid has no cells
+        with np.errstate(over="ignore"):
+            extent = points.max(axis=0, initial=-np.inf) - lo
+        axes = np.argsort(-extent, kind="stable")[:3]
+        self.side = max(side, float(extent.max()) / GRID_CELLS, math.ulp(0.0))
+        if math.isfinite(self.side):
+            cells = np.floor((points[:, axes] - lo[axes]) / self.side)
+            cells = np.clip(cells, 0, GRID_CELLS).astype(np.int64) + 1
+        else:
+            cells = np.ones((len(points), len(axes)), dtype=np.int64)
+        # mixed-radix keys; a coordinate and its neighbours lie in [0, 2^GRID_BITS)
+        self.keys = cells[:, 0]
+        for j in range(1, len(axes)):
+            self.keys = (self.keys << GRID_BITS) + cells[:, j]
+        self.order = np.argsort(self.keys, kind="stable")
+        self._sorted = self.keys[self.order]
+        # key offsets of the neighbour cells on all but the last axis; the
+        # last axis's three cells are consecutive keys, one run
+        shifts = np.zeros(1, dtype=np.int64)
+        for _ in range(len(axes) - 1):
+            shifts = ((shifts[:, None] << GRID_BITS) + np.arange(-1, 2)).ravel()
+        self._shifts = shifts << GRID_BITS
+
+    def runs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), each (len(rows), 3^(k-1)): per point at `rows`, the
+        disjoint runs self.order[lo:hi] that hold its candidates, one per
+        neighbour cell row.  Each distinct cell is searched once, in key
+        order."""
+        cells, inverse = np.unique(self.keys[rows], return_inverse=True)
+        base = self._shifts[:, None] + cells
+        lo, hi = np.searchsorted(self._sorted, base - 1), np.searchsorted(self._sorted, base + 2)
+        return lo.T[inverse], hi.T[inverse]
+
+    def gather(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates in the runs (lo, hi) of `runs`, as one flat index
+        array and the row of each candidate's point, grouped by ascending
+        row.  The runs are disjoint, so no candidate repeats."""
+        size = (hi - lo).ravel()
+        ends = np.cumsum(size)
+        pos = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo.ravel() - (ends - size), size)
+        return self.order[pos], np.repeat(np.arange(len(lo)), (hi - lo).sum(axis=1))
+
+
+def _radius_grid(points: np.ndarray, r: float) -> _Grid:
+    """The _Grid over `points` whose candidates hold every pair with
+    _sq_norms(p - q) <= r*r: cells of side sqrt(r*r + 2^-1070) _PAD^2.
+
+    Such a pair's einsum is at least the rounded square of each rounded
+    coordinate difference, so each of those squares is at most r*r, and each
+    coordinate difference at most sqrt(r*r + 2^-1073) (1 + 2 eps): a square
+    rounds by eps/2 relative or 2^-1075 absolute, a difference by eps/2
+    relative.  That is below side / _PAD, so the pair is a candidate (see
+    _Grid); the second _PAD covers a k-d tree's search at r _PAD too.  Where
+    r*r overflows, the side is +inf and every point is a candidate, as
+    every einsum is <= inf.
+    """
+    return _Grid(points, math.sqrt(r * r + 2.0**-1070) * _PAD**2)
+
+
+def _lane_sq_norms(v: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms of a 2-D array in the order of the cKDTree
+    k-d tree: four lane sums over the coordinates j mod 4 of the first
+    D - D % 4 coordinates, added ((a0 + a1) + a2) + a3, then the remaining
+    coordinates one at a time.  Below D = 4 that is ((v0^2 + v1^2) + v2^2),
+    _column_sq_dists' order."""
+    with np.errstate(over="ignore"):
+        sq = np.square(v)
+    D = v.shape[1]
+    whole = D - D % 4
+    if whole:
+        lanes = sq[:, :4].copy()
+        for j in range(4, whole, 4):
+            lanes += sq[:, j : j + 4]
+        s = lanes[:, 0] + lanes[:, 1]
+        s += lanes[:, 2]
+        s += lanes[:, 3]
+    else:
+        s, whole = sq[:, 0].copy(), 1
+    for j in range(whole, D):
+        s += sq[:, j]
+    return s
+
+
+# Most candidates per point the first grid of a nearest-neighbour search
+# may propose before its cells are shrunk.
+NN_CANDIDATES = 16
+
+
+def _median_nn_distance(points: np.ndarray) -> float:
+    """Median over the points (at least two) of the distance to the nearest
+    other-index point, 0 for a duplicate: np.median of the cKDTree k-d
+    tree's k = 2 distances, bit for bit, as each squared distance is summed
+    by _lane_sq_norms and the square root is correctly rounded.
+
+    Rounds of grids settle the points.  A point is settled when its best
+    candidate is at most t = (side / _PAD^2)^2 - 2^-1073: a point that is
+    not a candidate differs from it by more than side / _PAD on some axis
+    (see _Grid), so its squared distance, a sum of nonnegative rounded
+    squares, exceeds t.  So every unsettled distance exceeds every settled
+    one, and once more than half the points are settled the median is that
+    of the settled distances with the others taken as +inf.  A round in
+    which every point is a candidate of every unsettled one settles them
+    all.  The first grid's cells are extent / N^(1/k) wide on k = min(3, D)
+    axes, shrunk 4-fold while there are more than NN_CANDIDATES candidates
+    per point; each later grid is 4 times wider and queries the unsettled
+    points only, in blocks of at most BLOCK_ENTRIES difference entries, or
+    one point.
+    """
+    n, dim = points.shape
+    best = np.full(n, np.inf)
+    pending = np.ones(n, dtype=bool)
+    with np.errstate(over="ignore"):
+        extent = float((points.max(axis=0) - points.min(axis=0)).max())
+    side = extent / n ** (1 / min(3, dim))
+    shrink = True
+    while n - np.count_nonzero(pending) <= n // 2:
+        grid = _Grid(points, side)
+        rows = grid.order[pending[grid.order]]
+        lo, hi = grid.runs(rows)
+        counts = (hi - lo).sum(axis=1)
+        if shrink and counts.sum() > NN_CANDIDATES * n and side > extent / GRID_CELLS:
+            side /= 4.0
+            continue
+        shrink = False
+        block = (np.cumsum(counts) - counts) // max(1, BLOCK_ENTRIES // dim)
+        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(rows)]
+        for a, b in zip(cuts, cuts[1:]):
+            cand, owner = grid.gather(lo[a:b], hi[a:b])
+            owner = rows[a:b][owner]
+            d2 = _lane_sq_norms(points[cand] - points[owner])
+            d2[cand == owner] = np.inf
+            best[rows[a:b]] = np.minimum.reduceat(d2, np.cumsum(counts[a:b]) - counts[a:b])
+        gap = grid.side / _PAD**2
+        settled = best[rows] <= gap * gap - 2.0**-1073
+        pending[rows[settled | (counts == n).all()]] = False
+        side = 4.0 * grid.side
+    best[pending] = np.inf
+    return float(np.median(np.sqrt(best)))
+
+
 class WeightedPointCloud:
     """Finite weighted point cloud mu = sum_i w_i delta_{p_i}."""
 
@@ -300,7 +462,6 @@ class WeightedPointCloud:
         self.weights = weights
         self._diameter: float | None = None
         self._median_nn: float | None = None
-        self._tree: cKDTree | None = None
         self._columns: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -340,13 +501,6 @@ class WeightedPointCloud:
         return self._diameter
 
     @property
-    def tree(self) -> cKDTree:
-        """The k-d tree over the points, built on first use and kept."""
-        if self._tree is None:
-            self._tree = _kdtree(self.points)
-        return self._tree
-
-    @property
     def columns(self) -> np.ndarray:
         """The points as coordinate columns, a C-contiguous (D, N) copy built
         on first use and kept: a ball scan (in_ball, mass_in) passes its
@@ -357,13 +511,10 @@ class WeightedPointCloud:
         return self._columns
 
     def median_nn_distance(self) -> float:
-        """Median distance to the nearest distinct-index neighbour."""
+        """Median distance to the nearest distinct-index neighbour
+        (_median_nn_distance), 0.0 for a single point."""
         if self._median_nn is None:
-            if len(self.points) < 2:
-                self._median_nn = 0.0
-            else:
-                dist, _ = self.tree.query(self.points, k=2)
-                self._median_nn = float(np.median(dist[:, 1]))
+            self._median_nn = _median_nn_distance(self.points) if len(self.points) > 1 else 0.0
         return self._median_nn
 
     def bounding_ball(self) -> Ball:

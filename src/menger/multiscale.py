@@ -13,12 +13,18 @@ Per scale n the construction is:
         quarter balls and earlier leftovers, then assigning each leftover
         to the smallest kept index whose quarter ball it meets.
 
-A level walks the cloud's own cached tree, WeightedPointCloud.tree, once:
-build_net reads its points from tree.data and builds no tree over them.
-The net points are the only subset of the cloud that gets a tree, one per
-level, for the ball family's walk.  The partition queries nothing: its
-first pass reads the net walk's hit pairs, and its leftover routing the
-two greedy walks' cover maps.
+A level makes two greedy walks, each over one cell grid built for its
+radius r (measure._radius_grid): the net walk grids the cloud's points at
+q, and the ball family's walk grids the net points at 2q.  A grid only
+proposes candidates, and its cells are padded so that every pair within r
+is one: their side is sqrt(r*r + 2^-1070) _PAD^2, one pad for the rounding
+of the einsum and one for that of the cell coordinates, whose error the
+cap of 2^20 cells per axis bounds.  Every hit is the exact einsum test
+|x - y|^2 <= r*r, so a walk keeps its bits whatever the cells.  The
+partition queries nothing: its first pass reads the net walk's hit pairs,
+and its leftover routing the two greedy walks' cover maps.  The resolution
+floor, the cloud's median nearest-neighbour distance, is the one distance
+summed in another order, a cKDTree's, whose bits it keeps.
 
 The discrete functional reads one planes.beta2 per family ball, through the
 family's cache.  The continuous functional evaluates every scale of its
@@ -28,18 +34,13 @@ one beta2 call per (x, t).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .measure import _PAD, Ball, WeightedPointCloud, _kdtree, _level, _power, _sq_dists, _sq_norms
+from .measure import Ball, WeightedPointCloud, _level, _power, _radius_grid, _sq_dists, _sq_norms
 from .planes import _beta2_layers, _check_dim, beta2
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 # Most levels a family spans below n_top.  A floor's level grows like
 # ln(diam / floor) / ln(1/alpha0), so only an alpha0 near 1 reaches it: a
@@ -49,9 +50,13 @@ MAX_LEVELS_BELOW_TOP = 64
 # Ratio of consecutive scales t_{j+1} / t_j of the continuous functional's
 # quadrature.
 SCALE_RATIO = 0.5
-# Most k-d-tree candidates one block of a net walk fetches and re-tests at
+# Most grid candidates one block of a net walk fetches and re-tests at
 # once, which bounds the walk's memory.
 BLOCK_CANDIDATES = 2**16
+# Grid candidates a net walk's block may fetch per uncovered point left: a
+# grid proposes about 1.5 to 3 candidates per hit, so a block then holds
+# about as many hits as there are points left to cover.
+CANDIDATES_PER_POINT_LEFT = 4
 
 
 def scale_index(diam: float, alpha0: float) -> int:
@@ -67,8 +72,8 @@ def scale_index(diam: float, alpha0: float) -> int:
     return k if _power(alpha0, k) == diam else k + 1
 
 
-def build_net(tree: cKDTree, order: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Greedy r-separated net over the points of `tree`, scanned in `order`.
+def build_net(points: np.ndarray, order: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Greedy r-separated net over `points`, scanned in `order`.
 
     Returns (net, cover, hits): the selected indices in admission order;
     per point p the position in `net` of the first admitted point within r
@@ -78,27 +83,30 @@ def build_net(tree: cKDTree, order: np.ndarray, r: float) -> tuple[np.ndarray, n
     point is admitted iff no earlier admitted point lies within r of it,
     by the exact closed comparison |x - y|^2 <= r*r, which is symmetric.
 
+    Candidates come from one measure._radius_grid over the points at r,
+    which holds every hit among them (where r*r overflows, every point is a
+    candidate); its cell runs and candidate counts are read once for every
+    point.
+
     The scan walks the points of `order` not yet covered in blocks.  A
-    block is the longest run of them whose k-d-tree candidate counts
-    (return_length=True, fetched once per point) sum to at most the number
-    of uncovered points left and BLOCK_CANDIDATES, and at least one point:
-    a larger block would mostly query ground that its own first admissions
-    cover.  One query_ball_point call fetches the block's candidates and
-    one vectorised comparison re-tests them.  The admissions are then
-    resolved in scan order, each setting `cover` on its uncovered hits, so
-    a block member covered by an earlier one is skipped as in a
+    block is the longest run of them whose grid candidate counts sum to at
+    most CANDIDATES_PER_POINT_LEFT times the number of uncovered points left
+    and BLOCK_CANDIDATES, and at least one point: a larger block would
+    mostly query ground that its own first admissions cover.  One
+    vectorised comparison re-tests the block's candidates.  The admissions
+    are then resolved in scan order, each setting `cover` on its uncovered
+    hits, so a block member covered by an earlier one is skipped as in a
     one-at-a-time scan, and the re-tested hits of the admitted members are
     kept as `hits`.  The walk ends once every point of `order` is covered.
-    The points are read from tree.data.
 
     The net points are pairwise more than r apart, so at most a packing
     number of them lie within r of one point (2 on a line, 5 in the
     plane), and `hits` holds at most that many pairs per point.
     """
-    points = tree.data
-    radius = r * _PAD
+    grid = _radius_grid(points, r)
+    run_lo, run_hi = grid.runs(np.arange(len(points)))
+    count = (run_hi - run_lo).sum(axis=1)
     cover = np.full(len(points), -1)
-    count = np.full(len(points), -1)
     selected = []
     hit_points, hit_owners = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     rest = np.asarray(order, dtype=int)
@@ -109,14 +117,12 @@ def build_net(tree: cKDTree, order: np.ndarray, r: float) -> tuple[np.ndarray, n
             hits = np.concatenate(hit_points), np.concatenate(hit_owners)
             return np.asarray(selected, dtype=int), cover, hits
         window = rest[:width]
-        new = window[count[window] < 0]
-        count[new] = tree.query_ball_point(points.take(new, axis=0), radius, return_length=True)
         counts = count[window]
-        cap = min(BLOCK_CANDIDATES, len(rest))
+        cap = min(BLOCK_CANDIDATES, CANDIDATES_PER_POINT_LEFT * len(rest))
         k = max(1, int(np.searchsorted(np.cumsum(counts), cap, side="right")))
         block, rest = window[:k], rest[k:]
         block_points = points.take(block, axis=0)
-        cand, owner = _candidates(tree, block_points, radius)
+        cand, owner = grid.gather(run_lo[block], run_hi[block])
         hit = _sq_norms(points.take(cand, axis=0) - block_points.take(owner, axis=0)) <= r * r
         cand, owner = cand[hit], owner[hit]
         ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
@@ -130,17 +136,8 @@ def build_net(tree: cKDTree, order: np.ndarray, r: float) -> tuple[np.ndarray, n
         hit_points.append(cand[owner >= 0])
         hit_owners.append(owner[owner >= 0])
         # the next window holds about twice the points that fill a block here
-        width = int(2 * min(BLOCK_CANDIDATES, len(rest)) / max(counts.mean(), 1.0)) + 1
-
-
-def _candidates(tree: cKDTree, centers: np.ndarray, radius: float):
-    """The k-d-tree candidates within `radius` of each centre, from one
-    query_ball_point call, as one flat index array and the position of each
-    candidate's centre."""
-    lists = tree.query_ball_point(centers, radius, return_sorted=False)
-    lengths = np.fromiter(map(len, lists), dtype=int, count=len(lists))
-    cand = np.fromiter(itertools.chain.from_iterable(lists), dtype=int, count=int(lengths.sum()))
-    return cand, np.repeat(np.arange(len(centers)), lengths)
+        cap = min(BLOCK_CANDIDATES, CANDIDATES_PER_POINT_LEFT * len(rest))
+        width = int(2 * cap / max(counts.mean(), 1.0)) + 1
 
 
 def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +148,9 @@ def build_ball_family(net_points: np.ndarray, quarter_radius: float) -> tuple[np
 
     Closed balls of radius q are disjoint iff their centers are more than
     2q apart, so `kept` is the greedy 2q-net of the net, scanned in net
-    order, and `route` is its cover.  The walk reads a tree built over the
-    net points.
+    order, and `route` is its cover.
     """
-    kept, route, _ = build_net(_kdtree(net_points), np.arange(len(net_points)), 2.0 * quarter_radius)
+    kept, route, _ = build_net(net_points, np.arange(len(net_points)), 2.0 * quarter_radius)
     return kept, route
 
 
@@ -232,7 +228,7 @@ class NetLevel:
 
 def build_level(cloud: WeightedPointCloud, n: int, alpha0: float, order: np.ndarray) -> NetLevel:
     r = alpha0**n
-    net, cover, hits = build_net(cloud.tree, order, r)
+    net, cover, hits = build_net(cloud.points, order, r)
     kept, route = build_ball_family(cloud.points.take(net, axis=0), r)
     partition = build_partition(kept, hits, cover, route)
     return NetLevel(n=n, alpha0=alpha0, net=net, kept=kept, partition=partition)

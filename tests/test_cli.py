@@ -148,6 +148,31 @@ def test_curvature_exact_on_small_cloud(tmp_path, capsys):
     assert json.loads(stdout)["estimate"] == 0.0
 
 
+def test_curvature_mode_chooses_the_path_and_reports_unused_samples(tmp_path, capsys):
+    # 64 points: 64^3 ordered tuples are within the exact limit, so auto sums
+    path = tmp_path / "cantor.csv"
+    gen_four_corner_cantor(3).to_csv(path)
+    base = ["curvature", "--input", str(path), "--d", "1", "--seed", "3"]
+    code, stdout, _ = run(capsys, [*base, "--mode", "mc", "--samples", "1000"])
+    doc = json.loads(stdout)
+    assert code == 0
+    assert (doc["mode"], doc["exact"], doc["n_samples"]) == ("mc", False, 1000)
+    assert "unused_samples" not in doc
+    code, stdout, _ = run(capsys, [*base, "--mode", "mc"])
+    assert (code, json.loads(stdout)["n_samples"]) == (0, 100_000)
+    exact = {}
+    for extra in ([], ["--mode", "exact"], ["--samples", "1000"]):
+        code, stdout, _ = run(capsys, [*base, *extra])
+        doc = json.loads(stdout)
+        assert code == 0
+        assert (doc["exact"], doc["n_samples"]) == (True, 64**3)
+        assert doc.get("unused_samples") == (1000 if extra == ["--samples", "1000"] else None)
+        exact[tuple(extra)] = doc["estimate"]
+    assert len(set(exact.values())) == 1
+    code, stdout, _ = run(capsys, [*base, "--mode", "exact", "--samples", "0"])
+    assert (code, stdout) == (2, "")
+
+
 def test_curvature_rejects_a_bad_separation_parameter(tmp_path, capsys):
     path = tmp_path / "cantor.csv"
     gen_four_corner_cantor(2).to_csv(path)

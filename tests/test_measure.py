@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from menger.measure import (
+    _PAD,
+    GRID_CELLS,
     Ball,
     WeightedPointCloud,
+    _median_nn_distance,
+    _radius_grid,
     _sq_dists,
     _sq_norms,
     gen_four_corner_cantor,
@@ -343,14 +348,72 @@ def test_median_nn_distance_grid():
     assert cloud.median_nn_distance() == 1.0
 
 
-def test_a_cloud_keeps_one_tree_and_a_new_cloud_builds_its_own():
+def test_a_cloud_keeps_its_columns_and_a_new_cloud_builds_its_own():
     cloud = gen_sphere(2, 100, seed=6)
-    assert cloud.tree is cloud.tree
-    assert np.array_equal(cloud.tree.data, cloud.points)
+    assert cloud.columns is cloud.columns
+    assert np.array_equal(cloud.columns, cloud.points.T)
     # a fresh cloud over the same arrays caches nothing of the first
     fresh = WeightedPointCloud(cloud.points, cloud.weights)
-    assert fresh.tree is not cloud.tree
-    assert np.array_equal(fresh.tree.data, cloud.points)
+    assert fresh.columns is not cloud.columns
+    assert np.array_equal(fresh.columns, cloud.points.T)
+
+
+def grid_pairs(grid, n):
+    cand, owner = grid.gather(*grid.runs(np.arange(n)))
+    pairs = list(zip(owner.tolist(), cand.tolist()))
+    assert len(pairs) == len(set(pairs))  # no candidate repeats
+    return set(pairs)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 8, 100])
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e150])
+def test_grid_candidates_hold_every_hit_and_every_padded_k_d_tree_hit(D, scale):
+    # radii are distances of pairs, so points sit on the search spheres; at
+    # 1e-160 the squares are subnormal.  Tripled points coincide, and pairs
+    # 1e-9 of the extent apart put r past the cell cap (extent / r > 2^20)
+    rng = np.random.default_rng(D)
+    unit = rng.normal(size=(60, D))
+    twins = unit[20:30] + 1e-9 * rng.normal(size=(10, D))
+    pts = np.vstack([unit, unit[:10], unit[:10], twins]) * scale
+    n = len(pts)
+    tree = cKDTree(pts)
+    i, j = rng.integers(0, 60, size=(2, 4))
+    radii = [float(np.sqrt(_sq_norms(pts[[a]] - pts[[b]])[0])) for a, b in zip(i, j)]
+    radii += [float(np.sqrt(_sq_norms(pts[[20]] - pts[[80]])[0])), 0.0]
+    assert radii[-2] * GRID_CELLS < np.ptp(pts, axis=0).max()
+    d2 = _sq_dists(pts, pts)
+    for r in radii:
+        got = grid_pairs(_radius_grid(pts, r), n)
+        hits = set(zip(*np.nonzero(d2 <= r * r)))
+        padded = {(p, q) for p, near in enumerate(tree.query_ball_point(pts, r * _PAD)) for q in near}
+        assert hits <= got and padded <= got
+
+
+def test_a_radius_grid_whose_square_overflows_proposes_every_point():
+    pts = np.random.default_rng(0).normal(size=(50, 3)) * 1e200
+    assert len(grid_pairs(_radius_grid(pts, 1e160), 50)) == 50 * 50
+
+
+@pytest.mark.parametrize("D", range(1, 10))
+def test_median_nn_distance_is_the_k_d_tree_median_bit_for_bit(D):
+    # lane sums from D = 4 on; duplicates (distance 0), a lattice full of
+    # ties, clustered scales, subnormal and overflowing squares, an outlier
+    rng = np.random.default_rng(D)
+    unit = rng.normal(size=(300, D))
+    lattice = rng.integers(0, 4, size=(300, D)).astype(float)
+    outlier = np.vstack([unit[:50], np.full((1, D), 1e6)])
+    for pts in (
+        np.vstack([unit, unit[:40]]),
+        lattice,
+        unit * 10.0 ** rng.uniform(-6, 6, size=(300, 1)),
+        unit * 1e-160,
+        unit * 1e200,
+        outlier,
+        unit[:2],
+        unit[:5],
+    ):
+        dist, _ = cKDTree(pts).query(pts, k=2)
+        assert _median_nn_distance(pts) == np.median(dist[:, 1])
 
 
 def test_bounding_ball_contains_everything():

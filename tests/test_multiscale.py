@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from menger import measure, multiscale
 from menger.measure import Ball, WeightedPointCloud, gen_four_corner_cantor, gen_plane_patch, gen_sphere
@@ -67,7 +66,7 @@ def test_m_of_q_uses_ball_diameter():
 
 def test_build_net_on_a_line():
     pts = as_pts([0.0, 1.0, 2.0, 3.0])
-    net, cover, (points, owners) = build_net(cKDTree(pts), np.arange(4), 1.5)
+    net, cover, (points, owners) = build_net(pts, np.arange(4), 1.5)
     assert net.tolist() == [0, 2]
     assert cover.tolist() == [0, 0, 1, 1]  # 1.0 is within 1.5 of both: the first coverer wins
     assert sorted(zip(owners.tolist(), points.tolist())) == [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3)]
@@ -76,7 +75,7 @@ def test_build_net_on_a_line():
 def test_net_separation_and_covering(circle):
     r = 0.3
     order = np.random.default_rng(1).permutation(len(circle))
-    net, _, _ = build_net(circle.tree, order, r)
+    net, _, _ = build_net(circle.points, order, r)
     sel = circle.points[net]
     dist = np.linalg.norm(sel[:, None, :] - sel[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
@@ -166,7 +165,7 @@ def assert_level_matches_reference(pts, order, q):
     """A level's two greedy walks at r = q and 2q, their cover maps and the
     partition read off them, against the reference loops and full-table
     lookups."""
-    net, cover, hits = build_net(cKDTree(pts), order, q)
+    net, cover, hits = build_net(pts, order, q)
     assert np.array_equal(net, reference_net(pts, order, q))
     assert_hits_match_reference(pts, net, hits, q)
     net_points = pts[net]
@@ -191,7 +190,7 @@ grid_clouds = st.integers(1, 3).flatmap(
 @given(grid_clouds, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 1.5]), st.data())
 def test_greedy_routines_match_reference_loop(pts, r, q, data):
     order = np.asarray(data.draw(st.permutations(range(len(pts)))), dtype=int)
-    net, _, hits = build_net(cKDTree(pts), order, r)
+    net, _, hits = build_net(pts, order, r)
     assert net.dtype.kind == "i"
     assert np.array_equal(net, reference_net(pts, order, r))
     assert_hits_match_reference(pts, net, hits, r)
@@ -204,8 +203,8 @@ def test_greedy_routines_match_reference_loop(pts, r, q, data):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 300))
 def test_tree_searches_keep_exact_boundary_hits(seed, D, n):
     # r is the distance of a pair, so points sit on the r sphere of net
-    # points, where a tree search at radius r can round either way; at
-    # 1e-160 the squared distances are subnormal, below the pad's reach
+    # points, where a search at radius r can round either way; at 1e-160
+    # the squared distances are subnormal, below the relative pad's reach
     rng = np.random.default_rng(seed)
     unit = rng.normal(size=(n, D))
     for scale in (10.0 ** rng.integers(-3, 4), 1e-160, 1e-150, 1e150):
@@ -244,7 +243,7 @@ def test_ball_family_drop_rule_is_closed():
 
 def test_partition_hand_case_direct_assignment():
     pts = as_pts([0.0, 0.2, 1.0, 1.1, 2.5])
-    net, cover, hits = build_net(cKDTree(pts), np.arange(5), 0.3)
+    net, cover, hits = build_net(pts, np.arange(5), 0.3)
     assert net.tolist() == [0, 2, 4]
     kept, route = build_ball_family(pts[net], 0.3)
     assert kept.tolist() == [0, 1, 2]
@@ -254,7 +253,7 @@ def test_partition_hand_case_direct_assignment():
     # below the rounded q*q for this q)
     q = 2 * 0.35**8
     pts = as_pts([0.0, q])
-    net, cover, hits = build_net(cKDTree(pts), np.arange(2), q)
+    net, cover, hits = build_net(pts, np.arange(2), q)
     assert net.tolist() == [0] and cover.tolist() == [0, 0]
     assert sorted(hits[0].tolist()) == [0, 1] and hits[1].tolist() == [0, 0]
     assert build_partition(np.array([0]), hits, cover, np.array([0])).tolist() == [0, 0]
@@ -264,7 +263,7 @@ def test_partition_hand_case_leftover_routing():
     # net point at 0.5 is dropped (within 2q of 0); the point it covers is
     # routed to the kept ball its quarter ball meets
     pts = as_pts([0.0, 0.5, 0.9])
-    net, cover, hits = build_net(cKDTree(pts), np.arange(3), 0.3)
+    net, cover, hits = build_net(pts, np.arange(3), 0.3)
     assert net.tolist() == [0, 1, 2]
     assert cover.tolist() == [0, 1, 2]
     kept, route = build_ball_family(pts[net], 0.3)
@@ -280,7 +279,7 @@ def test_partition_refuses_a_cover_that_leaves_a_point_out():
     # ball 0, 5 from its centre)
     pts = as_pts([0.0, 0.5, 5.0])
     q = 1.0
-    net, cover, hits = build_net(cKDTree(pts), np.array([0, 1]), q)
+    net, cover, hits = build_net(pts, np.array([0, 1]), q)
     assert net.tolist() == [0] and cover.tolist() == [0, 0, -1]
     kept, route = build_ball_family(pts[net], q)
     with pytest.raises(ValueError, match="point 2 "):
@@ -317,7 +316,7 @@ def test_net_and_ball_family_run_in_bounded_memory():
     order = np.random.default_rng(0).permutation(n)
     tracemalloc.start()
     try:
-        net, _, _ = build_net(cKDTree(pts), order, 1.0)
+        net, _, _ = build_net(pts, order, 1.0)
         kept, _ = build_ball_family(pts, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -327,49 +326,62 @@ def test_net_and_ball_family_run_in_bounded_memory():
     assert peak < 200 * 2**20
 
 
-def test_a_family_builds_one_tree_over_the_whole_cloud(monkeypatch):
-    # the nearest-neighbour scale, every net and every partition read the
-    # cloud's cached tree; only each level's net points get a tree of their
-    # own, for the ball family's walk
-    sizes = []
-    kdtree = measure._kdtree
+def counting_grids(monkeypatch):
+    """(number of points, cell side asked for) of every measure._Grid built,
+    in order."""
+    grids = []
 
-    def counting_kdtree(points):
-        sizes.append(len(points))
-        return kdtree(points)
+    class CountingGrid(measure._Grid):
+        def __init__(self, points, side):
+            grids.append((len(points), side))
+            super().__init__(points, side)
 
-    # measure._kdtree builds every k-d tree; multiscale holds its own binding
-    monkeypatch.setattr(measure, "_kdtree", counting_kdtree)
-    monkeypatch.setattr(multiscale, "_kdtree", counting_kdtree)
+    monkeypatch.setattr(measure, "_Grid", CountingGrid)
+    return grids
+
+
+def test_a_level_builds_one_grid_per_walk(monkeypatch):
+    # the net walk grids the whole cloud at q and the ball family's walk
+    # grids the level's net points at 2q; nothing else in a level builds one
+    grids = counting_grids(monkeypatch)
     cloud = gen_sphere(2, 2000)
     fam = MultiresolutionFamily(cloud, 0.25)
-    for n in range(fam.n_top, fam.n_floor + 1):
-        fam.level(n)
     levels = range(fam.n_top, fam.n_floor + 1)
     assert len(levels) >= 4
-    assert sizes == [len(cloud)] + [len(fam.level(n).net) for n in levels]
+    for n in levels:
+        grids.clear()
+        level = fam.level(n)
+        q = 0.25**n
+        assert [size for size, _ in grids] == [len(cloud), len(level.net)]
+        (_, net_side), (_, family_side) = grids
+        assert q < net_side < 1.5 * q
+        assert 2.0 * q < family_side < 3.0 * q
 
 
-def test_a_level_queries_the_cloud_tree_only_in_its_net_walk(monkeypatch):
-    # the partition reads the net walk's hits: the cloud's tree gets the
-    # same query_ball_point calls from a whole level as from its net alone
+def test_a_level_searches_the_cloud_only_in_its_net_walk(monkeypatch):
+    # the partition reads the net walk's hits: the cloud's grid gets the
+    # same searches from a whole level as from its net walk alone
     calls = []
+    grids = counting_grids(monkeypatch)
+    runs = measure._Grid.runs
 
-    class CountingTree(cKDTree):
-        def query_ball_point(self, x, r, **kwargs):
-            calls.append((len(x), r, kwargs.get("return_length", False)))
-            return super().query_ball_point(x, r, **kwargs)
+    def counting_runs(self, rows):
+        calls.append((len(self.keys), rows.tolist()))
+        return runs(self, rows)
 
-    monkeypatch.setattr(measure, "_kdtree", CountingTree)
+    monkeypatch.setattr(measure._Grid, "runs", counting_runs)
     cloud = gen_sphere(3, 2000)
     fam = MultiresolutionFamily(cloud, 0.25)
     for n in range(fam.n_top, fam.n_floor + 1):
         calls.clear()
-        build_net(cloud.tree, fam.order, 0.25**n)
+        build_net(cloud.points, fam.order, 0.25**n)
         alone = list(calls)
         calls.clear()
-        build_level(cloud, n, 0.25, fam.order)
-        assert alone and calls == alone
+        grids.clear()
+        level = build_level(cloud, n, 0.25, fam.order)
+        assert alone and calls[: len(alone)] == alone
+        assert all(size == len(level.net) for size, _ in calls[len(alone) :])
+        assert len(grids) == 2
 
 
 def test_a_zero_radius_query_has_no_family_balls(circle):

@@ -6,8 +6,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
 import menger
 
 
@@ -57,22 +55,20 @@ def test_curvature_and_beta2_run_without_scipy(tmp_path):
         mark("mc")
         _batch.curvature_terms(cloud.points[np.arange(30).reshape(10, 3)])
         mark("curvature_terms")
+        from menger import multiscale, verify
+        family = multiscale.MultiresolutionFamily(cloud, 0.25)
+        family.level(1)
+        mark("level")
+        cloud.median_nn_distance()
+        mark("median_nn_distance")
+        multiscale.jones_flatness_discrete(cloud, ball, family, 1)
+        mark("discrete_flatness")
+        multiscale.jones_flatness_continuous(cloud, ball, 1)
+        mark("continuous_flatness")
+        verify.run_suite("multiscale", 7)
+        mark("verify_multiscale")
         print(json.dumps(seen))
     """)
-    assert seen == dict.fromkeys(["import", "gen_sphere", "from_csv", "beta2", "exact", "mc", "curvature_terms"], False)
-
-
-@pytest.mark.parametrize("call", ["MultiresolutionFamily(cloud, 0.25).level(1)", "cloud.median_nn_distance()"])
-def test_a_k_d_tree_imports_scipy_spatial_on_first_use(call):
-    seen = _fresh_python(f"""
-        import json, sys
-        from menger.measure import gen_sphere
-        from menger.multiscale import MultiresolutionFamily
-        cloud = gen_sphere(2, 300, seed=1)
-        before = "scipy" in sys.modules
-        {call}
-        after = "scipy.spatial" in sys.modules
-        from scipy.spatial import cKDTree
-        print(json.dumps({{"before": before, "after": after, "tree": isinstance(cloud._tree, cKDTree)}}))
-    """)
-    assert seen == {"before": False, "after": True, "tree": True}
+    steps = ["import", "gen_sphere", "from_csv", "beta2", "exact", "mc", "curvature_terms", "level",
+             "median_nn_distance", "discrete_flatness", "continuous_flatness", "verify_multiscale"]
+    assert seen == dict.fromkeys(steps, False)
