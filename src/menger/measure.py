@@ -296,9 +296,9 @@ class _Grid:
     have cell coordinates less than 1/_PAD + 2^-30 < 1 apart and are
     candidates of each other; and a point that is not a candidate of p
     differs from p by more than (1 - 2^-30) side > side / _PAD on some
-    gridded axis.  Coordinates are clipped to
-    [0, GRID_CELLS], which keeps both statements.  A side that is not finite
-    (an extent or radius that overflows) puts every point in one cell.
+    gridded axis.  Coordinates are clipped to [0, GRID_CELLS], which keeps
+    both statements.  A side that is not finite (an extent or radius that
+    overflows) puts every point in one cell.
     """
 
     def __init__(self, points: np.ndarray, side: float):
@@ -385,6 +385,12 @@ def _lane_sq_norms(v: np.ndarray) -> np.ndarray:
     return s
 
 
+def _has_copy(points: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows that equal some other row."""
+    _, inverse, copies = np.unique(points, axis=0, return_inverse=True, return_counts=True)
+    return copies[inverse.ravel()] > 1
+
+
 # Most candidates per point the first grid of a nearest-neighbour search
 # may propose before its cells are shrunk.
 NN_CANDIDATES = 16
@@ -406,9 +412,10 @@ def _median_nn_distance(points: np.ndarray) -> float:
     which every point is a candidate of every unsettled one settles them
     all.  The first grid's cells are extent / N^(1/k) wide on k = min(3, D)
     axes, shrunk 4-fold while there are more than NN_CANDIDATES candidates
-    per point; each later grid is 4 times wider and queries the unsettled
-    points only, in blocks of at most BLOCK_ENTRIES difference entries, or
-    one point.
+    per point; if the cells reach their narrowest first, every point with
+    an exact copy is settled at 0, the least distance there is.  Each later
+    grid is 4 times wider and queries the unsettled points only, in blocks
+    of at most BLOCK_ENTRIES difference entries, or one point.
     """
     n, dim = points.shape
     best = np.full(n, np.inf)
@@ -422,8 +429,14 @@ def _median_nn_distance(points: np.ndarray) -> float:
         rows = grid.order[pending[grid.order]]
         lo, hi = grid.runs(rows)
         counts = (hi - lo).sum(axis=1)
-        if shrink and counts.sum() > NN_CANDIDATES * n and side > extent / GRID_CELLS:
-            side /= 4.0
+        if shrink and counts.sum() > NN_CANDIDATES * n:
+            if side > extent / GRID_CELLS:
+                side /= 4.0
+            else:  # the narrowest cells still hold many points: copies of one point
+                copy = _has_copy(points)
+                best[copy] = 0.0
+                pending[copy] = False
+                shrink = False
             continue
         shrink = False
         block = (np.cumsum(counts) - counts) // max(1, BLOCK_ENTRIES // dim)

@@ -397,13 +397,16 @@ def test_a_radius_grid_whose_square_overflows_proposes_every_point():
 @pytest.mark.parametrize("D", range(1, 10))
 def test_median_nn_distance_is_the_k_d_tree_median_bit_for_bit(D):
     # lane sums from D = 4 on; duplicates (distance 0), a lattice full of
-    # ties, clustered scales, subnormal and overflowing squares, an outlier
+    # ties, clustered scales, subnormal and overflowing squares, an outlier,
+    # and copies of one point that fill the narrowest cells
     rng = np.random.default_rng(D)
     unit = rng.normal(size=(300, D))
     lattice = rng.integers(0, 4, size=(300, D)).astype(float)
     outlier = np.vstack([unit[:50], np.full((1, D), 1e6)])
     for pts in (
         np.vstack([unit, unit[:40]]),
+        np.repeat(unit[:1], 300, axis=0),
+        np.vstack([np.repeat(unit[:1], 100, axis=0), unit[1:200]]),
         lattice,
         unit * 10.0 ** rng.uniform(-6, 6, size=(300, 1)),
         unit * 1e-160,
