@@ -289,16 +289,17 @@ class _Grid:
 
     The padding argument.  The side is the requested one, but at least
     extent / GRID_CELLS (extent: the widest axis's max - min).  A cell
-    coordinate fl(fl(x - lo) / side) is at most GRID_CELLS and carries two
-    roundings of eps/2 relative each (eps = 2^-52; a subnormal difference
-    is exact), so it is within 2^-31 of (x - lo) / side.  So two points
-    whose coordinates on every gridded axis differ by at most side / _PAD
-    have cell coordinates less than 1/_PAD + 2^-30 < 1 apart and are
-    candidates of each other; and a point that is not a candidate of p
-    differs from p by more than (1 - 2^-30) side > side / _PAD on some
-    gridded axis.  Coordinates are clipped to [0, GRID_CELLS], which keeps
-    both statements.  A side that is not finite (an extent or radius that
-    overflows) puts every point in one cell.
+    coordinate fl(fl(x - lo) / side) is at most GRID_CELLS = 2^20 and
+    carries two roundings of eps/2 = 2^-53 relative each (a subnormal
+    difference is exact), so two of them differ from their exact difference
+    by less than delta = 5e-10.  So two points whose coordinates differ by
+    at most (1 - delta) side on every gridded axis have cell coordinates
+    less than 1 apart and are candidates of each other; and a point that is
+    not a candidate of p differs from p by more than (1 - delta) side, which
+    exceeds side / _PAD, on some gridded axis.  Coordinates are clipped to
+    [0, GRID_CELLS], which keeps both statements.  A side that is not
+    finite (an extent or radius that overflows) puts every point in one
+    cell.
     """
 
     def __init__(self, points: np.ndarray, side: float):
@@ -353,10 +354,12 @@ def _radius_grid(points: np.ndarray, r: float) -> _Grid:
     coordinate difference, so each of those squares is at most r*r, and each
     coordinate difference at most sqrt(r*r + 2^-1073) (1 + 2 eps): a square
     rounds by eps/2 relative or 2^-1075 absolute, a difference by eps/2
-    relative.  That is below side / _PAD, so the pair is a candidate (see
-    _Grid); the second _PAD covers a k-d tree's search at r _PAD too.  Where
-    r*r overflows, the side is +inf and every point is a candidate, as
-    every einsum is <= inf.
+    relative.  That is below (1 - delta) side, so the pair is a candidate
+    (see _Grid).  So is a pair within r _PAD by any sum of rounded squares
+    (a k-d tree's search padded by _PAD): its differences are at most
+    r _PAD (1 + 3 eps), below (1 - delta) side too.  Where r*r overflows,
+    the side is +inf and every point is a candidate, as every einsum is
+    <= inf.
     """
     return _Grid(points, math.sqrt(r * r + 2.0**-1070) * _PAD**2)
 
@@ -385,12 +388,6 @@ def _lane_sq_norms(v: np.ndarray) -> np.ndarray:
     return s
 
 
-def _has_copy(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of the rows that equal some other row."""
-    _, inverse, copies = np.unique(points, axis=0, return_inverse=True, return_counts=True)
-    return copies[inverse.ravel()] > 1
-
-
 # Most candidates per point the first grid of a nearest-neighbour search
 # may propose before its cells are shrunk.
 NN_CANDIDATES = 16
@@ -406,7 +403,7 @@ def _median_nn_distance(points: np.ndarray) -> float:
     candidate is at most t = (side / _PAD^2)^2 - 2^-1073: a point that is
     not a candidate differs from it by more than side / _PAD on some axis
     (see _Grid), so its squared distance, a sum of nonnegative rounded
-    squares, exceeds t.  So every unsettled distance exceeds every settled
+    squares, is at least that difference's rounded square and exceeds t.  So every unsettled distance exceeds every settled
     one, and once more than half the points are settled the median is that
     of the settled distances with the others taken as +inf.  A round in
     which every point is a candidate of every unsettled one settles them
@@ -433,7 +430,8 @@ def _median_nn_distance(points: np.ndarray) -> float:
             if side > extent / GRID_CELLS:
                 side /= 4.0
             else:  # the narrowest cells still hold many points: copies of one point
-                copy = _has_copy(points)
+                _, inverse, copies = np.unique(points, axis=0, return_inverse=True, return_counts=True)
+                copy = copies[inverse.ravel()] > 1
                 best[copy] = 0.0
                 pending[copy] = False
                 shrink = False

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from menger import measure, multiscale
+from menger import measure
 from menger.measure import Ball, WeightedPointCloud, gen_four_corner_cantor, gen_plane_patch, gen_sphere
 from menger.multiscale import (
     MAX_LEVELS_BELOW_TOP,
@@ -360,16 +360,22 @@ def test_a_level_builds_one_grid_per_walk(monkeypatch):
 
 def test_a_level_searches_the_cloud_only_in_its_net_walk(monkeypatch):
     # the partition reads the net walk's hits: the cloud's grid gets the
-    # same searches from a whole level as from its net walk alone
+    # same searches and candidate fetches from a whole level as from its net
+    # walk alone
     calls = []
     grids = counting_grids(monkeypatch)
-    runs = measure._Grid.runs
+    runs, gather = measure._Grid.runs, measure._Grid.gather
 
     def counting_runs(self, rows):
-        calls.append((len(self.keys), rows.tolist()))
+        calls.append((len(self.keys), "runs", rows.tolist()))
         return runs(self, rows)
 
+    def counting_gather(self, lo, hi):
+        calls.append((len(self.keys), "gather", lo.tolist(), hi.tolist()))
+        return gather(self, lo, hi)
+
     monkeypatch.setattr(measure._Grid, "runs", counting_runs)
+    monkeypatch.setattr(measure._Grid, "gather", counting_gather)
     cloud = gen_sphere(3, 2000)
     fam = MultiresolutionFamily(cloud, 0.25)
     for n in range(fam.n_top, fam.n_floor + 1):
@@ -380,7 +386,7 @@ def test_a_level_searches_the_cloud_only_in_its_net_walk(monkeypatch):
         grids.clear()
         level = build_level(cloud, n, 0.25, fam.order)
         assert alone and calls[: len(alone)] == alone
-        assert all(size == len(level.net) for size, _ in calls[len(alone) :])
+        assert all(call[0] == len(level.net) for call in calls[len(alone) :])
         assert len(grids) == 2
 
 
