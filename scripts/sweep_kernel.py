@@ -3,8 +3,7 @@ Carlo layer.
 
     python3 scripts/sweep_kernel.py [--src DIR]
 
-Imports `menger` from --src (default: this checkout's `src`), so the same
-script measures any checkout.  Three tables:
+Three tables, of the `menger` in --src (default: this checkout's `src`):
 
 - kernel: _batch.curvature_terms on B tuples of d + 2 Gaussian points in
   R^{d+1} (seeded), for d = 1, 2, 3 and B = 1, 2^10, 2^18.  A cell times
@@ -24,26 +23,17 @@ script measures any checkout.  Three tables:
   without a floor and with the squared floor 0.4^2 (lambda 0.4 in a ball
   of radius 1).  A cell times one call, REPEATS times.
 
-Each cell reports the median.  Prints one JSON object.  BLAS is held to one
-thread, as in bench/run.py; give the number of CPUs of the machine next to
-any number it prints.
+Each cell reports the median.  Prints one JSON object, and exits 1 when
+check finds a problem.  BLAS is held to one thread, as in bench/run.py;
+give the number of CPUs of the machine next to any number it prints.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
-import os
-import platform
 import statistics
 import sys
-from pathlib import Path
 from time import perf_counter
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import _sweep
 
-ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
 EXACT_REPEATS = 3
 MIN_CELL_S = 0.2
@@ -55,32 +45,41 @@ MC_TUPLES = 100_000
 MC_KERNEL_TUPLES = 2**18
 
 
+def check(doc: dict) -> list[str]:
+    """Every table has cells and positive rates, and the exact path takes one
+    determinant per ordered tuple without a separation floor, at most one with
+    lambda 0.4."""
+    exact, mc = doc["exact"], doc["mc"]
+    draws = {f"{w}/{k}": r for w, c in mc["draws"].items() for k, r in c.items()}
+    tables = {"tuples_per_s": doc["tuples_per_s"], "exact": {k: c["tuples_per_s"] for k, c in exact.items()},
+              "mc": {**draws, **mc["cd_sq_tuples_per_s"]}}
+    problems = [f"{t} has no cells" for t, ks in tables.items() if not ks]
+    problems += [f"{t}/{k} rate {r} is not positive" for t, ks in tables.items() for k, r in ks.items() if not r > 0]
+    dets = {k: c["determinants_per_tuple"] for k, c in exact.items()}
+    return problems + [f"exact/{k} takes {r} determinants per tuple" for k, r in dets.items()
+                       if not (r == 1 if k.endswith("lamNone") else r <= 1)]
+
+
+def _timed(call) -> float:
+    t0 = perf_counter()
+    call()
+    return perf_counter() - t0
+
+
 def _cell(kernel, T) -> float:
     calls = 1
-    while True:
-        t0 = perf_counter()
+
+    def batch():
         for _ in range(calls):
             kernel(T)
-        dt = perf_counter() - t0
-        if dt >= MIN_CELL_S or calls >= 1 << 20:
-            break
+
+    while (dt := _timed(batch)) < MIN_CELL_S and calls < 1 << 20:
         calls *= 2
-    rates = [calls * len(T) / dt]
-    for _ in range(REPEATS - 1):
-        t0 = perf_counter()
-        for _ in range(calls):
-            kernel(T)
-        rates.append(calls * len(T) / (perf_counter() - t0))
-    return statistics.median(rates)
+    return statistics.median([calls * len(T) / dt, *(calls * len(T) / _timed(batch) for _ in range(REPEATS - 1))])
 
 
 def _median_rate(count: int, call, repeats: int) -> float:
-    rates = []
-    for _ in range(repeats):
-        t0 = perf_counter()
-        call()
-        rates.append(count / (perf_counter() - t0))
-    return statistics.median(rates)
+    return statistics.median(count / _timed(call) for _ in range(repeats))
 
 
 def _content_rows(_batch, call) -> int:
@@ -132,10 +131,7 @@ def _mc_table(numpy, estimators, _batch, rng) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the menger package")
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    _sweep.use(_sweep.parser(__doc__).parse_args(argv).src)
     import numpy
 
     from menger import _batch, estimators
@@ -166,11 +162,9 @@ def main(argv=None) -> int:
                                "determinants_per_tuple": _content_rows(_batch, call) / m ** (d + 2)}
                 print(f"exact {name}: {exact[name]}", file=sys.stderr, flush=True)
     mc = _mc_table(numpy, estimators, _batch, rng)
-    env = {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__,
-           "machine": platform.machine(), "repeats": REPEATS,
-           "exact_repeats": EXACT_REPEATS}
-    print(json.dumps({"env": env, "tuples_per_s": cells, "exact": exact, "mc": mc}, indent=1))
-    return 0
+    doc = {"env": _sweep.env(repeats=REPEATS, exact_repeats=EXACT_REPEATS),
+           "tuples_per_s": cells, "exact": exact, "mc": mc}
+    return _sweep.emit(doc, check(doc))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Scaling sweep of the multiscale layer: support diameter, level builds,
 flatness queries and single beta_2 evaluations on a circle and a 2-sphere at
-N = 2k, 8k and 20k.
+N = 2k, 8k and 20k, and on 4,000 uniform points of the unit square plus one
+point at (1e7, 0), whose extent/resolution ratio is past the cell cap of
+measure._Grid.
 
     python3 scripts/sweep_multiscale.py [--src DIR]
 
@@ -11,8 +13,9 @@ diameter and nearest-neighbour scale do not carry over; the median is
 reported.  Per cloud it times:
 
   diameter_s    WeightedPointCloud.support_diameter
-  levels_s      MultiresolutionFamily init (which reads the cached diameter)
-                plus every level from n_top to n_floor
+  levels_s      MultiresolutionFamily init (which reads the cached diameter
+                and computes the median nearest-neighbour distance) plus
+                every level from n_top to n_floor
   level_s       the build time of each level n alone, keyed by n
   discrete_s    8 jones_flatness_discrete queries (radius 0.5, centres 0-7)
   continuous_s  1 jones_flatness_continuous query (the first of those balls)
@@ -31,32 +34,31 @@ reported.  Per cloud it times:
                 walk's hit pairs (point, net point within the level's q),
                 which the partition's first pass reads, divided by N
 
-with alpha0 = 0.25 and d = 1 on the circle, d = 2 on the sphere.  Prints
-one JSON object.  BLAS is held to one thread, as in bench/run.py.
+with alpha0 = 0.25 and d = 1 on the circle and the square, d = 2 on the
+sphere.  Prints one JSON object, and exits 1 when a cell lacks one of
+KEYS.  BLAS is held to one thread.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
-import os
-import platform
 import statistics
 import sys
-from importlib import metadata
-from pathlib import Path
 from time import perf_counter
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import _sweep
 
-ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 SIZES = (2000, 8000, 20000)
+KEYS = ("diameter_s", "levels_s", "level_s", "beta2_us", "beta2_batch_us", "routed_share", "hit_pairs_per_point")
 
 
-def _cell(menger, D: int, n: int, d: int) -> dict:
-    base = menger.measure.gen_sphere(D, n, seed=n + D)
+def check(doc: dict) -> list[str]:
+    """The document has cells, and each cell every one of KEYS."""
+    cells = doc["cells"]
+    problems = [] if cells else ["no cells"]
+    return problems + [f"{name} lacks {key}" for name, c in cells.items() for key in KEYS if key not in c]
+
+
+def _cell(menger, base, d: int) -> dict:
     ms = menger.multiscale
     times: dict[str, list[float]] = {"diameter_s": [], "levels_s": [], "discrete_s": [], "continuous_s": []}
     beta2_us, batch_us = [], []
@@ -118,24 +120,22 @@ def _hit_pairs_per_point(menger, cloud, fam) -> float:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the menger package")
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    _sweep.use(_sweep.parser(__doc__).parse_args(argv).src)
     import menger.measure
     import menger.multiscale
     import menger.planes
     import numpy
 
+    clouds = {f"{shape}-{n}": (menger.measure.gen_sphere(D, n, seed=n + D), d)
+              for shape, D, d in (("circle", 2, 1), ("sphere2", 3, 2)) for n in SIZES}
+    square = numpy.vstack([numpy.random.default_rng(0).uniform(size=(4000, 2)), [[1e7, 0.0]]])
+    clouds["square-4000-outlier"] = menger.measure.WeightedPointCloud(square, numpy.ones(len(square))), 1
     cells = {}
-    for shape, D, d in (("circle", 2, 1), ("sphere2", 3, 2)):
-        for n in SIZES:
-            cells[f"{shape}-{n}"] = _cell(menger, D, n, d)
-            print(f"{shape}-{n}: {json.dumps(cells[f'{shape}-{n}'])}", file=sys.stderr, flush=True)
-    env = {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__,
-           "scipy": metadata.version("scipy"), "machine": platform.machine(), "repeats": REPEATS}
-    print(json.dumps({"env": env, "cells": cells}, indent=1))
-    return 0
+    for name, (base, d) in clouds.items():
+        cells[name] = _cell(menger, base, d)
+        print(f"{name}: {json.dumps(cells[name])}", file=sys.stderr, flush=True)
+    doc = {"env": _sweep.env(repeats=REPEATS), "cells": cells}
+    return _sweep.emit(doc, check(doc))
 
 
 if __name__ == "__main__":

@@ -14,33 +14,24 @@ seconds, and `sha256`, the hash of the seed's report as
     menger verify all --seed S | sha256sum
 
 gives the same digest.  Running the sweep in two trees compares their
-reports bit for bit at every seed.  Exits 1 when any seed fails.  Seeds 5 and 12 fail
-inequalities/curvature_flatness_ratio, so this is not run in CI.  BLAS is
-held to one thread, as in bench/run.py.
+reports bit for bit at every seed.  Exits 1 when any seed fails.  Seeds 5
+and 12 fail inequalities/curvature_flatness_ratio, so this is not run in
+CI.  BLAS is held to one thread, as in bench/run.py.
 """
 
-from __future__ import annotations
-
-import argparse
 import hashlib
 import json
-import os
 import sys
-from pathlib import Path
 from time import perf_counter
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-ROOT = Path(__file__).resolve().parent.parent
+import _sweep
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _sweep.parser(__doc__)
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(16)))
-    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the menger package")
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    _sweep.use(args.src)
     from menger import verify
 
     all_passed = True

@@ -152,8 +152,8 @@ def cmd_beta(args) -> int:
             "beta2": res.value,
             "beta2_sq": res.value**2,
             "mass": res.mass,
-            "plane_point": res.plane.point.tolist(),
-            "plane_basis": res.plane.basis.tolist(),
+            "plane_point": res.point.tolist(),
+            "plane_basis": res.basis.tolist(),
         },
         args,
     )
@@ -203,6 +203,10 @@ def cmd_curvature(args) -> int:
     if args.lam is not None:
         payload["lambda"] = args.lam
     payload.update(est.to_dict())
+    # why the path was taken: auto sums exactly when the ball's ordered
+    # tuples are within the limit
+    payload["tuples"] = len(cloud.in_ball(ball)) ** (args.d + 2)
+    payload["exact_tuple_limit"] = estimators.EXACT_TUPLE_LIMIT
     if est.exact and args.samples is not None:
         payload["unused_samples"] = args.samples
     _emit(payload, args)
@@ -240,6 +244,13 @@ def _ratio_balls(cloud, rng, count: int, lo: float = 0.2, hi: float = 0.5):
         yield b, Ball(cloud.points[ci], r)
 
 
+def _ratio_cells(lhs: estimators.MCEstimate, rhs: float) -> list:
+    """The lhs, rhs, ratio (empty where rhs is 0), exact and std_error
+    cells of a thm12 or thm13 row."""
+    est = lhs.to_dict()
+    return [est["estimate"], rhs, est["estimate"] / rhs if rhs > 0 else "", est["exact"], est["std_error"]]
+
+
 def cmd_ratio(args) -> int:
     cloud = _load_cloud(args.input)
     rng = np.random.default_rng((args.seed, 900))
@@ -247,23 +258,18 @@ def cmd_ratio(args) -> int:
     rows = []
     if args.experiment == "thm12":
         fam = multiscale.MultiresolutionFamily(cloud, args.alpha0, order_seed=args.seed)
-        header = ["ball", "radius", "lhs_curvature", "rhs_flatness", "ratio"]
+        header = ["ball", "radius", "lhs_curvature", "rhs_flatness", "ratio", "exact", "std_error"]
         for b, ball in _ratio_balls(cloud, rng, 10):
-            lhs = estimators.continuous_curvature_sq(
-                cloud, ball, d, n_samples=args.samples, seed=(args.seed, b)
-            ).estimate
+            lhs = estimators.continuous_curvature_sq(cloud, ball, d, n_samples=args.samples, seed=(args.seed, b))
             rhs = multiscale.jones_flatness_discrete(cloud, ball, fam, d).total
-            rows.append([b, ball.radius, lhs, rhs, lhs / rhs if rhs > 0 else ""])
+            rows.append([b, ball.radius, *_ratio_cells(lhs, rhs)])
     elif args.experiment == "thm13":
-        header = ["ball", "radius", "lhs_curvature", "rhs_mass", "ratio"]
+        header = ["ball", "radius", "lhs_curvature", "rhs_mass", "ratio", "exact", "std_error"]
         for b, ball in _ratio_balls(cloud, rng, 20):
-            lhs = estimators.continuous_curvature_sq(
-                cloud, ball, d, n_samples=args.samples, seed=(args.seed, b)
-            ).estimate
-            rhs = cloud.mass_in(ball)
-            rows.append([b, ball.radius, lhs, rhs, lhs / rhs if rhs > 0 else ""])
+            lhs = estimators.continuous_curvature_sq(cloud, ball, d, n_samples=args.samples, seed=(args.seed, b))
+            rows.append([b, ball.radius, *_ratio_cells(lhs, cloud.mass_in(ball))])
     elif args.experiment == "prop11":
-        header = ["ball", "t", "lambda", "lhs", "rhs", "ratio", "ratio_scaled"]
+        header = ["ball", "t", "lambda", "lhs", "rhs", "ratio", "ratio_scaled", "exact", "std_error"]
         power = d * (d + 1) + 4
         for b, ball in _ratio_balls(cloud, rng, 10):
             for lam in (0.2, 0.4, 0.8):
@@ -286,6 +292,8 @@ def cmd_ratio(args) -> int:
                         r["rhs"],
                         ratio if ratio is not None else "",
                         ratio * lam**power if ratio is not None else "",
+                        r["exact"],
+                        r["std_error"],
                     ]
                 )
     else:  # "prop43"; argparse restricts the choices

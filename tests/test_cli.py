@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from menger import verify
 from menger.cli import main
+from menger.estimators import EXACT_TUPLE_LIMIT
 from menger.geometry import InvariantError
 from menger.measure import WeightedPointCloud, gen_four_corner_cantor, gen_plane_patch, gen_sphere
 
@@ -157,7 +158,11 @@ def test_curvature_mode_chooses_the_path_and_reports_unused_samples(tmp_path, ca
     doc = json.loads(stdout)
     assert code == 0
     assert (doc["mode"], doc["exact"], doc["n_samples"]) == ("mc", False, 1000)
+    assert (doc["tuples"], doc["exact_tuple_limit"]) == (64**3, EXACT_TUPLE_LIMIT)
     assert "unused_samples" not in doc
+    # the tuple count is the query ball's: one of the four copies holds 16 points
+    code, stdout, _ = run(capsys, [*base, "--mode", "mc", "--ball", "0.375,0.375:0.2"])
+    assert (code, json.loads(stdout)["tuples"]) == (0, 16**3)
     code, stdout, _ = run(capsys, [*base, "--mode", "mc"])
     assert (code, json.loads(stdout)["n_samples"]) == (0, 100_000)
     exact = {}
@@ -165,7 +170,7 @@ def test_curvature_mode_chooses_the_path_and_reports_unused_samples(tmp_path, ca
         code, stdout, _ = run(capsys, [*base, *extra])
         doc = json.loads(stdout)
         assert code == 0
-        assert (doc["exact"], doc["n_samples"]) == (True, 64**3)
+        assert (doc["exact"], doc["n_samples"], doc["tuples"]) == (True, 64**3, 64**3)
         assert doc.get("unused_samples") == (1000 if extra == ["--samples", "1000"] else None)
         exact[tuple(extra)] = doc["estimate"]
     assert len(set(exact.values())) == 1
@@ -413,8 +418,40 @@ def test_ratio_thm13_table(tmp_path, capsys):
     )
     assert code == 0
     rows = list(csv.reader(stdout.splitlines()))
-    assert rows[0] == ["ball", "radius", "lhs_curvature", "rhs_mass", "ratio"]
+    assert rows[0] == ["ball", "radius", "lhs_curvature", "rhs_mass", "ratio", "exact", "std_error"]
     assert len(rows) == 21
+    # 16 points: every ball's at most 16^3 ordered tuples are summed exactly
+    assert {(row[-2], row[-1]) for row in rows[1:]} == {("True", "0.0")}
+
+
+@pytest.mark.parametrize(
+    "experiment, header",
+    [
+        ("thm12", ["ball", "radius", "lhs_curvature", "rhs_flatness", "ratio", "exact", "std_error"]),
+        ("prop11", ["ball", "t", "lambda", "lhs", "rhs", "ratio", "ratio_scaled", "exact", "std_error"]),
+        ("prop43", ["ball", "radius", "lhs_discrete", "rhs_continuous_6Q", "ratio"]),
+    ],
+)
+def test_ratio_tables_name_the_curvature_path(tmp_path, capsys, experiment, header):
+    path = tmp_path / "cantor.csv"
+    gen_four_corner_cantor(2).to_csv(path)
+    code, stdout, _ = run(capsys, ["ratio", experiment, "--input", str(path), "--samples", "200"])
+    rows = list(csv.reader(stdout.splitlines()))
+    assert (code, rows[0]) == (0, header)
+    if "exact" in header:
+        assert {(row[-2], row[-1]) for row in rows[1:]} == {("True", "0.0")}
+
+
+def test_ratio_rows_on_the_monte_carlo_path_carry_their_std_error(tmp_path, capsys):
+    # on a 4k circle every ball of radius >= 0.2 diam holds over 400 points,
+    # whose cubed count is past the exact limit
+    path = tmp_path / "circle.csv"
+    gen_sphere(2, 4000, seed=0).to_csv(path)
+    code, stdout, _ = run(capsys, ["ratio", "thm13", "--input", str(path), "--samples", "200"])
+    rows = list(csv.reader(stdout.splitlines()))
+    assert code == 0
+    assert {row[-2] for row in rows[1:]} == {"False"}
+    assert all(float(row[-1]) > 0 for row in rows[1:])
 
 
 def test_ratio_on_zero_diameter_cloud_exits_2(tmp_path, capsys):
