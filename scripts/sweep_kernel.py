@@ -19,9 +19,14 @@ Three tables, of the `menger` in --src (default: this checkout's `src`):
   second of estimators._tuple_stream, MC_TUPLES 4-tuples at m = MC_POINTS,
   for equal, uniform-random, log-normal (sigma 6) and one-heavy weights,
   beside Generator.choice drawing the same indices.  cd_sq: tuples per
-  second of _batch.cd_sq on 2^18 Gaussian tuples in R^{d+1}, d = 1, 2, 3,
-  without a floor and with the squared floor 0.4^2 (lambda 0.4 in a ball
-  of radius 1).  A cell times one call, REPEATS times.
+  second of _batch.cd_sq on 2^18 uniform index tuples into a table of
+  MC_POINTS Gaussian points in R^{d+1}, the way the Monte Carlo path calls
+  it, d = 1, 2, 3, without a floor and with the squared floor 0.4^2
+  (lambda 0.4 in a ball of radius 1).  A cell times one call, REPEATS
+  times.
+- mc_peak_bytes_per_sample: the tracemalloc peak of one
+  continuous_curvature_sq(mode="mc") call, MC_TUPLES samples at d = MC_D
+  over MC_POINTS Gaussian points in R^{d+1}, per sample.
 
 Each cell reports the median.  Prints one JSON object, and exits 1 when
 check finds a problem.  BLAS is held to one thread, as in bench/run.py;
@@ -30,6 +35,7 @@ give the number of CPUs of the machine next to any number it prints.
 
 import statistics
 import sys
+import tracemalloc
 from time import perf_counter
 
 import _sweep
@@ -43,12 +49,14 @@ DIMS = (1, 2, 3)
 MC_POINTS = 3244  # the points of one bench mc-sphere cap
 MC_TUPLES = 100_000
 MC_KERNEL_TUPLES = 2**18
+MC_D = 2
 
 
 def check(doc: dict) -> list[str]:
-    """Every table has cells and positive rates, and the exact path takes one
+    """Every table has cells and positive rates, the exact path takes one
     determinant per ordered tuple without a separation floor, at most one with
-    lambda 0.4."""
+    lambda 0.4, and the Monte Carlo path holds less per sample than a
+    coordinate stack of its tuples, (d + 2) D floats."""
     exact, mc = doc["exact"], doc["mc"]
     draws = {f"{w}/{k}": r for w, c in mc["draws"].items() for k, r in c.items()}
     tables = {"tuples_per_s": doc["tuples_per_s"], "exact": {k: c["tuples_per_s"] for k, c in exact.items()},
@@ -56,8 +64,13 @@ def check(doc: dict) -> list[str]:
     problems = [f"{t} has no cells" for t, ks in tables.items() if not ks]
     problems += [f"{t}/{k} rate {r} is not positive" for t, ks in tables.items() for k, r in ks.items() if not r > 0]
     dets = {k: c["determinants_per_tuple"] for k, c in exact.items()}
-    return problems + [f"exact/{k} takes {r} determinants per tuple" for k, r in dets.items()
-                       if not (r == 1 if k.endswith("lamNone") else r <= 1)]
+    problems += [f"exact/{k} takes {r} determinants per tuple" for k, r in dets.items()
+                 if not (r == 1 if k.endswith("lamNone") else r <= 1)]
+    stack = (MC_D + 2) * (MC_D + 1) * 8
+    if not doc["mc_peak_bytes_per_sample"] < stack:
+        problems.append(f"the Monte Carlo path peaks at {doc['mc_peak_bytes_per_sample']} B per sample, "
+                        f"not below the {stack} B of a coordinate stack")
+    return problems
 
 
 def _timed(call) -> float:
@@ -121,13 +134,25 @@ def _mc_table(numpy, estimators, _batch, rng) -> dict:
         print(f"mc draws {name}: {draws[name]}", file=sys.stderr, flush=True)
     kernel = {}
     for d in DIMS:
-        T = rng.normal(size=(MC_KERNEL_TUPLES, d + 2, d + 1))
+        points = rng.normal(size=(MC_POINTS, d + 1))
+        tuples = rng.integers(0, MC_POINTS, size=(MC_KERNEL_TUPLES, d + 2))
         for lam in (None, 0.4):
             floor2 = None if lam is None else lam * lam
             name = f"d{d}-lam{lam}"
-            kernel[name] = round(_median_rate(len(T), lambda: _batch.cd_sq(T, floor2), REPEATS))
+            kernel[name] = round(_median_rate(len(tuples), lambda: _batch.cd_sq(points, tuples, floor2), REPEATS))
             print(f"mc cd_sq {name}: {kernel[name]} tuples/s", file=sys.stderr, flush=True)
     return {"draws": draws, "cd_sq_tuples_per_s": kernel}
+
+
+def _mc_peak_bytes_per_sample(continuous_curvature_sq, WeightedPointCloud, rng) -> float:
+    cloud = WeightedPointCloud(rng.normal(size=(MC_POINTS, MC_D + 1)), rng.uniform(0.5, 1.0, size=MC_POINTS))
+    tracemalloc.start()
+    try:
+        continuous_curvature_sq(cloud, None, MC_D, n_samples=MC_TUPLES, mode="mc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / MC_TUPLES
 
 
 def main(argv=None) -> int:
@@ -162,8 +187,10 @@ def main(argv=None) -> int:
                                "determinants_per_tuple": _content_rows(_batch, call) / m ** (d + 2)}
                 print(f"exact {name}: {exact[name]}", file=sys.stderr, flush=True)
     mc = _mc_table(numpy, estimators, _batch, rng)
+    peak = round(_mc_peak_bytes_per_sample(continuous_curvature_sq, WeightedPointCloud, rng), 1)
+    print(f"mc peak: {peak} B per sample", file=sys.stderr, flush=True)
     doc = {"env": _sweep.env(repeats=REPEATS, exact_repeats=EXACT_REPEATS),
-           "tuples_per_s": cells, "exact": exact, "mc": mc}
+           "tuples_per_s": cells, "exact": exact, "mc": mc, "mc_peak_bytes_per_sample": peak}
     return _sweep.emit(doc, check(doc))
 
 

@@ -1,8 +1,15 @@
-"""Vectorised kernels over stacks of simplex tuples.
+"""Vectorised kernels over batches of simplex tuples.
 
-A stack is a (B, m, D) array: B tuples of m points each.  These kernels are
-the only implementation of the content, polar-sine and curvature formulas:
-the scalar functions of geometry.py call them with B = 1.  Gram determinants are clamped at zero
+A kernel reads a point table points (n, D) and index tuples tuples (B, m):
+row b names the m points of tuple b, repeats allowed.  A stack, a
+(B, m, D) array of B tuples of m points each, is its own table under
+arange tuples (_stack); the stack kernels curvature_terms, psin_sq_at,
+pair_and_content_sq and content_sq take stacks and read them that way.
+cd_sq takes the Monte Carlo path's points and drawn tuples as they are,
+and psin_with_replacement indexes one table holding X and then the
+replacement points.  These kernels are the only implementation of the
+content, polar-sine and curvature formulas: the scalar functions of
+geometry.py call them with B = 1.  Gram determinants are clamped at zero
 (the Gram matrix is positive semidefinite); tuples with coinciding
 coordinates get polar sine 0.
 
@@ -11,11 +18,14 @@ Every kernel reads one dot table per tuple, laid out by a plan cached per
 once; the table holds each squared pair length and each distinct
 off-diagonal Gram entry once, each a contiguous einsum over the coordinates
 of a pair row with itself or of two gathered pair rows (6 dot products per
-triangle, where a Gram einsum at every base takes 21).  The Gram matrix at
-base b is read off the table: vertex v's diagonal entry is the squared
-length of the pair {v, b}, and the entry of v, w is the dot product of the
-rows of {v, b} and {w, b}.  Each entry carries the bits that a Gram einsum
-of the edge vectors x_v - x_b gives:
+triangle, where a Gram einsum at every base takes 21).  A pair row is the
+difference of its two endpoints gathered from the point table by index,
+with no stack of the block's points between: the same subtraction of the
+same values as on a stack.  The Gram matrix at base b is read off the dot
+table: vertex v's diagonal entry is the squared length of the pair {v, b},
+and the entry of v, w is the dot product of the rows of {v, b} and
+{w, b}.  Each entry carries the bits that a Gram einsum of the edge
+vectors x_v - x_b gives:
 
 - a pair row holds x_v - x_b or x_b - x_v, and the second is the exact
   negation of the first (rounding is symmetric); rows touching the first
@@ -43,18 +53,18 @@ table einsum("jd,kd->jk", X - x_i, X - x_i), which runs the pair-row
 einsum's inner loop, so has its bits; a BLAS product does not.  Its pair
 lengths are measure's squared-distance table, the same einsum per pair.
 
-cd_sq is the Monte Carlo kernel: c_d^2 per tuple and nothing else, with
-an optional separation floor applied to the dot table before any Gram
+cd_sq is the Monte Carlo kernel: c_d^2 per index tuple and nothing else,
+with an optional separation floor applied to the dot table before any Gram
 matrix is formed.  curvature_terms is the diagnostic kernel (verify,
 geometry, decomposition_check) and returns every per-tuple term.  All
 three hand their contents and pair lengths to _assemble, the one c_d^2
 assembly.
 
-Stacks are processed in row blocks whose working arrays hold about
-BLOCK_ENTRIES floats in all, so memory stays a small multiple of the
-input.  No value depends on another row, so the block size moves no bit.
-tests/test_batch.py holds the direct formulas and checks every output
-against them bit for bit.
+Tuples are processed in row blocks whose working arrays, index gathers
+included, hold about BLOCK_ENTRIES entries of 8 B in all, so memory stays
+a small multiple of the input.  No value depends on another row, so the
+block size moves no bit.  tests/test_batch.py holds the direct formulas
+and checks every output against them bit for bit.
 """
 
 from __future__ import annotations
@@ -125,9 +135,10 @@ def _plan(m: int, D: int, bases: tuple) -> _Plan:
                     if (ia[pair[v, b]] == v) != (ia[pair[w, b]] == w):
                         neg.append(column[key])
                 gram.append(column[key])
-    # pair differences and their two gathers, two gathers of pair rows per
-    # off-diagonal column, the table, the Gram stack and what det makes of it
-    width = 3 * P * D + 2 * len(left) * D + P + len(left) + 3 * len(gram)
+    # the two index gathers of the pair endpoints, the two point gathers and
+    # their differences, two gathers of pair rows per off-diagonal column, the
+    # table, the Gram stack and what det makes of it
+    width = 2 * P + 3 * P * D + 2 * len(left) * D + P + len(left) + 3 * len(gram)
     return _Plan(
         m,
         ia,
@@ -141,14 +152,23 @@ def _plan(m: int, D: int, bases: tuple) -> _Plan:
     )
 
 
-def _blocks(T: np.ndarray, bases: tuple):
-    """(plan, rows, dot table) for each row block of the stack T."""
+def _stack(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stack T (B, m, D) as its own point table, under arange tuples."""
     B, m, D = T.shape
-    plan = _plan(m, D, bases)
+    return T.reshape(-1, D), np.arange(B * m).reshape(B, m)
+
+
+def _blocks(points: np.ndarray, tuples: np.ndarray, bases: tuple):
+    """(plan, rows, dot table) for each row block of the index tuples
+    (B, m) into the point table (n, D)."""
+    B, m = tuples.shape
+    plan = _plan(m, points.shape[1], bases)
     for lo in range(0, B, plan.rows):
         rows = slice(lo, lo + plan.rows)
-        block = T[rows]
-        diff = np.subtract(block.take(plan.ia, axis=1), block.take(plan.ic, axis=1))
+        # the plan's indices lie in range(m): "clip" only skips a bounds check
+        block = tuples[rows]
+        diff = np.subtract(points.take(block.take(plan.ia, axis=1, mode="clip"), axis=0),
+                           points.take(block.take(plan.ic, axis=1, mode="clip"), axis=0))
         P = diff.shape[1]
         dots = np.empty((len(block), P + len(plan.left)))
         np.einsum("bjk,bjk->bj", diff, diff, out=dots[:, :P])
@@ -206,7 +226,7 @@ def pair_and_content_sq(T: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarra
     B, m, _ = T.shape
     d2 = np.empty((B, m * (m - 1) // 2))
     out = np.empty(B)
-    for plan, rows, dots in _blocks(T, (range(m)[base],)):
+    for plan, rows, dots in _blocks(*_stack(T), (range(m)[base],)):
         d2[rows] = dots[:, : d2.shape[1]]
         out[rows] = _content(_gram(dots, plan))[:, 0]
     return d2, out
@@ -219,9 +239,14 @@ def content_sq(T: np.ndarray, base: int) -> np.ndarray:
 
 def psin_sq_at(T: np.ndarray, i: int) -> np.ndarray:
     """Squared polar sine at vertex i per tuple, 0 on coinciding coordinates."""
-    i = range(T.shape[1])[i]
-    out = np.empty(len(T))
-    for plan, rows, dots in _blocks(T, (i,)):
+    return _psin_sq_at(*_stack(T), i)
+
+
+def _psin_sq_at(points: np.ndarray, tuples: np.ndarray, i: int) -> np.ndarray:
+    """psin_sq_at over index tuples into a point table."""
+    i = range(tuples.shape[1])[i]
+    out = np.empty(len(tuples))
+    for plan, rows, dots in _blocks(points, tuples, (i,)):
         out[rows] = _ratio(_content(_gram(dots, plan))[:, 0], _fold(np.multiply, dots.take(plan.edges[i], axis=1)))
     return out
 
@@ -256,9 +281,11 @@ def _assemble(vol2: np.ndarray, pair2: np.ndarray, plan: _Plan):
     return prods, diam2, psin2, denom, cd_sq
 
 
-def cd_sq(T: np.ndarray, floor2: float | None = None) -> np.ndarray:
-    """c_d^2 per tuple of the stack T (B, m, D), in the canonical polar-sine
-    form: the Monte Carlo kernel.
+def cd_sq(points: np.ndarray, tuples: np.ndarray, floor2: float | None = None) -> np.ndarray:
+    """c_d^2 per index tuple (B, m) into the point table (n, D), in the
+    canonical polar-sine form: the Monte Carlo kernel.  Row b of tuples
+    names the points of its tuple, repeats allowed; a stack T is cd_sq of
+    _stack(T).
 
     With floor2, a tuple whose squared minimal separation is below floor2
     gets 0.  Such tuples are dropped after the dot table, before any Gram
@@ -266,10 +293,10 @@ def cd_sq(T: np.ndarray, floor2: float | None = None) -> np.ndarray:
     goes no further.  No value depends on another row, so a passing tuple
     carries curvature_terms' bits.
     """
-    B, m, _ = T.shape
+    B, m = tuples.shape
     P = m * (m - 1) // 2
     out = np.zeros(B)
-    for plan, rows, dots in _blocks(T, tuple(range(m))):
+    for plan, rows, dots in _blocks(points, tuples, tuple(range(m))):
         if floor2 is not None:
             keep = separated(_fold(np.minimum, dots[:, :P]), floor2)
             if not keep.any():
@@ -305,7 +332,7 @@ def curvature_terms(T: np.ndarray) -> dict:
         "psin0_nrm": np.zeros(B),
         "cd_sq_vol": np.zeros(B),
     }
-    for plan, rows, dots in _blocks(T, tuple(range(m))):
+    for plan, rows, dots in _blocks(*_stack(T), tuple(range(m))):
         vol2 = _content(_gram(dots, plan))
         prods, diam2, psin2, denom, cd2 = _assemble(vol2, dots[:, :P], plan)
         pos = denom > 0.0
@@ -444,11 +471,13 @@ def ordered_cd_sq_sum(
 
 
 def psin_with_replacement(X: np.ndarray, ys: np.ndarray, i: int) -> np.ndarray:
-    """psin^2_{x_0}(X(y, i)) for a batch of replacement points ys (n, D)."""
-    n = len(ys)
-    T = np.broadcast_to(X, (n,) + X.shape).copy()
-    T[:, i, :] = ys
-    return psin_sq_at(T, 0)
+    """psin^2_{x_0}(X(y, i)) for a batch of replacement points ys (n, D):
+    index tuples into one table holding the m points of X and then ys, X's
+    own indices everywhere but position i, which runs over ys."""
+    m = len(X)
+    tuples = np.broadcast_to(np.arange(m), (len(ys), m)).copy()
+    tuples[:, i] = m + np.arange(len(ys))
+    return _psin_sq_at(np.concatenate([X, ys]), tuples, 0)
 
 
 def affine_span_dist_sq(points: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ identically regardless of any separation filter, so U_lambda estimates at
 different lambda share a sample stream and are monotone by construction.
 The stream is Generator.choice's, index for index, with the inverse-CDF
 search read off a guide table (_tuple_stream).  The Monte Carlo path
-evaluates it with _batch.cd_sq, which computes c_d^2 alone and drops a
-tuple below the separation floor before its Gram determinants.
+hands each chunk of index tuples, with the restricted points as their
+table, to _batch.cd_sq, which gathers each tuple's points block by block,
+computes c_d^2 alone and drops a tuple below the separation floor before
+its Gram determinants; no coordinate stack of the chunk is built.
 
 The exact path is one call, _batch.ordered_cd_sq_sum, which sums the
 ordered tuples _CHUNK at a time in flat order.  It factors each distinct
@@ -224,7 +226,7 @@ def continuous_curvature_sq(
     s = 0.0
     s2 = 0.0
     for ti in _tuple_stream(w, arity, n_samples, seed):
-        vals = _batch.cd_sq(pts.take(ti, axis=0), floor2)
+        vals = _batch.cd_sq(pts, ti, floor2)
         s += float(vals.sum())
         s2 += float((vals * vals).sum())
     mean = s / n_samples
@@ -428,7 +430,7 @@ def prop11_ratio(
     out = {
         "lhs": est.estimate,
         "rhs": denom,
-        "std_error": est.std_error * est.mass_factor,
+        "std_error": est.to_dict()["std_error"],
         "exact": est.exact,
         "beta2sq": b2sq,
         "mass": mass,

@@ -2,7 +2,8 @@
 
 The reference functions below are the direct evaluation the kernels
 replace: distances from an (B, m, m, D) broadcast of differences, and at
-each base a Gram einsum of the edge vectors that np.delete leaves.  Every
+each base a Gram einsum of the edge vectors that np.delete leaves, on the
+coordinate stack points[tuples] where a kernel reads index tuples.  Every
 kernel output must carry the same bits (compared as uint64, so a -0.0 or a
 NaN payload counts too), at every tuple size, scale and row-block seam.
 """
@@ -20,6 +21,9 @@ from menger import _batch
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 
 EPS = np.finfo(float).eps
+# At 1e100 contents and edge products overflow to inf, and their ratios
+# and products with 0 are NaN, in both paths alike.
+nan_at_1e100 = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 
 
 def ref_pairwise_sq(T):
@@ -96,6 +100,20 @@ def ref_curvature_terms(T):
     }
 
 
+def ref_psin_with_replacement(X, ys, i):
+    """The broadcast form: X copied once per y, y written over position i,
+    polar sines of that stack."""
+    T = np.broadcast_to(X, (len(ys),) + X.shape).copy()
+    T[:, i, :] = ys
+    return _batch.psin_sq_at(T, 0)
+
+
+def table(T):
+    """The stack T as its own point table under arange index tuples."""
+    B, m, D = T.shape
+    return T.reshape(-1, D), np.arange(B * m).reshape(B, m)
+
+
 def assert_bits_equal(got, want):
     got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
     assert got.shape == want.shape
@@ -117,7 +135,7 @@ def assert_kernels_match(T):
     assert got.keys() == want.keys()
     for key in want:
         assert_bits_equal(got[key], want[key])
-    assert_bits_equal(_batch.cd_sq(T), want["cd_sq"])
+    assert_bits_equal(_batch.cd_sq(*table(T)), want["cd_sq"])
 
 
 def stack(rng, B, m, D):
@@ -146,15 +164,20 @@ def test_kernels_match_direct_formulas(m, D):
         assert_kernels_match(s * T)
 
 
+@nan_at_1e100
 @pytest.mark.parametrize("m", [3, 4, 5])
-def test_psin_with_replacement_matches_direct_formula(m):
+def test_psin_with_replacement_matches_direct_formula(small_blocks, m):
     rng = np.random.default_rng(m)
     X = rng.normal(size=(m, 3))
-    ys = np.concatenate([rng.normal(size=(40, 3)), X[:1], X[1:2], 1e-160 * X[:1]])
-    for i in range(1, m):
-        T = np.broadcast_to(X, (len(ys),) + X.shape).copy()
-        T[:, i, :] = ys
-        assert_bits_equal(_batch.psin_with_replacement(X, ys, i), ref_psin_sq_at(T, 0))
+    for n in (0, 1, 7, 40):
+        ys = np.concatenate([rng.normal(size=(n, 3)), X[:1], X[1:2], 1e-160 * X[:1]])
+        for s in (1e-100, 1.0, 1e100):
+            for i in range(1, m):
+                T = np.broadcast_to(s * X, (len(ys),) + X.shape).copy()
+                T[:, i, :] = s * ys
+                got = _batch.psin_with_replacement(s * X, s * ys, i)
+                assert_bits_equal(got, ref_psin_sq_at(T, 0))
+                assert_bits_equal(got, ref_psin_with_replacement(s * X, s * ys, i))
 
 
 @pytest.fixture
@@ -188,12 +211,40 @@ def test_cd_sq_floor_drops_tuples_before_any_determinant(small_blocks, content_r
     for floor2 in (0.0, on_it, float(np.median(sep2[sep2 > 0])), float(sep2.max()), math.inf):
         keep = sep2 >= floor2
         content_rows.clear()
-        assert_bits_equal(_batch.cd_sq(T, floor2), np.where(keep, want["cd_sq"], 0.0))
+        assert_bits_equal(_batch.cd_sq(*table(T), floor2), np.where(keep, want["cd_sq"], 0.0))
         # one call per block with a passing tuple, holding those tuples only
         passing = [int(keep[lo : lo + rows].sum()) for lo in range(0, len(T), rows)]
         assert content_rows == [n for n in passing if n], floor2
         assert floor2 == 0.0 or passing[1] == 0
     assert content_rows == []  # nothing reaches the floor of +inf
+
+
+def index_tuples(rng, B, m, n):
+    """B index tuples into n points, with the repeats a sampler draws: a
+    repeated pair, a tuple of one index, two indices alternating."""
+    t = rng.integers(0, n, size=(B, m))
+    t[1::5, 1] = t[1::5, 0]
+    t[2::5] = t[2::5, :1]
+    t[3::5, 1::2] = t[3::5, :1]
+    return t
+
+
+@nan_at_1e100
+@pytest.mark.parametrize("m, D", [(3, 2), (4, 3), (6, 7)])
+def test_cd_sq_on_index_tuples_matches_the_gathered_stack(small_blocks, m, D):
+    rows = _batch._plan(m, D, tuple(range(m))).rows
+    rng = np.random.default_rng(20 + m)
+    points = stack(rng, 20, 2, D).reshape(-1, D)  # mixed scales, copies, subnormal and integer points
+    for B in (0, 1, rows, rows + 1, 3 * rows + 2):
+        tuples = index_tuples(rng, B, m, len(points))
+        for s in (1e-100, 1.0, 1e100):
+            want = ref_curvature_terms(s * points[tuples])
+            sep2 = want["min_sep2"]
+            floors = [None, 0.0, float(np.median(sep2)) if B else 1.0, math.inf]
+            for floor2 in floors:
+                keep = sep2 >= (0.0 if floor2 is None else floor2)
+                got = _batch.cd_sq(s * points, tuples, floor2)
+                assert_bits_equal(got, np.where(keep, want["cd_sq"], 0.0))
 
 
 def test_ratio_is_zero_off_positive_denominators():
@@ -219,14 +270,15 @@ def test_base_and_vertex_indices_are_checked():
     [
         pytest.param(_batch.curvature_terms, (100_000, 4, 3), id="shape0"),
         pytest.param(_batch.curvature_terms, (262_144, 3, 2), id="shape1"),
-        pytest.param(_batch.cd_sq, (100_000, 4, 3), id="cd_sq-shape0"),
-        pytest.param(_batch.cd_sq, (262_144, 3, 2), id="cd_sq-shape1"),
+        pytest.param(lambda T: _batch.cd_sq(*table(T)), (100_000, 4, 3), id="cd_sq-shape0"),
+        pytest.param(lambda T: _batch.cd_sq(*table(T)), (262_144, 3, 2), id="cd_sq-shape1"),
     ],
 )
 def test_curvature_terms_memory_is_a_small_multiple_of_the_input(kernel, shape):
     # a (B, m, m, D) broadcast and m Gram stacks at once peaked at 5x the
     # input; row blocks leave the outputs (0.8x and 1.5x here for
-    # curvature_terms, a tenth of that for cd_sq) plus a block
+    # curvature_terms, a tenth of that for cd_sq) and the arange index
+    # tuples (1/D of the input) plus a block
     T = np.random.default_rng(0).normal(size=shape)
     tracemalloc.start()
     try:

@@ -344,6 +344,23 @@ def test_exact_path_memory_is_the_table_plus_a_few_blocks(d, m):
     assert peak <= 8 * m ** (d + 2) + 6 * 8 * _batch.BLOCK_ENTRIES
 
 
+def test_monte_carlo_path_builds_no_coordinate_stack():
+    # the cap of one bench mc-sphere query: about 3.2k points, so the auto
+    # path samples; a (n_samples, d + 2, D) stack of the drawn tuples alone
+    # would take 9.6 MB
+    cloud = gen_sphere(3, 20_000)
+    d, n_samples = 2, 100_000
+    ball = Ball(cloud.points[0], 0.8)
+    tracemalloc.start()
+    try:
+        est = continuous_curvature_sq(cloud, ball, d, n_samples=n_samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not est.exact
+    assert peak < n_samples * (d + 2) * cloud.points.shape[1] * 8
+
+
 def test_forced_exact_refuses_a_table_over_the_bound(monkeypatch):
     # the auto path never builds a table over the bound
     assert 8 * estimators.EXACT_TUPLE_LIMIT <= estimators.EXACT_TABLE_BYTES
@@ -677,6 +694,16 @@ def test_prop11_ratio_on_curved_cloud(circle):
     assert out["flag"] is None
     assert out["ratio"] > 0.0
     assert math.isclose(out["ratio"], out["lhs"] / out["rhs"], rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_prop11_std_error_is_the_estimate_s(circle, mode):
+    ball = Ball(circle.points[0], 0.5)
+    est = continuous_curvature_sq(circle, ball, 1, n_samples=2000, mode=mode, lam=0.2)
+    out = prop11_ratio(circle, circle.points[0], 0.5, 0.2, 1, n_samples=2000, mode=mode)
+    assert out["exact"] == est.exact == (mode == "exact")
+    assert (out["std_error"] > 0.0) == (mode == "mc")
+    assert out["std_error"] == est.to_dict()["std_error"]
 
 
 def test_prop11_ratio_zero_over_zero(patch12):

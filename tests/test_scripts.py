@@ -30,6 +30,7 @@ KERNEL_DOC = {
         "draws": {"equal": {"draws_per_s": 3e7, "choice_draws_per_s": 1e7}},
         "cd_sq_tuples_per_s": {"d1-lamNone": 4e6, "d1-lam0.4": 5e6},
     },
+    "mc_peak_bytes_per_sample": 69.0,
 }
 CLI_CELL = {"wall_s": 0.3, "peak_rss_mb": 40.0, "scipy_loaded": False}
 
@@ -86,6 +87,17 @@ def test_the_kernel_check_holds_the_determinant_rule_and_every_rate():
     assert broken(lambda doc: doc["mc"]["draws"].clear()) == []
     assert broken(lambda doc: (doc["mc"]["draws"].clear(), doc["mc"]["cd_sq_tuples_per_s"].clear())) == [
         "mc has no cells"]
+
+
+def test_the_kernel_check_wants_the_monte_carlo_path_below_a_coordinate_stack():
+    stack = (sweep_kernel.MC_D + 2) * (sweep_kernel.MC_D + 1) * 8
+    doc = copy.deepcopy(KERNEL_DOC)
+    doc["mc_peak_bytes_per_sample"] = stack - 0.1
+    assert sweep_kernel.check(doc) == []
+    for peak in (stack, 166.0, float("nan")):
+        doc["mc_peak_bytes_per_sample"] = peak
+        assert sweep_kernel.check(doc) == [
+            f"the Monte Carlo path peaks at {peak} B per sample, not below the {stack} B of a coordinate stack"]
 
 
 def test_the_cli_check_wants_twenty_cells_without_scipy():
