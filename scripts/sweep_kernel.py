@@ -1,9 +1,10 @@
 """Throughput of the batch curvature kernel, the exact path and the Monte
-Carlo layer.
+Carlo layer, and the Monte Carlo path's memory per sample.
 
     python3 scripts/sweep_kernel.py [--src DIR]
 
-Three tables, of the `menger` in --src (default: this checkout's `src`):
+Three tables and one peak, of the `menger` in --src (default: this
+checkout's `src`):
 
 - kernel: _batch.curvature_terms on B tuples of d + 2 Gaussian points in
   R^{d+1} (seeded), for d = 1, 2, 3 and B = 1, 2^10, 2^18.  A cell times
