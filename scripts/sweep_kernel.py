@@ -15,7 +15,8 @@ checkout's `src`):
   lambda None and 0.4.  A cell times one call, EXACT_REPEATS times, and
   reports determinants_per_tuple: the Gram matrices that _batch._content
   receives in one more call, counted through a wrapper, per ordered tuple
-  (1 without a floor, at most 1 with one).
+  (1 without a floor, at most 1 with one), and peak_bytes_per_tuple: the
+  tracemalloc peak of one more call, per ordered tuple.
 - mc: the two layers of the Monte Carlo path.  draws: index draws per
   second of estimators._tuple_stream, MC_TUPLES 4-tuples at m = MC_POINTS,
   for equal, uniform-random, log-normal (sigma 6) and one-heavy weights,
@@ -28,6 +29,10 @@ checkout's `src`):
 - mc_peak_bytes_per_sample: the tracemalloc peak of one
   continuous_curvature_sq(mode="mc") call, MC_TUPLES samples at d = MC_D
   over MC_POINTS Gaussian points in R^{d+1}, per sample.
+
+check holds an exact cell of at least PEAK_TUPLES ordered tuples (one
+sized at 2^21) below EXACT_PEAK_BYTES per tuple: 8 B of polar-sine table,
+about 1 B of estimators._CHUNK buffer, and the slab arrays.
 
 Each cell reports the median.  Prints one JSON object, and exits 1 when
 check finds a problem.  BLAS is held to one thread, as in bench/run.py;
@@ -51,12 +56,15 @@ MC_POINTS = 3244  # the points of one bench mc-sphere cap
 MC_TUPLES = 100_000
 MC_KERNEL_TUPLES = 2**18
 MC_D = 2
+PEAK_TUPLES = 2**20
+EXACT_PEAK_BYTES = 10.5
 
 
 def check(doc: dict) -> list[str]:
     """Every table has cells and positive rates, the exact path takes one
     determinant per ordered tuple without a separation floor, at most one with
-    lambda 0.4, and the Monte Carlo path holds less per sample than a
+    lambda 0.4, and below EXACT_PEAK_BYTES per tuple on a cell of at least
+    PEAK_TUPLES tuples, and the Monte Carlo path holds less per sample than a
     coordinate stack of its tuples, (d + 2) D floats."""
     exact, mc = doc["exact"], doc["mc"]
     draws = {f"{w}/{k}": r for w, c in mc["draws"].items() for k, r in c.items()}
@@ -67,6 +75,8 @@ def check(doc: dict) -> list[str]:
     dets = {k: c["determinants_per_tuple"] for k, c in exact.items()}
     problems += [f"exact/{k} takes {r} determinants per tuple" for k, r in dets.items()
                  if not (r == 1 if k.endswith("lamNone") else r <= 1)]
+    problems += [f"exact/{k} peaks at {c['peak_bytes_per_tuple']} B per tuple, not below {EXACT_PEAK_BYTES} B"
+                 for k, c in exact.items() if c["tuples"] >= PEAK_TUPLES and not c["peak_bytes_per_tuple"] < EXACT_PEAK_BYTES]
     stack = (MC_D + 2) * (MC_D + 1) * 8
     if not doc["mc_peak_bytes_per_sample"] < stack:
         problems.append(f"the Monte Carlo path peaks at {doc['mc_peak_bytes_per_sample']} B per sample, "
@@ -145,15 +155,19 @@ def _mc_table(numpy, estimators, _batch, rng) -> dict:
     return {"draws": draws, "cd_sq_tuples_per_s": kernel}
 
 
-def _mc_peak_bytes_per_sample(continuous_curvature_sq, WeightedPointCloud, rng) -> float:
-    cloud = WeightedPointCloud(rng.normal(size=(MC_POINTS, MC_D + 1)), rng.uniform(0.5, 1.0, size=MC_POINTS))
+def _peak_bytes(call) -> int:
+    """The tracemalloc peak while call() runs."""
     tracemalloc.start()
     try:
-        continuous_curvature_sq(cloud, None, MC_D, n_samples=MC_TUPLES, mode="mc")
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / MC_TUPLES
+
+
+def _mc_peak_bytes_per_sample(continuous_curvature_sq, WeightedPointCloud, rng) -> float:
+    cloud = WeightedPointCloud(rng.normal(size=(MC_POINTS, MC_D + 1)), rng.uniform(0.5, 1.0, size=MC_POINTS))
+    return _peak_bytes(lambda: continuous_curvature_sq(cloud, None, MC_D, n_samples=MC_TUPLES, mode="mc")) / MC_TUPLES
 
 
 def main(argv=None) -> int:
@@ -185,7 +199,8 @@ def main(argv=None) -> int:
 
                 rate = _median_rate(m ** (d + 2), call, EXACT_REPEATS)
                 exact[name] = {"tuples": m ** (d + 2), "tuples_per_s": round(rate),
-                               "determinants_per_tuple": _content_rows(_batch, call) / m ** (d + 2)}
+                               "determinants_per_tuple": _content_rows(_batch, call) / m ** (d + 2),
+                               "peak_bytes_per_tuple": round(_peak_bytes(call) / m ** (d + 2), 2)}
                 print(f"exact {name}: {exact[name]}", file=sys.stderr, flush=True)
     mc = _mc_table(numpy, estimators, _batch, rng)
     peak = round(_mc_peak_bytes_per_sample(continuous_curvature_sq, WeightedPointCloud, rng), 1)

@@ -38,27 +38,21 @@ vectors x_v - x_b gives:
 - det, trace and eigvalsh then see the same matrix, and every later step
   (edge products, maxima, sums over a tuple's vertices) runs per row in
   the same order; _fold spells the products, maxima and minima over a few
-  columns as one elementwise op per column, which gives a reduction's
-  bits.
+  columns as one elementwise op per column, and _sum the sums, which gives
+  a reduction's bits.
 
-So the content at base p of a tuple depends only on x_p and on the other
-points in position order: it is the base-0 content of the tuple that moves
-x_p to the front.  ordered_cd_sq_sum, the estimators' exact sum, stores it
-once per ordered index tuple of a point set (8 B each; at most 80 MB at
-the estimators' auto limit of 10M tuples) and reads every vertex's content
-back off a transposed view of that table: curvature_terms' bits with one
-determinant per tuple.  It walks the tuples in slabs of consecutive
-leading indices (_slabs) and reads each Gram matrix at base i off one
-table einsum("jd,kd->jk", X - x_i, X - x_i), which runs the pair-row
-einsum's inner loop, so has its bits; a BLAS product does not.  Its pair
-lengths are measure's squared-distance table, the same einsum per pair.
+So the content at base p of a tuple is the base-0 content of the tuple
+that moves x_p to the front, whose edges at its base are the edges at p in
+the same order.  ordered_cd_sq_sum, the estimators' exact sum, keeps one
+polar sine per ordered index tuple of a point set on that ground (8 B
+each; at most 80 MB at the estimators' auto limit of 10M tuples):
+curvature_terms' bits with one determinant per tuple.
 
 cd_sq is the Monte Carlo kernel: c_d^2 per index tuple and nothing else,
 with an optional separation floor applied to the dot table before any Gram
 matrix is formed.  curvature_terms is the diagnostic kernel (verify,
-geometry, decomposition_check) and returns every per-tuple term.  All
-three hand their contents and pair lengths to _assemble, the one c_d^2
-assembly.
+geometry, decomposition_check) and returns every per-tuple term.  They and
+the exact sum share one polar-sine and one c_d^2 formula (_psin_sq, _cd_sq).
 
 Tuples are processed in row blocks whose working arrays, index gathers
 included, hold about BLOCK_ENTRIES entries of 8 B in all, so memory stays
@@ -201,7 +195,7 @@ def _content(G: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         det = np.maximum(np.linalg.det(G), 0.0)
     k = G.shape[-1]
-    floor = 10.0 * k * _EPS * G.trace(axis1=-2, axis2=-1) ** k
+    floor = 10.0 * k * _EPS * _sum([G[..., j, j] for j in range(k)]) ** k
     suspect = det < floor
     if suspect.any():
         ev = np.maximum(np.linalg.eigvalsh(G[suspect]), 0.0)
@@ -217,6 +211,46 @@ def _ratio(num, den: np.ndarray) -> np.ndarray:
     out = num / np.where(positive, den, 1.0)
     out[~positive] = 0.0
     return out
+
+
+def _fold(ufunc, cols, out: np.ndarray | None = None) -> np.ndarray:
+    """ufunc across cols (rows of an array, or arrays broadcasting into out)
+    in index order: ufunc.reduce's bits for np.multiply, which reduces in
+    that order, and np.maximum, np.minimum and np.logical_and, exact ops."""
+    if out is None:
+        out = np.empty_like(cols[0])
+    out[...] = cols[0]
+    for col in cols[1:]:
+        ufunc(out, col, out=out)
+    return out
+
+
+def _sum(cols) -> np.ndarray:
+    """cols added with the bits of np.add.reduce over a row of them (G.trace,
+    sum(axis=-1)): that starts from +0.0 and runs in order below 8 entries,
+    as the fold does, and pairwise from 8 on, where cols are stacked."""
+    if len(cols) >= 8:
+        return np.stack(cols, axis=-1).sum(axis=-1)
+    return _fold(np.add, [np.add(0.0, cols[0]), *cols[1:]])
+
+
+def _psin_sq(content, edge_sq, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(edge product, squared polar sine) at a vertex from its squared
+    content and its squared edge lengths in the plan's order there (folded
+    as _fold), 0 off positive products: the one polar-sine formula."""
+    prods = _fold(np.multiply, edge_sq, out)
+    return prods, _ratio(content, prods)
+
+
+def _cd_sq(psin2, diam2: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diam^{d(d+1)}, c_d^2) from the squared polar sines at the d + 2
+    vertices and the squared diameter: the one c_d^2 formula, the canonical
+    polar-sine form, 0 where the diameter is 0."""
+    # diam^{d(d+1)} = (diam^2)^{d(d+1)/2}; d(d+1)/2 is an integer
+    denom = diam2 ** (d * (d + 1) // 2)
+    out = np.zeros(denom.shape)
+    np.divide(_sum(psin2), (d + 2) * denom, out=out, where=denom > 0.0)
+    return denom, out
 
 
 def pair_and_content_sq(T: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,38 +281,8 @@ def _psin_sq_at(points: np.ndarray, tuples: np.ndarray, i: int) -> np.ndarray:
     i = range(tuples.shape[1])[i]
     out = np.empty(len(tuples))
     for plan, rows, dots in _blocks(points, tuples, (i,)):
-        out[rows] = _ratio(_content(_gram(dots, plan))[:, 0], _fold(np.multiply, dots.take(plan.edges[i], axis=1)))
+        out[rows] = _psin_sq(_content(_gram(dots, plan))[:, 0], dots.take(plan.edges[i], axis=1).T)[1]
     return out
-
-
-def _fold(ufunc, cols: np.ndarray) -> np.ndarray:
-    """ufunc applied across axis 1 of cols in index order: the bits of
-    ufunc.reduce(cols, axis=1) for np.multiply, whose reduction runs in that
-    order, and for np.maximum and np.minimum, which are exact; without a
-    reduction's per-row loop over a few entries."""
-    out = cols[:, 0].copy()
-    for j in range(1, cols.shape[1]):
-        ufunc(out, cols[:, j], out=out)
-    return out
-
-
-def _assemble(vol2: np.ndarray, pair2: np.ndarray, plan: _Plan):
-    """Per row, from the squared Gram contents (n, m) at every vertex and
-    the squared pair lengths (n, P) in the plan's pair order: the squared
-    edge products (n, m) at every vertex, the squared diameter (n,), the
-    squared polar sines (n, m), diam^{d(d+1)} (n,) and c_d^2 (n,) in the
-    canonical polar-sine form.  The one c_d^2 assembly: curvature_terms,
-    cd_sq and ordered_cd_sq_sum call it."""
-    d = vol2.shape[1] - 2
-    # gathered one row per (vertex, edge), so each fold step reads whole rows
-    prods = _fold(np.multiply, pair2.T.take(plan.edges, axis=0)).T
-    diam2 = _fold(np.maximum, pair2)
-    psin2 = _ratio(vol2, prods)
-    # diam^{d(d+1)} = (diam^2)^{d(d+1)/2}; d(d+1)/2 is an integer
-    denom = diam2 ** (d * (d + 1) // 2)
-    cd_sq = np.zeros(len(denom))
-    np.divide(psin2.sum(axis=1), (d + 2) * denom, out=cd_sq, where=denom > 0.0)
-    return prods, diam2, psin2, denom, cd_sq
 
 
 def cd_sq(points: np.ndarray, tuples: np.ndarray, floor2: float | None = None) -> np.ndarray:
@@ -298,12 +302,14 @@ def cd_sq(points: np.ndarray, tuples: np.ndarray, floor2: float | None = None) -
     out = np.zeros(B)
     for plan, rows, dots in _blocks(points, tuples, tuple(range(m))):
         if floor2 is not None:
-            keep = separated(_fold(np.minimum, dots[:, :P]), floor2)
+            keep = separated(_fold(np.minimum, dots[:, :P].T), floor2)
             if not keep.any():
                 continue
             dots = dots[keep]
             rows = rows.start + np.flatnonzero(keep)
-        out[rows] = _assemble(_content(_gram(dots, plan)), dots[:, :P], plan)[-1]
+        psin2 = _psin_sq(_content(_gram(dots, plan)).T, dots.T.take(plan.edges.T, axis=0))[1]
+        out[rows] = _cd_sq(psin2, _fold(np.maximum, dots[:, :P].T), m - 2)[1]
+        del psin2  # before the next block is gathered
     return out
 
 
@@ -323,35 +329,40 @@ def curvature_terms(T: np.ndarray) -> dict:
     B, m, _ = T.shape
     d = m - 2
     P = m * (m - 1) // 2
-    out = {
-        "diam2": np.empty(B),
-        "min_sep2": np.empty(B),
-        "psin2": np.empty((B, m)),
-        "content0_sq": np.empty(B),
-        "cd_sq": np.empty(B),
-        "psin0_nrm": np.zeros(B),
-        "cd_sq_vol": np.zeros(B),
-    }
+    keys = ("diam2", "min_sep2", "psin2", "content0_sq", "cd_sq", "psin0_nrm", "cd_sq_vol")
+    out = {key: np.zeros((B, m) if key == "psin2" else B) for key in keys}
     for plan, rows, dots in _blocks(*_stack(T), tuple(range(m))):
         vol2 = _content(_gram(dots, plan))
-        prods, diam2, psin2, denom, cd2 = _assemble(vol2, dots[:, :P], plan)
+        # gathered one row per (edge, vertex), so each fold step reads whole rows
+        prods, psin2 = _psin_sq(vol2.T, dots.T.take(plan.edges.T, axis=0))
+        diam2 = _fold(np.maximum, dots[:, :P].T)
+        denom, cd2 = _cd_sq(psin2, diam2, d)
         pos = denom > 0.0
         out["diam2"][rows] = diam2
-        out["min_sep2"][rows] = _fold(np.minimum, dots[:, :P])
-        out["psin2"][rows] = psin2
+        out["min_sep2"][rows] = _fold(np.minimum, dots[:, :P].T)
+        out["psin2"][rows] = psin2.T
         out["content0_sq"][rows] = vol2[:, 0]
         out["cd_sq"][rows] = cd2
-        np.divide(psin2[:, 0], denom, out=out["psin0_nrm"][rows], where=pos)
-        inv_sum = _ratio(1.0, prods).sum(axis=1)
-        good = pos & (prods > 0.0).all(axis=1)
+        np.divide(psin2[0], denom, out=out["psin0_nrm"][rows], where=pos)
+        inv_sum = _ratio(1.0, prods).sum(axis=0)
+        good = pos & (prods > 0.0).all(axis=0)
         np.divide(vol2[:, 0] * inv_sum, (d + 2) * denom, out=out["cd_sq_vol"][rows], where=good)
     return out
 
 
-def separated(min_sep2: np.ndarray, floor2: float) -> np.ndarray:
-    """Which tuples, by squared minimal separation, reach the squared
-    separation floor: the one floor rule of both estimator paths."""
-    return min_sep2 >= floor2
+def separated(sep2: np.ndarray, floor2: float) -> np.ndarray:
+    """Which squared separations reach the squared separation floor: the one
+    floor rule of both estimator paths (a tuple's minimal one, or each pair's)."""
+    return sep2 >= floor2
+
+
+@functools.lru_cache(maxsize=None)
+def _view(ps: tuple, runs: tuple) -> tuple[tuple, tuple]:
+    """_at's axis permutation into slab order, and the index inserting the
+    slab axes it lacks, for positions ps where runs marks the slices."""
+    f = runs.index(True)
+    axes = [p - f for p in ps if runs[p]]
+    return tuple(np.argsort(axes).tolist()), tuple(slice(None) if a in axes else None for a in range(len(runs) - f))
 
 
 def _at(table: np.ndarray, ps: tuple, ix: tuple) -> np.ndarray:
@@ -359,10 +370,8 @@ def _at(table: np.ndarray, ps: tuple, ix: tuple) -> np.ndarray:
     positions take the indices ix (_slabs), as a view that broadcasts over
     the slab: position p >= f, f the first position ix does not fix, runs
     along slab axis p - f."""
-    f = next(p for p, i in enumerate(ix) if isinstance(i, slice))
-    axes = [p - f for p in ps if isinstance(ix[p], slice)]
-    x = np.transpose(table[tuple(ix[p] for p in ps)], np.argsort(axes))
-    return np.expand_dims(x, tuple(sorted(set(range(len(ix) - f)) - set(axes))))
+    perm, expand = _view(ps, tuple(isinstance(i, slice) for i in ix))
+    return table[tuple(ix[p] for p in ps)].transpose(perm)[expand]
 
 
 def _slabs(m: int, arity: int, width: int):
@@ -388,49 +397,41 @@ def ordered_cd_sq_sum(
     """The exact sum of c_d^2(t) * prod weights[t] over the m**arity ordered
     index tuples t of the points (m, D): np.sum over each run of `chunk`
     tuples in flat (C) order, the runs added in order.  With floor2, a
-    tuple whose squared minimal separation is below floor2 contributes 0
-    and costs no determinant; separation does not depend on the order of a
-    tuple, so both passes skip it.
+    tuple with a pair below floor2 (separated(pair_sq, floor2)) contributes
+    0 and costs no determinant.
 
-    The content at vertex p of t is the base-0 content of the tuple (t_p,
-    the others in position order), with the bits curvature_terms gives at
-    base p.  So a table pass stores the base-0 content of every ordered
-    tuple, 8 B per tuple, and a sum pass hands each tuple's contents at
-    every vertex and its pair lengths to _assemble.  Both walk the same
-    slabs (_slabs) and read every table through views that broadcast over
-    a slab (_at), with no per-tuple gather.  The table pass forms one dot
-    table einsum("jd,kd->jk", X - x_i, X - x_i) per base i and reads each
-    Gram matrix at i off it, entries (a, b) and (b, a) alike from [t_a,
-    t_b]: that einsum runs the pair-row einsum's inner loop over the same
-    products in the same order, so it gives _blocks' bits, where a BLAS
-    product of the same rows sums in another order and does not
-    (tests/test_estimators.py holds this up to D = 64).  In the sum pass
-    vertex p's contents, content[t_p, t_0, .., t_{p-1}, t_{p+1}, ..], are
-    a transposed view of the table, the pair lengths views of the m x m
-    _sq_dists(points, points) table, and the weights views multiplied in
-    position order, as np.prod multiplies.
+    A table pass stores the squared polar sine at the base vertex of every
+    ordered tuple, 8 B each: _psin_sq of its base-0 content and its edges
+    pair_sq[t_0, t_p], p = 1, 2, .., pair_sq the _sq_dists(points, points)
+    table.  The polar sine at vertex p of t is the entry at (t_p, the others
+    in position order): that tuple's base-0 content is t's content at base
+    p, with curvature_terms' bits there, and its edges are the pairs {t_p,
+    t_q}, q != p ascending, the plan's edge order at p, which _sq_dists
+    gives the same bits in either order.  So the sum pass reads the polar
+    sines off transposed views of the table and only sums, divides and
+    weights (_cd_sq, then the weights multiplied in position order, as
+    np.prod does).  A tuple below the floor has 0 at every vertex, as
+    separation does not depend on the order of a tuple.
+
+    Both passes walk the same slabs (_slabs) and read every table through
+    views that broadcast over a slab (_at), with no per-tuple gather.  The
+    table pass forms one dot table einsum("jd,kd->jk", X - x_i, X - x_i)
+    per base i and reads each Gram matrix at i off it, entries (a, b) and
+    (b, a) alike from [t_a, t_b]: that einsum runs the pair-row einsum's
+    inner loop over the same products in the same order, so it gives
+    _blocks' bits, where a BLAS product does not (tests/test_estimators.py
+    holds this up to D = 64).
     """
     m = len(points)
     total = m**arity
     k = arity - 1
-    plan = _plan(arity, 1, (0,))  # edge lists depend on neither D nor the bases
-    pairs = [(a, c) for a in range(arity) for c in range(a + 1, arity)]  # _assemble's pair order
+    pairs = [(a, c) for a in range(arity) for c in range(a + 1, arity)]
     pair_sq = _sq_dists(points, points)
+    ok = None if floor2 is None else separated(pair_sq, floor2)
     width = arity * (arity + 5)  # floats per tuple held by either pass
-    content = np.zeros((m,) * arity)
+    psin = np.zeros((m,) * arity)
 
-    def lengths(ix: tuple, shape: tuple) -> np.ndarray:
-        """Squared pair lengths (P, n) of a slab's tuples, in `pairs` order."""
-        out = np.empty((len(pairs),) + shape)
-        for q, (a, c) in enumerate(pairs):
-            out[q] = _at(pair_sq, (a, c), ix)
-        return out.reshape(len(out), -1)
-
-    def passing(pair2: np.ndarray):
-        """Offsets of the tuples, by their pair lengths (P, n), that reach the floor."""
-        return slice(None) if floor2 is None else np.flatnonzero(separated(_fold(np.minimum, pair2.T), floor2))
-
-    for lo, ix, shape in _slabs(m, arity, width):
+    for _, ix, shape in _slabs(m, arity, width):
         bases = np.atleast_1d(np.arange(m)[ix[0]])
         dots = np.empty((len(bases), m, m))
         for i, out in zip(bases.tolist(), dots):
@@ -444,23 +445,22 @@ def ordered_cd_sq_sum(
             for b in range(a + 1, arity):
                 G[..., a - 1, b - 1] = G[..., b - 1, a - 1] = _at(dots, (0, a, b), at_base)
         G = G.reshape(-1, k, k)
-        on = slice(None) if floor2 is None else passing(lengths(ix, shape))
-        content.reshape(-1)[lo : lo + len(G)][on] = _content(G[on])
+        on = slice(None)
+        if ok is not None:
+            on = np.flatnonzero(_fold(np.logical_and, [_at(ok, q, ix) for q in pairs], np.empty(shape, bool)))
+        content = np.zeros(len(G))
+        content[on] = _content(G[on])
+        edge_sq = [_at(pair_sq, (0, p), ix) for p in range(1, arity)]
+        psin[ix] = _psin_sq(content.reshape(shape), edge_sq, np.empty(shape))[1]
 
     acc = 0.0
     terms = np.empty(min(chunk, total))
     for lo, ix, shape in _slabs(m, arity, width):
-        vol2 = np.empty((arity,) + shape)
-        for p in range(arity):  # content[t_p, t_0, .., t_{p-1}, t_{p+1}, ..]
-            vol2[p] = _at(content, (p, *range(p), *range(p + 1, arity)), ix)
-        pair2 = lengths(ix, shape)
-        on = passing(pair2)
-        vals = np.zeros(pair2.shape[1])
-        vals[on] = _assemble(vol2.reshape(arity, -1)[:, on].T, pair2[:, on].T, plan)[-1]
-        w = _at(weights, (0,), ix)
-        for p in range(1, arity):
-            w = w * _at(weights, (p,), ix)
-        vals *= w.reshape(-1)
+        # vertex p's polar sine: psin[t_p, t_0, .., t_{p-1}, t_{p+1}, ..]
+        psin2 = [_at(psin, (p, *range(p), *range(p + 1, arity)), ix) for p in range(arity)]
+        diam2 = _fold(np.maximum, [_at(pair_sq, pair, ix) for pair in pairs], np.empty(shape))
+        w = _fold(np.multiply, [_at(weights, (p,), ix) for p in range(arity)], np.empty(shape))
+        vals = np.multiply(_cd_sq(psin2, diam2, arity - 2)[1], w, out=w).reshape(-1)
         # each run of `chunk` tuples that ends in this slab is summed
         cuts = [lo, *range(lo - lo % chunk + chunk, lo + len(vals), chunk), lo + len(vals)]
         for a, b in zip(cuts, cuts[1:]):

@@ -16,9 +16,9 @@ its Gram determinants; no coordinate stack of the chunk is built.
 
 The exact path is one call, _batch.ordered_cd_sq_sum, which sums the
 ordered tuples _CHUNK at a time in flat order.  It factors each distinct
-Gram matrix once, off one dot table per base point, into a table of the
-base-0 content of every ordered tuple that each vertex reads through a
-view, with the per-tuple kernel's bits.  The table costs 8 B per ordered
+Gram matrix once, off one dot table per base point, into a polar-sine
+table (base vertex) of every ordered tuple that each vertex reads through
+a view, with the per-tuple kernel's bits.  The table costs 8 B per ordered
 tuple: 134 MB for a forced-exact level-4 Cantor cloud (256^3 tuples); a
 forced exact sum whose table would exceed EXACT_TABLE_BYTES is refused.
 On the exact path a tuple below the separation floor costs no determinant.
@@ -40,7 +40,7 @@ from .measure import Ball, WeightedPointCloud, _level, _power, _powers
 from .planes import beta2
 
 EXACT_TUPLE_LIMIT = 10_000_000
-# Largest content table (8 B per ordered tuple) an exact sum may build: the
+# Largest polar-sine table (8 B per ordered tuple) an exact sum may build: the
 # auto path stays below it, a forced mode="exact" above it raises.
 EXACT_TABLE_BYTES = 1 << 30
 _CHUNK = 1 << 18
@@ -191,7 +191,7 @@ def continuous_curvature_sq(
 
     mode: "auto" picks exhaustive summation when the tuple count
     m^{d+2} <= EXACT_TUPLE_LIMIT, "exact"/"mc" force a path; "exact" raises
-    ValueError when its content table would exceed EXACT_TABLE_BYTES.  lam
+    ValueError when its polar-sine table would exceed EXACT_TABLE_BYTES.  lam
     (with a ball query) keeps only tuples whose minimal pairwise distance
     is at least lam * radius(Q); it must be >= 0, and any lam > 2
     (+inf included) empties the region.  Points whose scale puts c_d^2
@@ -216,7 +216,7 @@ def continuous_curvature_sq(
     if mode == "exact" or (mode == "auto" and total_tuples <= EXACT_TUPLE_LIMIT):
         if 8 * total_tuples > EXACT_TABLE_BYTES:
             raise ValueError(
-                f"an exact sum over {m}^{arity} ordered tuples needs a content table of "
+                f"an exact sum over {m}^{arity} ordered tuples needs a polar-sine table of "
                 f"{8 * total_tuples / 2**30:.1f} GiB, over the {EXACT_TABLE_BYTES / 2**30:g} GiB "
                 "bound; use mode='mc'"
             )

@@ -108,7 +108,7 @@ def deviation_violations(T: np.ndarray, plane: AffinePlane) -> tuple:
     d2, content = _batch.pair_and_content_sq(T, 0)
     # psin_sq_at(T, 0) off the same pass: the pairs {0, j} are the first
     # m - 1 in lexicographic order
-    psin0 = np.sqrt(_batch._ratio(content, _batch._fold(np.multiply, d2[:, : m - 1])))
+    psin0 = np.sqrt(_batch._psin_sq(content, d2[:, : m - 1].T)[1])
     diam = np.sqrt(d2.max(axis=1))
     norms = geometry._edge_lengths_at0(T)
     scale0 = norms.min(axis=1) / norms.max(axis=1)

@@ -33,7 +33,10 @@ def ref_pairwise_sq(T):
 
 def ref_content_sq(T, base):
     E = np.delete(T, base, axis=1) - T[:, base, None, :]
-    G = np.einsum("bik,bjk->bij", E, E)
+    return ref_gram_content(np.einsum("bik,bjk->bij", E, E))
+
+
+def ref_gram_content(G):
     with np.errstate(divide="ignore"):
         det = np.clip(np.linalg.det(G), 0.0, None)
     k = G.shape[1]
@@ -245,6 +248,51 @@ def test_cd_sq_on_index_tuples_matches_the_gathered_stack(small_blocks, m, D):
                 keep = sep2 >= (0.0 if floor2 is None else floor2)
                 got = _batch.cd_sq(s * points, tuples, floor2)
                 assert_bits_equal(got, np.where(keep, want["cd_sq"], 0.0))
+
+
+def gram_on_the_floor(rng, k):
+    """Diagonal k x k Gram matrices whose determinants step by single ulps
+    through the rank floor 10 k eps trace^k: the last diagonal entry is set
+    so that the product meets the floor (a few fixed-point rounds, since it
+    enters the trace), then moved by -32..32 ulps, which moves the trace by
+    far less than an ulp of it.  So whether a row takes the eigenvalue path
+    turns on the trace's last bits."""
+    lam = rng.uniform(0.5, 2.0, size=(300, k))
+    lam[:, -1] = 0.0
+    for _ in range(6):
+        floor = 10.0 * k * EPS * lam.sum(axis=1) ** k
+        lam[:, -1] = floor / np.prod(lam[:, :-1], axis=1)
+    lam = np.repeat(lam, 65, axis=0)
+    lam[:, -1] += np.tile(np.arange(-32, 33), 300) * np.spacing(lam[:, -1])
+    return lam[:, :, None] * np.eye(k)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_content_keeps_the_trace_of_g_trace_at_the_floor(k):
+    # the floor's trace is a fold of the diagonal below 8 entries and
+    # G.trace from 8 on, where numpy's add reduction turns pairwise
+    rng = np.random.default_rng(k)
+    G = gram_on_the_floor(rng, k)
+    got = _batch._content(G)
+    assert_bits_equal(got, ref_gram_content(G))
+    if k > 1:
+        floor = 10.0 * k * EPS * np.trace(G, axis1=1, axis2=2) ** k
+        assert (got < floor).any() and (got >= floor).any()
+    # and inside the (n, bases, k, k) stacks the kernels hand it
+    G4 = G[:300].reshape(100, 3, k, k)
+    assert_bits_equal(_batch._content(G4), ref_gram_content(G[:300]).reshape(100, 3))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sum_has_the_bits_of_an_add_reduction(n):
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(500, n)) * 10.0 ** rng.uniform(-8, 8, size=(500, n))
+    A[::7] = -0.0
+    A[1::7, 0] = -A[1::7, -1]
+    assert_bits_equal(_batch._sum(list(A.T)), A.sum(axis=1))
+    # columns that broadcast over a slab, as the exact sum's views do
+    cols = [np.broadcast_to(c[:20, None], (20, 25)) for c in A.T]
+    assert_bits_equal(_batch._sum(cols), np.broadcast_to(A[:20, None, :], (20, 25, n)).copy().sum(axis=-1))
 
 
 def test_ratio_is_zero_off_positive_denominators():

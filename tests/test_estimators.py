@@ -160,19 +160,25 @@ def ref_exact_mean(cloud, query, d, lam=None):
     """The exact sum as the per-tuple kernel gives it: curvature_terms on
     every ordered tuple, _CHUNK tuples at a time, the separation floor
     applied to its output."""
+    return ref_exact_means(cloud, query, d, (lam,))[0]
+
+
+def ref_exact_means(cloud, query, d, lams):
+    """ref_exact_mean at each lambda of lams, off one pass of the kernel."""
     idx = cloud.in_ball(query)
     pts, w = cloud.points[idx], cloud.weights[idx]
     m, arity = len(idx), d + 2
     total, chunk = m**arity, estimators._CHUNK
-    acc = 0.0
+    acc = [0.0] * len(lams)
     for lo in range(0, total, chunk):
         ti = np.stack(np.unravel_index(np.arange(lo, min(lo + chunk, total)), (m,) * arity), axis=1)
         terms = _batch.curvature_terms(pts[ti])
-        vals = terms["cd_sq"]
-        if lam is not None:
-            vals = np.where(terms["min_sep2"] >= (lam * query.radius) ** 2, vals, 0.0)
-        acc += float(np.sum(vals * np.prod(w[ti], axis=1)))
-    return acc / float(w.sum()) ** arity
+        for j, lam in enumerate(lams):
+            vals = terms["cd_sq"]
+            if lam is not None:
+                vals = np.where(terms["min_sep2"] >= (lam * query.radius) ** 2, vals, 0.0)
+            acc[j] += float(np.sum(vals * np.prod(w[ti], axis=1)))
+    return [a / float(w.sum()) ** arity for a in acc]
 
 
 def ref_mc(cloud, query, d, n_samples, seed, lam):
@@ -255,6 +261,24 @@ def test_exact_sums_keep_their_bits_in_high_dimension(d, m):
                 assert_same_bits(got.mean, ref_exact_mean(cloud, ball, d, lam))
 
 
+@pytest.mark.parametrize("d", [6, 7])
+def test_exact_sums_keep_their_bits_at_eight_or_more_vertices(d):
+    # d + 2 >= 8 vertices, where numpy's add reduction turns pairwise; the
+    # 1e6-scale clouds leave the float range there (_check_extent), so the
+    # unit Gaussian, repeated-point and integer clouds.  Three points make
+    # every tuple repeat one, so every term is 0: this holds the table, its
+    # views and the floor at that arity, and test_batch's
+    # test_sum_has_the_bits_of_an_add_reduction the pairwise vertex sum
+    rng = np.random.default_rng(60 + d)
+    for D in (d + 1, d + 3):
+        clouds = awkward_clouds(rng, 3, D)
+        for cloud in (clouds[1], clouds[3], clouds[5]):
+            ball = enclosing_ball(cloud)
+            for lam, want in zip((None, 0.3), ref_exact_means(cloud, ball, d, (None, 0.3))):
+                got = continuous_curvature_sq(cloud, ball, d, mode="exact", lam=lam)
+                assert_same_bits(got.mean, want)
+
+
 def test_exact_sums_keep_their_bits_across_chunk_and_block_seams(monkeypatch):
     # 70^3 ordered tuples fill one _CHUNK and part of a second; then chunks
     # and row blocks of a few rows, whose seams fall inside tuples' runs
@@ -331,7 +355,7 @@ def test_mc_separation_filter_keeps_every_bit(d):
 
 @pytest.mark.parametrize("d, m", [(1, 100), (3, 16)])
 def test_exact_path_memory_is_the_table_plus_a_few_blocks(d, m):
-    # 8 B per ordered tuple for the content table; every other array is
+    # 8 B per ordered tuple for the polar-sine table; every other array is
     # bounded by row blocks and chunks, not by the tuple count
     rng = np.random.default_rng(m)
     cloud = WeightedPointCloud(rng.normal(size=(m, d + 1)), rng.uniform(0.1, 1.0, size=m))

@@ -23,8 +23,12 @@ KERNEL_DOC = {
     "env": {},
     "tuples_per_s": {"d1-B1": 5e4, "d1-B1024": 2e6},
     "exact": {
-        "d1-m8-lamNone": {"tuples": 512, "tuples_per_s": 1e6, "determinants_per_tuple": 1.0},
-        "d1-m8-lam0.4": {"tuples": 512, "tuples_per_s": 2e6, "determinants_per_tuple": 0.25},
+        "d1-m8-lamNone": {"tuples": 512, "tuples_per_s": 1e6, "determinants_per_tuple": 1.0,
+                          "peak_bytes_per_tuple": 60.0},
+        "d1-m8-lam0.4": {"tuples": 512, "tuples_per_s": 2e6, "determinants_per_tuple": 0.25,
+                         "peak_bytes_per_tuple": 60.0},
+        "d1-m128-lam0.4": {"tuples": 2**21, "tuples_per_s": 2e6, "determinants_per_tuple": 0.5,
+                           "peak_bytes_per_tuple": 9.9},
     },
     "mc": {
         "draws": {"equal": {"draws_per_s": 3e7, "choice_draws_per_s": 1e7}},
@@ -87,6 +91,20 @@ def test_the_kernel_check_holds_the_determinant_rule_and_every_rate():
     assert broken(lambda doc: doc["mc"]["draws"].clear()) == []
     assert broken(lambda doc: (doc["mc"]["draws"].clear(), doc["mc"]["cd_sq_tuples_per_s"].clear())) == [
         "mc has no cells"]
+
+
+def test_the_kernel_check_holds_a_large_exact_cell_below_its_peak_bound():
+    # 8 B of table, about 1 B of chunk buffer and the slab arrays; a small
+    # cell's fixed arrays may take more per tuple
+    doc = copy.deepcopy(KERNEL_DOC)
+    cell = doc["exact"]["d1-m128-lam0.4"]
+    cell["peak_bytes_per_tuple"] = sweep_kernel.EXACT_PEAK_BYTES - 0.01
+    assert sweep_kernel.check(doc) == []
+    for peak in (sweep_kernel.EXACT_PEAK_BYTES, 11.02, float("nan")):
+        cell["peak_bytes_per_tuple"] = peak
+        assert sweep_kernel.check(doc) == [f"exact/d1-m128-lam0.4 peaks at {peak} B per tuple, not below 10.5 B"]
+    cell["tuples"] = sweep_kernel.PEAK_TUPLES - 1
+    assert sweep_kernel.check(doc) == []
 
 
 def test_the_kernel_check_wants_the_monte_carlo_path_below_a_coordinate_stack():
